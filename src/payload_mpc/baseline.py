@@ -68,6 +68,7 @@ class BaselineProblem:
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()
+        self._last_point = None
         # double-support mask for the similarity term (exactly two active feet)
         self._both_active = (self.activity.sum(axis=1) == 2.0) if self.n_contacts == 2 else np.zeros(
             self.horizon, dtype=bool
@@ -99,17 +100,22 @@ class BaselineProblem:
             out[:, i, 3:] = wrenches[:, i, 3:] @ rot.T
         return out
 
+    def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
+        """Inputs and rollout at `z`; value and gradient share the last one."""
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        point = self._last_point
+        if point is None or point.key != key:
+            wrenches, vel = self.decode(z.copy())
+            world = self._wrenches_world(wrenches)
+            states = _shooting.rollout(
+                self._x0, world, vel, self.activity, self._payload, self.constants, self.config.dt
+            )
+            point = self._last_point = _shooting.ShootingPoint(key, wrenches, vel, world, states)
+        return point
+
     def rollout(self, z: np.ndarray) -> np.ndarray:
-        wrenches, vel = self.decode(z)
-        return _shooting.rollout(
-            self._x0,
-            self._wrenches_world(wrenches),
-            vel,
-            self.activity,
-            self._payload,
-            self.constants,
-            self.config.dt,
-        )
+        return self._point(z).states.copy()
 
     # -- objective ----------------------------------------------------------------
 
@@ -122,14 +128,15 @@ class BaselineProblem:
             cost += 0.5 * float(np.einsum("ki,ij,kj->", diff, w.q_force_similarity, diff))
         return cost
 
-    def cost_breakdown(self, z: np.ndarray) -> dict:
-        wrenches, vel = self.decode(z)
-        states = self.rollout(z)
-        parts = {
-            "tracking": _costs.tracking_cost(states, self.refs, self.weights),
-            "footsteps": _costs.footstep_cost(states, self.refs, self.weights),
-            "input_reg": self._input_cost(wrenches, vel),
+    def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
+        return {
+            "tracking": _costs.tracking_cost(point.states, self.refs, self.weights),
+            "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights),
+            "input_reg": self._input_cost(point.inputs, point.velocities),
         }
+
+    def cost_breakdown(self, z: np.ndarray) -> dict:
+        parts = self._cost_parts(self._point(z))
         parts["total"] = sum(parts.values())
         return parts
 
@@ -188,9 +195,9 @@ class BaselineProblem:
         return grads
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        wrenches, _ = self.decode(z)
-        bounds = footstep_bound_residuals(self.rollout(z), self.refs, self.config)
-        return np.concatenate([bounds, self.stability_residuals(wrenches)])
+        point = self._point(z)
+        bounds = footstep_bound_residuals(point.states, self.refs, self.config)
+        return np.concatenate([bounds, self.stability_residuals(point.inputs)])
 
     @property
     def num_bound_constraints(self) -> int:
@@ -210,11 +217,8 @@ class BaselineProblem:
     # -- gradient ----------------------------------------------------------------
 
     def gradient(self, z: np.ndarray, constraint_weights=None) -> np.ndarray:
-        wrenches, vel = self.decode(z)
-        wrenches_world = self._wrenches_world(wrenches)
-        states = _shooting.rollout(
-            self._x0, wrenches_world, vel, self.activity, self._payload, self.constants, self.config.dt
-        )
+        point = self._point(z)
+        wrenches, vel, wrenches_world, states = point.inputs, point.velocities, point.wrenches, point.states
         steps, n_c = self.horizon, self.n_contacts
         seeds = np.zeros_like(states)
         com, momentum, feet = _costs.split_states(states, n_c)
@@ -269,27 +273,14 @@ class BaselineProblem:
 
     def evaluator(self) -> NlpFunctions:
         def value(z):
-            wrenches, vel = self.decode(z)
-            states = _shooting.rollout(
-                self._x0,
-                self._wrenches_world(wrenches),
-                vel,
-                self.activity,
-                self._payload,
-                self.constants,
-                self.config.dt,
-            )
-            if not np.isfinite(states).all() or np.abs(states).max() > 1e6:
+            point = self._point(z)
+            if not np.isfinite(point.states).all() or np.abs(point.states).max() > 1e6:
                 return np.inf, np.zeros(self.num_constraints)
-            f = (
-                _costs.tracking_cost(states, self.refs, self.weights)
-                + _costs.footstep_cost(states, self.refs, self.weights)
-                + self._input_cost(wrenches, vel)
-            )
+            f = sum(self._cost_parts(point).values())
             residuals = np.concatenate(
                 [
-                    footstep_bound_residuals(states, self.refs, self.config),
-                    self.stability_residuals(wrenches),
+                    footstep_bound_residuals(point.states, self.refs, self.config),
+                    self.stability_residuals(point.inputs),
                 ]
             )
             return float(f), residuals

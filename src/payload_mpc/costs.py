@@ -184,16 +184,13 @@ def payload_compensation_targets(
     return targets, cache
 
 
-def payload_attenuation_from_wrenches(
+def payload_attenuation_from_targets(
     wrenches: np.ndarray,
-    states: np.ndarray,
-    payload,
+    targets: np.ndarray,
     activity: np.ndarray,
-    constants: RobotConstants,
     weights: Weights,
 ) -> float:
-    """Payload-attenuation penalty given already-computed inertial wrenches (K, n_c, 6)."""
-    targets, _ = payload_compensation_targets(states, activity, payload, constants)
+    """Payload-attenuation penalty of inertial wrenches (K, n_c, 6) against their targets."""
     residual = (wrenches - targets) * activity[..., None]
     return _quad(residual, weights.q_d)
 
@@ -218,7 +215,8 @@ def payload_attenuation_cost(
     steps, n_c = xi_traj.shape[:2]
     activity = np.asarray(gait, dtype=float)[:, :steps].T  # (K, n_c)
     wrenches = wrenches_from_parameters(xi_traj, orientations, surfaces)
-    return payload_attenuation_from_wrenches(wrenches, states, payload_hold, activity, constants, weights)
+    targets, _ = payload_compensation_targets(states, activity, payload_hold, constants)
+    return payload_attenuation_from_targets(wrenches, targets, activity, weights)
 
 
 def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces) -> np.ndarray:

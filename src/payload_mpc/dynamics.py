@@ -80,12 +80,6 @@ class Wrench:
         return np.concatenate([self.force, self.moment])
 
 
-def rotate_wrench(rotation: np.ndarray, wrench: Wrench) -> Wrench:
-    """Re-express a wrench via the frame rotation R (force and moment rotate alike)."""
-    r = np.asarray(rotation, dtype=float).reshape(3, 3)
-    return Wrench(r @ wrench.force, r @ wrench.moment)
-
-
 @dataclass(frozen=True)
 class RobotConstants:
     mass: float  # kg

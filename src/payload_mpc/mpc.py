@@ -171,6 +171,7 @@ class HorizonProblem:
         self.dim = self.horizon * self.n_contacts * 9
         self.use_payload_task = bool(np.any(weights.q_d))
         self._x0 = state.as_vector()
+        self._last_point = None
 
     # -- decision vector layout ------------------------------------------------
 
@@ -196,39 +197,55 @@ class HorizonProblem:
     def _wrenches_world(self, xi: np.ndarray) -> np.ndarray:
         return _costs.wrenches_from_parameters(xi, self.refs.contact_orientations, self.surfaces)
 
+    def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
+        """Inputs and rollout at `z`; value and gradient share the last one."""
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        point = self._last_point
+        if point is None or point.key != key:
+            xi, vel = self.decode(z.copy())
+            wrenches = self._wrenches_world(xi)
+            states = _shooting.rollout(
+                self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
+            )
+            point = self._last_point = _shooting.ShootingPoint(key, xi, vel, wrenches, states)
+        return point
+
+    def _payload_targets(self, point: _shooting.ShootingPoint):
+        if point.payload_targets is None:
+            point.payload_targets = _costs.payload_compensation_targets(
+                point.states, self.activity, self._payload, self.constants
+            )
+        return point.payload_targets
+
     def rollout(self, z: np.ndarray) -> np.ndarray:
-        xi, vel = self.decode(z)
-        wrenches = self._wrenches_world(xi)
-        return _shooting.rollout(
-            self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
-        )
+        return self._point(z).states.copy()
 
     # -- objective and constraints ----------------------------------------------
 
-    def cost_breakdown(self, z: np.ndarray) -> dict:
-        xi, vel = self.decode(z)
-        if np.abs(xi[..., 2]).max() > _XI3_GUARD:
-            return {"total": np.inf}
-        states = self.rollout(z)
+    def _guarded(self, z: np.ndarray) -> bool:
+        xi, _ = self.decode(z)
+        return np.abs(xi[..., 2]).max() > _XI3_GUARD
+
+    def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
         parts = {
-            "tracking": _costs.tracking_cost(states, self.refs, self.weights),
-            "footsteps": _costs.footstep_cost(states, self.refs, self.weights),
-            "parameter_reg": _costs.parameter_regularization_cost(xi, self.weights),
-            "velocity_reg": _costs.velocity_regularization_cost(vel, self.weights),
+            "tracking": _costs.tracking_cost(point.states, self.refs, self.weights),
+            "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights),
+            "parameter_reg": _costs.parameter_regularization_cost(point.inputs, self.weights),
+            "velocity_reg": _costs.velocity_regularization_cost(point.velocities, self.weights),
+            "payload": 0.0,
         }
         if self.use_payload_task:
-            parts["payload"] = _costs.payload_attenuation_cost(
-                xi,
-                states,
-                self.payload_hold,
-                self.refs.gait,
-                self.refs.contact_orientations,
-                self.surfaces,
-                self.constants,
-                self.weights,
+            targets, _ = self._payload_targets(point)
+            parts["payload"] = _costs.payload_attenuation_from_targets(
+                point.wrenches, targets, self.activity, self.weights
             )
-        else:
-            parts["payload"] = 0.0
+        return parts
+
+    def cost_breakdown(self, z: np.ndarray) -> dict:
+        if self._guarded(z):
+            return {"total": np.inf}
+        parts = self._cost_parts(self._point(z))
         parts["total"] = sum(parts.values())
         return parts
 
@@ -236,7 +253,7 @@ class HorizonProblem:
         return float(self.cost_breakdown(z)["total"])
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        return footstep_bound_residuals(self.rollout(z), self.refs, self.config)
+        return footstep_bound_residuals(self._point(z).states, self.refs, self.config)
 
     @property
     def num_constraints(self) -> int:
@@ -245,11 +262,8 @@ class HorizonProblem:
 
     def gradient(self, z: np.ndarray, constraint_weights=None) -> np.ndarray:
         """Exact gradient of objective + s . constraints via one reverse sweep."""
-        xi, vel = self.decode(z)
-        wrenches = self._wrenches_world(xi)
-        states = _shooting.rollout(
-            self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
-        )
+        point = self._point(z)
+        xi, vel, wrenches, states = point.inputs, point.velocities, point.wrenches, point.states
         steps, n_c = self.horizon, self.n_contacts
         nx = states.shape[1]
         seeds = np.zeros((steps + 1, nx))
@@ -263,8 +277,9 @@ class HorizonProblem:
         # payload task: direct wrench gradient plus pseudo-inverse state terms
         wrench_direct = np.zeros((steps, n_c, 6))
         if self.use_payload_task:
+            targets, cache = self._payload_targets(point)
             payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
-                states, self.activity, self._payload, self.constants, self.weights.q_d, wrenches
+                targets, cache, wrenches, self.activity, self._payload, self.weights.q_d
             )
             seeds += payload_seeds
         # footstep bound residuals, folded in through their stage states
@@ -311,30 +326,16 @@ class HorizonProblem:
 
     def evaluator(self) -> NlpFunctions:
         def value(z):
-            xi, vel = self.decode(z)
-            if np.abs(xi[..., 2]).max() > _XI3_GUARD:
+            if self._guarded(z):
                 return np.inf, np.zeros(self.num_constraints)
-            wrenches = self._wrenches_world(xi)
-            states = _shooting.rollout(
-                self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
-            )
+            point = self._point(z)
             # reject blown-up rollouts (line-search overshoot): far beyond any
             # physical trajectory, and lever arms this large would make the
             # payload-target solve numerically singular
-            if not np.isfinite(states).all() or np.abs(states).max() > 1e6:
+            if not np.isfinite(point.states).all() or np.abs(point.states).max() > 1e6:
                 return np.inf, np.zeros(self.num_constraints)
-            f = (
-                _costs.tracking_cost(states, self.refs, self.weights)
-                + _costs.footstep_cost(states, self.refs, self.weights)
-                + _costs.parameter_regularization_cost(xi, self.weights)
-                + _costs.velocity_regularization_cost(vel, self.weights)
-            )
-            if self.use_payload_task:
-                f += _costs.payload_attenuation_from_wrenches(
-                    wrenches, states, self._payload, self.activity, self.constants, self.weights
-                )
-            residuals = footstep_bound_residuals(states, self.refs, self.config)
-            return float(f), residuals
+            f = sum(self._cost_parts(point).values())
+            return float(f), footstep_bound_residuals(point.states, self.refs, self.config)
 
         return NlpFunctions(
             dim=self.dim,

@@ -3,13 +3,26 @@
 States are flat vectors (com 3, momentum 6, contact positions 3 per contact).
 Inputs are per-stage inertial-frame wrenches (applied only where the contact
 is active) and swing velocities (applied only where it is not).  The adjoint
-walks the Euler recursion backwards and accumulates exact gradients with
+runs the Euler recursion backwards and accumulates exact gradients with
 respect to every input; stage-wise cost gradients enter as seeds on the
 states, wrenches and velocities.
 
-This is the optimizer's hot path: payload terms and everything without a
-sequential dependency are precomputed in batch, the per-step loops touch as
-few small arrays as possible.
+This is the optimizer's hot path, and it has no Python loop over stages.
+The forward recursion is a chain of running sums: the feet move only by
+gated swing velocities, linear momentum by the net force, the CoM by the
+linear momentum, and the angular momentum by moments that need only those
+three.  So each block is one `np.cumsum` over the stage axis, taken in that
+order, with every increment computed for all stages at once.  Accumulation
+is strictly sequential (`x0 + d0`, then `+ d1`, ...), so the result is
+bitwise equal to the stage-by-stage recursion, not merely close to it.
+
+The adjoint's angular-momentum costate is a reverse running sum of its
+seeds.  Every other block has the form `lam_k = (lam_{k+1} + s_k) + t_k`,
+where the transport term `t_k` needs only costate blocks already scanned.
+Scanning the interleaved sequence `s_K, s_{K-1}, t_{K-1}, ..., s_0, t_0`
+performs exactly those additions in exactly that association, so this scan
+too is bitwise equal to the backward loop; a block with no transport term
+is padded with `-0.0`, the one value whose addition changes no bit.
 """
 
 from __future__ import annotations
@@ -58,6 +71,23 @@ class PayloadArrays:
         )
 
 
+@dataclass
+class ShootingPoint:
+    """One evaluated decision vector, shared by a problem's value and gradient.
+
+    `key` is the byte image of the decision vector.  The arrays derive from a
+    private copy of it, so a caller that reuses its own buffer cannot make
+    them stale.  `payload_targets` is filled on first use.
+    """
+
+    key: bytes
+    inputs: np.ndarray  # (K, n_c, 6) wrench parameters, or contact-frame wrenches
+    velocities: np.ndarray  # (K, n_c, 3)
+    wrenches: np.ndarray  # (K, n_c, 6) inertial frame
+    states: np.ndarray  # (K+1, nx)
+    payload_targets: tuple | None = None  # (targets, cache) of costs.payload_compensation_targets
+
+
 def rollout(
     x0: np.ndarray,
     wrenches: np.ndarray,  # (K, n_c, 6) inertial frame, about the contact points
@@ -71,24 +101,25 @@ def rollout(
     steps, n_c = activity.shape
     gated = wrenches * activity[..., None]
     gated_f = gated[:, :, :3]
-    # moment of the payload about the current CoM: pivot_moment - com x force_sum
     total_force = gated_f.sum(axis=1) + payload.force_sum  # (K, 3)
-    base_moment = gated[:, :, 3:].sum(axis=1) + payload.pivot_moment  # (K, 3), feet term added per step
-    swing_delta = (dt * (1.0 - activity)[..., None] * velocities).reshape(steps, n_c * 3)
     mg = constants.mass * constants.gravity_vector
-    inv_mass_dt = dt / constants.mass
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
-    for k in range(steps):
-        x = states[k]
-        out = states[k + 1]
-        com = x[0:3]
-        feet = x[9:].reshape(n_c, 3)
-        moment = base_moment[k] + cross(feet, gated_f[k]).sum(axis=0) - cross(com, total_force[k])
-        out[0:3] = com + inv_mass_dt * x[3:6]
-        out[3:6] = x[3:6] + dt * (total_force[k] - mg[:3])
-        out[6:9] = x[6:9] + dt * (moment - mg[3:])
-        out[9:] = x[9:] + swing_delta[k]
+    # feet and linear momentum: increments known up front
+    states[1:, 3:6] = dt * (total_force - mg[:3])
+    states[1:, 9:] = (dt * (1.0 - activity)[..., None] * velocities).reshape(steps, n_c * 3)
+    _scan(states, 3, 6)
+    _scan(states, 9, None)
+    # CoM: driven by the momentum just accumulated
+    states[1:, 0:3] = (dt / constants.mass) * states[:-1, 3:6]
+    _scan(states, 0, 3)
+    # angular momentum: moments about the stage CoM, now known for every stage
+    com = states[:-1, 0:3]
+    feet = states[:-1, 9:].reshape(steps, n_c, 3)
+    base_moment = gated[:, :, 3:].sum(axis=1) + payload.pivot_moment
+    moment = base_moment + cross(feet, gated_f).sum(axis=1) - cross(com, total_force)
+    states[1:, 6:9] = dt * (moment - mg[3:])
+    _scan(states, 6, 9)
     return states
 
 
@@ -109,51 +140,58 @@ def rollout_adjoint(
     steps, n_c = activity.shape
     gated_f = wrenches[:, :, :3] * activity[..., None]
     total_force = gated_f.sum(axis=1) + payload.force_sum  # (K, 3)
-    inv_mass_dt = dt / constants.mass
-    wrench_grads = np.zeros((steps, n_c, 6))
-    velocity_grads = np.empty((steps, n_c, 3))
-    lam = state_seeds[steps].copy()
-    for k in range(steps - 1, -1, -1):
-        x = states[k]
-        com = x[0:3]
-        feet = x[9:].reshape(n_c, 3)
-        gamma = activity[k]
-        lam_hm = lam[6:9]
-        # input gradients: transported wrench hits the momentum, velocity moves swing feet
-        r = feet - com[None, :]
-        gd = dt * gamma[:, None]
-        wrench_grads[k, :, :3] = gd * (lam[3:6][None, :] - cross(r, lam_hm[None, :]))
-        wrench_grads[k, :, 3:] = gd * lam_hm[None, :]
-        velocity_grads[k] = dt * (1.0 - gamma)[:, None] * lam[9:].reshape(n_c, 3)
-        # pull the adjoint through the step
-        new_lam = lam + state_seeds[k]
-        new_lam[0:3] += dt * cross(lam_hm, total_force[k])
-        new_lam[3:6] += inv_mass_dt * lam[0:3]
-        new_lam[9:] += (dt * cross(gated_f[k], lam_hm[None, :])).ravel()
-        lam = new_lam
+    # interleaved scan buffer read backwards: s_K, s_{K-1}, t_{K-1}, ..., s_0,
+    # t_0, so the costate of stage k ends up in row 2k
+    chain = np.empty((2 * steps + 1, states.shape[1]))
+    chain[1::2] = state_seeds[:steps]
+    chain[-1] = state_seeds[steps]
+    lam = chain[0::2]  # (K+1, nx) costates once scanned
+    terms = chain[0:-1:2]  # (K, nx) transport terms t_k
+    backward = chain[::-1]
+    lam_hm = lam[1:, 6:9]  # angular-momentum costate of the next stage
+    terms[:, 6:9] = -0.0  # the additive identity for every sign of zero
+    _scan(backward, 6, 9)
+    terms[:, 0:3] = dt * cross(lam_hm, total_force)
+    terms[:, 9:] = (dt * cross(gated_f, lam_hm[:, None, :])).reshape(steps, n_c * 3)
+    _scan(backward, 0, 3)
+    _scan(backward, 9, None)
+    terms[:, 3:6] = (dt / constants.mass) * lam[1:, 0:3]
+    _scan(backward, 3, 6)
+    # input gradients: transported wrench hits the momentum, velocity moves swing feet
+    lam_next = lam[1:]
+    r = states[:-1, 9:].reshape(steps, n_c, 3) - states[:-1, None, 0:3]
+    gd = dt * activity[..., None]
+    wrench_grads = np.empty((steps, n_c, 6))
+    wrench_grads[:, :, :3] = gd * (lam_next[:, None, 3:6] - cross(r, lam_hm[:, None, :]))
+    wrench_grads[:, :, 3:] = gd * lam_hm[:, None, :]
+    velocity_grads = dt * (1.0 - activity)[..., None] * lam_next[:, 9:].reshape(steps, n_c, 3)
     return wrench_grads, velocity_grads
 
 
+def _scan(rows: np.ndarray, start: int, stop) -> None:
+    """Running sum down the rows of one column block, in place and in row order."""
+    block = rows[:, start:stop]
+    np.cumsum(block, axis=0, out=block)
+
+
 def payload_cost_state_seeds(
-    states: np.ndarray,
+    targets: np.ndarray,
+    cache: dict,
+    wrenches: np.ndarray,
     activity: np.ndarray,
     payload: PayloadArrays,
-    constants: RobotConstants,
     q_d: np.ndarray,
-    wrenches: np.ndarray,
 ):
     """Gradients of the payload-attenuation cost.
 
-    Returns (state seeds (K+1, nx), direct wrench gradients (K, n_c, 6)).
-    The state dependence runs through the pseudo-inverse wrench targets; the
-    reverse-mode algebra differentiates the batched linear solves against the
-    stacked transport maps directly.
+    `targets` and `cache` are the result of `costs.payload_compensation_targets`
+    at the same states.  Returns (state seeds (K+1, nx), direct wrench
+    gradients (K, n_c, 6)).  The state dependence runs through the
+    pseudo-inverse wrench targets; the reverse-mode algebra differentiates the
+    batched linear solves against the stacked transport maps directly.
     """
-    from .costs import payload_compensation_targets  # local import to avoid a cycle
-
     steps, n_c = activity.shape
-    nx = states.shape[1]
-    targets, cache = payload_compensation_targets(states, activity, payload, constants)
+    nx = 9 + 3 * n_c
     mask = activity[..., None]
     residual = (wrenches - targets) * mask
     v = (residual @ q_d) * mask  # (K, n_c, 6), rows v_i = Q_d rho_i

@@ -19,6 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
@@ -39,10 +41,10 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         for name in ("kkt_tolerance", "constraint_tolerance", "penalty_init", "penalty_growth"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

@@ -106,3 +106,11 @@ def test_verify_param_invalid_surface(tmp_path, capsys):
 
 def test_verify_param_zero_samples_rejected():
     assert main(["verify-param", "--samples", "0"]) == 3
+
+
+def test_simulate_rejects_invalid_solver_option(tmp_path, capsys):
+    config = write_config(tmp_path, {"solver": {"max_iterations": 0}})
+    code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["configuration error: max_iterations must be >= 1, got 0"]
