@@ -20,6 +20,7 @@ import numpy as np
 
 from . import costs as _costs
 from . import shooting as _shooting
+from .contact import SurfaceConstants, rotate_wrenches
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from .errors import ConfigurationError, SolverFailure
@@ -61,6 +62,7 @@ class BaselineProblem:
         self.config = config
         self.constants = constants
         self.surfaces = tuple(surfaces)
+        self._surface_constants = SurfaceConstants.of(self.surfaces)
         self.horizon = config.horizon
         self.n_contacts = refs.n_contacts
         self.payload_hold = hold_payload_over_horizon(payload_estimate, self.horizon)
@@ -93,12 +95,7 @@ class BaselineProblem:
         return z.reshape(self.dim)
 
     def _wrenches_world(self, wrenches: np.ndarray) -> np.ndarray:
-        out = np.empty_like(wrenches)
-        for i in range(self.n_contacts):
-            rot = self.refs.contact_orientations[i]
-            out[:, i, :3] = wrenches[:, i, :3] @ rot.T
-            out[:, i, 3:] = wrenches[:, i, 3:] @ rot.T
-        return out
+        return rotate_wrenches(wrenches, self.refs.contact_orientations.transpose(0, 2, 1))
 
     def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
         """Inputs and rollout at `z`; value and gradient share the last one."""
@@ -152,47 +149,41 @@ class BaselineProblem:
         product, CoP-x product, squared torsion cone.  Inactive stages emit a
         constant satisfied residual so the constraint count stays fixed.
         """
+        s = self._surface_constants
+        fx, fy, fz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2]
+        mx, my, mz = wrenches[..., 3], wrenches[..., 4], wrenches[..., 5]
         res = np.empty((self.horizon, self.n_contacts, STABILITY_RESIDUALS_PER_CONTACT))
-        for i in range(self.n_contacts):
-            s = self.surfaces[i]
-            w = wrenches[:, i, :]
-            fx, fy, fz = w[:, 0], w[:, 1], w[:, 2]
-            mx, my, mz = w[:, 3], w[:, 4], w[:, 5]
-            res[:, i, 0] = fz - s.fz_min
-            res[:, i, 1] = (s.mu_c * fz) ** 2 - fx**2 - fy**2
-            res[:, i, 2] = (s.y_max * fz - mx) * (mx - s.y_min * fz)
-            res[:, i, 3] = (s.x_max * fz + my) * (-my - s.x_min * fz)
-            res[:, i, 4] = (s.mu_z * fz) ** 2 - mz**2
+        res[..., 0] = fz - s.fz_min
+        res[..., 1] = (s.mu_c * fz) ** 2 - fx**2 - fy**2
+        res[..., 2] = (s.y_max * fz - mx) * (mx - s.y_min * fz)
+        res[..., 3] = (s.x_max * fz + my) * (-my - s.x_min * fz)
+        res[..., 4] = (s.mu_z * fz) ** 2 - mz**2
         inactive = self.activity < 0.5
         res[inactive] = 1.0
         return res.reshape(-1)
 
     def _stability_gradient(self, wrenches: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
         """Accumulate sum_j s_j * d(stability residual j)/d(wrench) per stage."""
-        grads = np.zeros_like(wrenches)
+        s = self._surface_constants
         sw = s_weights.reshape(self.horizon, self.n_contacts, STABILITY_RESIDUALS_PER_CONTACT)
-        for i in range(self.n_contacts):
-            s = self.surfaces[i]
-            w = wrenches[:, i, :]
-            fx, fy, fz = w[:, 0], w[:, 1], w[:, 2]
-            mx, my, mz = w[:, 3], w[:, 4], w[:, 5]
-            g = np.zeros((self.horizon, 6))
-            g[:, 2] += sw[:, i, 0]
-            g[:, 0] += sw[:, i, 1] * (-2.0 * fx)
-            g[:, 1] += sw[:, i, 1] * (-2.0 * fy)
-            g[:, 2] += sw[:, i, 1] * (2.0 * s.mu_c**2 * fz)
-            a = s.y_max * fz - mx
-            b = mx - s.y_min * fz
-            g[:, 2] += sw[:, i, 2] * (s.y_max * b - s.y_min * a)
-            g[:, 3] += sw[:, i, 2] * (a - b)
-            a = s.x_max * fz + my
-            b = -my - s.x_min * fz
-            g[:, 2] += sw[:, i, 3] * (s.x_max * b - s.x_min * a)
-            g[:, 4] += sw[:, i, 3] * (b - a)
-            g[:, 2] += sw[:, i, 4] * (2.0 * s.mu_z**2 * fz)
-            g[:, 5] += sw[:, i, 4] * (-2.0 * mz)
-            grads[:, i, :] = g * self.activity[:, i][:, None]
-        return grads
+        fx, fy, fz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2]
+        mx, my, mz = wrenches[..., 3], wrenches[..., 4], wrenches[..., 5]
+        g = np.zeros_like(wrenches)
+        g[..., 2] += sw[..., 0]
+        g[..., 0] += sw[..., 1] * (-2.0 * fx)
+        g[..., 1] += sw[..., 1] * (-2.0 * fy)
+        g[..., 2] += sw[..., 1] * (2.0 * s.mu_c**2 * fz)
+        a = s.y_max * fz - mx
+        b = mx - s.y_min * fz
+        g[..., 2] += sw[..., 2] * (s.y_max * b - s.y_min * a)
+        g[..., 3] += sw[..., 2] * (a - b)
+        a = s.x_max * fz + my
+        b = -my - s.x_min * fz
+        g[..., 2] += sw[..., 3] * (s.x_max * b - s.x_min * a)
+        g[..., 4] += sw[..., 3] * (b - a)
+        g[..., 2] += sw[..., 4] * (2.0 * s.mu_z**2 * fz)
+        g[..., 5] += sw[..., 4] * (-2.0 * mz)
+        return g * self.activity[..., None]
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
         point = self._point(z)
@@ -242,11 +233,7 @@ class BaselineProblem:
         )
         # rotate the dynamics-path gradient back into the contact frames; the
         # direct terms above already live there
-        wrench_grad = np.empty_like(wrenches)
-        for i in range(n_c):
-            rot = self.refs.contact_orientations[i]
-            wrench_grad[:, i, :3] = wrench_adj[:, i, :3] @ rot
-            wrench_grad[:, i, 3:] = wrench_adj[:, i, 3:] @ rot
+        wrench_grad = rotate_wrenches(wrench_adj, self.refs.contact_orientations)
         wrench_grad += wrench_direct
         vel_grad = vel_adj + vel @ self.weights.q_v
         return self.encode(wrench_grad, vel_grad)

@@ -41,39 +41,93 @@ EXIT_CONFIG_ERROR = 3
 log = logging.getLogger("payload_mpc")
 
 
-def _build_from_dict(cls, data: dict, path: str):
-    """Construct a dataclass from a dict, rejecting unknown keys."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in fields:
-            raise ConfigurationError(f"unknown configuration key {path}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
+
+def _is_numeric_array(value) -> bool:
+    if not (_is_number(value) or isinstance(value, list) and all(_is_numeric_array(v) for v in value)):
+        return False
+    try:
+        np.asarray(value, dtype=float)
+    except ValueError:  # ragged nesting
+        return False
+    return True
+
+
+# JSON value checks per dataclass field annotation: (expected, check)
+_FIELD_TYPES = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple": ("an array of numbers", lambda v: isinstance(v, list) and _is_numeric_array(v)),
+    "np.ndarray": ("a number or an array of numbers", _is_numeric_array),
+}
+
+
+def _check_value(path: str, value, annotation: str) -> None:
+    expected, check = _FIELD_TYPES[annotation]
+    if not check(value):
+        raise ConfigurationError(f"{path} must be {expected}, got {value!r}")
+
+
+def _check_fields(cls, data, path: str) -> None:
+    """Reject a non-object section, unknown keys and values of the wrong JSON type."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} must be an object, got {data!r}")
+    # fields a document cannot set (nested dataclasses) count as unknown
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.type in _FIELD_TYPES}
+    for key, value in data.items():
+        if key not in types:
+            raise ConfigurationError(f"unknown configuration key {path}.{key}")
+        _check_value(f"{path}.{key}", value, types[key])
+
+
+def _build_from_dict(cls, data: dict, path: str):
+    """Construct a dataclass from a dict, rejecting unknown keys and mistyped values."""
+    _check_fields(cls, data, path)
+    return cls(**data)
+
+
+def _surface_from_config(data: dict) -> ContactSurface:
+    """The configured surface; keys it leaves out keep their `_DEFAULT_SURFACE` values."""
+    surface = data.get("surface", {})
+    _check_fields(ContactSurface, surface, "surface")
+    return ContactSurface(**{**_DEFAULT_SURFACE, **surface})
+
+
+# top-level scalars and their field annotations
+_TOP_LEVEL_TYPES = {
+    "controller": "str",
+    "plant_dt": "float",
+    "duration": "float",
+    "seed": "int",
+    "output_dir": "str",
+    "benchmark_runs": "int",
+    "benchmark_shared_trace": "bool",
+}
 
 def _scenario_from_config(data: dict) -> tuple:
     """Parse the config document into (Scenario, output_dir, runs, shared_trace)."""
     data = dict(data)
+    sections = {"robot", "surface", "gait", "payload", "weights", "mpc", "solver"}
+    for key, value in data.items():
+        if key in sections:
+            continue
+        if key not in _TOP_LEVEL_TYPES:
+            raise ConfigurationError(f"unknown configuration key {key}")
+        _check_value(key, value, _TOP_LEVEL_TYPES[key])
     out_dir = data.pop("output_dir", "out")
     runs = data.pop("benchmark_runs", 1)
-    shared_trace = bool(data.pop("benchmark_shared_trace", False))
-    known = {
-        "robot", "surface", "gait", "payload", "controller",
-        "plant_dt", "duration", "seed", "weights", "mpc", "solver",
-    }
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(f"unknown configuration key {key}")
+    shared_trace = data.pop("benchmark_shared_trace", False)
     robot = _build_from_dict(RobotConstants, data.get("robot", {"mass": 1.0}), "robot")
-    surface = _build_from_dict(ContactSurface, data.get("surface", _DEFAULT_SURFACE), "surface")
+    surface = _surface_from_config(data)
     gait = _build_from_dict(GaitParameters, data.get("gait", {}), "gait")
     payload = _build_from_dict(PayloadSpec, data.get("payload", {}), "payload")
     solver = _build_from_dict(SolverOptions, data.get("solver", {}), "solver") if "solver" in data else default_run_solver_options()
-    mpc_data = dict(data.get("mpc", {}))
-    for key in mpc_data:
-        if key not in ("horizon", "dt", "footstep_bound_lower", "footstep_bound_upper", "footstep_bound_mode"):
-            raise ConfigurationError(f"unknown configuration key mpc.{key}")
+    mpc_data = data.get("mpc", {})
+    _check_fields(MpcConfig, mpc_data, "mpc")
     mpc = MpcConfig(solver=solver, **mpc_data)
     weights_data = data.get("weights", {})
     weights = _build_from_dict(Weights, weights_data, "weights")
@@ -104,11 +158,14 @@ def _load_config(path) -> dict:
         return {"payload": {"mass": 1.5}}
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"the configuration must be a JSON object, got {data!r}")
+    return data
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -164,11 +221,7 @@ def cmd_benchmark(args) -> int:
 def cmd_verify_param(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {args.samples}")
-    if args.config is not None:
-        data = _load_config(args.config)
-        surface = _build_from_dict(ContactSurface, data.get("surface", _DEFAULT_SURFACE), "surface")
-    else:
-        surface = ContactSurface(**_DEFAULT_SURFACE)
+    surface = _surface_from_config(_load_config(args.config))
     rng = np.random.default_rng(args.seed)
     failures = 0
     remaining = args.samples

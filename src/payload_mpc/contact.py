@@ -22,6 +22,15 @@ over xi with no contact-stability constraints at all.  As xi -> 0 the wrench
 tends to a pure normal force of magnitude 1 + fz_min through the rectangle
 center.
 
+The map and its Jacobian share one set of factors (tanh(xi), exp(xi3), F_z
+and the two square roots), computed once per xi by `parametrization_factors`
+together with the finite and overflow checks; an optimizer that evaluates the
+map at a point and later its Jacobian there keeps the factors in between.
+Surface constants may be stacked along the contact axis (`SurfaceConstants`),
+so one call maps the parameters of every contact, each with its own surface,
+and `rotate_wrenches` turns them into the inertial frame with one stacked
+matmul.  Both give every entry bitwise as the per-contact calls would.
+
 `invert_parametrization` recovers xi for wrenches inside the image; targets
 near the corners of the friction disc fall outside the image (the map covers
 almost but not all of K) and raise `InversionError`.
@@ -29,6 +38,7 @@ almost but not all of K) and raise `InversionError`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +129,57 @@ def surface_offsets(surface: ContactSurface) -> SurfaceOffsets:
     )
 
 
-def parametrize_batch(xi: np.ndarray, surface: ContactSurface) -> np.ndarray:
-    """Vectorized parametrization: xi (..., 6) -> wrench components (..., 6)."""
+@dataclass(frozen=True)
+class SurfaceConstants:
+    """The constants of one surface, or of one surface per contact stacked.
+
+    Built from one `ContactSurface` the fields are floats.  Built from a
+    sequence of them they are (n_c,) arrays, which broadcast against
+    parameters or wrenches shaped (..., n_c, 6): one call then maps every
+    contact with its own surface, and every entry is computed exactly as the
+    one-surface call would compute it.  The problems build theirs once.
+    """
+
+    x_min: float | np.ndarray
+    x_max: float | np.ndarray
+    y_min: float | np.ndarray
+    y_max: float | np.ndarray
+    mu_c: float | np.ndarray
+    mu_z: float | np.ndarray
+    fz_min: float | np.ndarray
+    delta_x: float | np.ndarray
+    delta_x0: float | np.ndarray
+    delta_y: float | np.ndarray
+    delta_y0: float | np.ndarray
+
+    @classmethod
+    def of(cls, surfaces) -> "SurfaceConstants":
+        """From a `ContactSurface`, a sequence of them (stacked), or an existing record."""
+        if isinstance(surfaces, cls):
+            return surfaces
+        if isinstance(surfaces, ContactSurface):
+            s, d = surfaces, surface_offsets(surfaces)
+            return cls(
+                s.x_min, s.x_max, s.y_min, s.y_max, s.mu_c, s.mu_z, s.fz_min,
+                d.delta_x, d.delta_x0, d.delta_y, d.delta_y0,
+            )
+        singles = [cls.of(s) for s in surfaces]
+        return cls(*(np.array([getattr(s, f.name) for s in singles]) for f in dataclasses.fields(cls)))
+
+
+@dataclass(frozen=True)
+class ParametrizationFactors:
+    """The transcendental factors of the map at one xi, shared by the map and its Jacobian."""
+
+    t: np.ndarray  # (..., 6) tanh(xi)
+    e3: np.ndarray  # (...,) exp(xi3)
+    fz: np.ndarray  # (...,) normal force exp(xi3) + fz_min
+    r1: np.ndarray  # (...,) sqrt(1 + tanh(xi1)^2)
+    r2: np.ndarray  # (...,) sqrt(1 + tanh(xi2)^2)
+
+
+def parametrization_factors(xi: np.ndarray, surface) -> ParametrizationFactors:
+    """Check xi (..., 6) and compute its factors; `surface` as for `parametrize_batch`."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 6:
         raise ConfigurationError(f"xi must have 6 components, got shape {xi.shape}")
@@ -128,16 +187,35 @@ def parametrize_batch(xi: np.ndarray, surface: ContactSurface) -> np.ndarray:
         raise ParameterRangeError("xi must be finite")
     if np.abs(xi[..., 2]).max() > XI3_LIMIT:
         raise ParameterRangeError(f"|xi_3| exceeds the overflow guard {XI3_LIMIT}")
-    d = surface_offsets(surface)
     t = np.tanh(xi)
-    fz = np.exp(xi[..., 2]) + surface.fz_min
-    out = np.empty_like(xi)
-    out[..., 0] = surface.mu_c * t[..., 0] * fz / np.sqrt(1.0 + t[..., 1] ** 2)
-    out[..., 1] = surface.mu_c * t[..., 1] * fz / np.sqrt(1.0 + t[..., 0] ** 2)
+    e3 = np.exp(xi[..., 2])
+    return ParametrizationFactors(
+        t=t,
+        e3=e3,
+        fz=e3 + SurfaceConstants.of(surface).fz_min,
+        r1=np.sqrt(1.0 + t[..., 0] ** 2),
+        r2=np.sqrt(1.0 + t[..., 1] ** 2),
+    )
+
+
+def parametrize_batch(xi: np.ndarray, surface, factors: ParametrizationFactors | None = None) -> np.ndarray:
+    """Vectorized parametrization: xi (..., 6) -> wrench components (..., 6).
+
+    `surface` is a `ContactSurface`, or a sequence of them (or their stacked
+    `SurfaceConstants`) for xi shaped (..., n_c, 6).  Pass the `factors` of
+    the same xi to skip recomputing them.
+    """
+    if factors is None:
+        factors = parametrization_factors(xi, surface)
+    c = SurfaceConstants.of(surface)
+    t, fz = factors.t, factors.fz
+    out = np.empty(t.shape)
+    out[..., 0] = c.mu_c * t[..., 0] * fz / factors.r2
+    out[..., 1] = c.mu_c * t[..., 1] * fz / factors.r1
     out[..., 2] = fz
-    out[..., 3] = (d.delta_y * t[..., 3] + d.delta_y0) * fz
-    out[..., 4] = (d.delta_x * t[..., 4] + d.delta_x0) * fz
-    out[..., 5] = surface.mu_z * t[..., 5] * fz
+    out[..., 3] = (c.delta_y * t[..., 3] + c.delta_y0) * fz
+    out[..., 4] = (c.delta_x * t[..., 4] + c.delta_x0) * fz
+    out[..., 5] = c.mu_z * t[..., 5] * fz
     return out
 
 
@@ -147,18 +225,20 @@ def parametrize(xi, surface: ContactSurface) -> Wrench:
     return Wrench.from_array(w)
 
 
-def parametrization_jacobian_batch(xi: np.ndarray, surface: ContactSurface) -> np.ndarray:
-    """Closed-form Jacobians of the parametrization: xi (..., 6) -> (..., 6, 6)."""
-    xi = np.asarray(xi, dtype=float)
-    d = surface_offsets(surface)
-    t = np.tanh(xi)
+def parametrization_jacobian_batch(
+    xi: np.ndarray, surface, factors: ParametrizationFactors | None = None
+) -> np.ndarray:
+    """Closed-form Jacobians of the parametrization: xi (..., 6) -> (..., 6, 6).
+
+    `surface` and `factors` as for `parametrize_batch`.
+    """
+    if factors is None:
+        factors = parametrization_factors(xi, surface)
+    c = SurfaceConstants.of(surface)
+    t, e3, fz, r1, r2 = factors.t, factors.e3, factors.fz, factors.r1, factors.r2
     s = 1.0 - t**2  # sech^2
-    e3 = np.exp(xi[..., 2])
-    fz = e3 + surface.fz_min
-    r1 = np.sqrt(1.0 + t[..., 0] ** 2)
-    r2 = np.sqrt(1.0 + t[..., 1] ** 2)
-    jac = np.zeros(xi.shape[:-1] + (6, 6))
-    mu_c, mu_z = surface.mu_c, surface.mu_z
+    jac = np.zeros(t.shape[:-1] + (6, 6))
+    mu_c, mu_z = c.mu_c, c.mu_z
     jac[..., 0, 0] = mu_c * s[..., 0] * fz / r2
     jac[..., 0, 1] = -mu_c * t[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
     jac[..., 0, 2] = mu_c * t[..., 0] * e3 / r2
@@ -166,10 +246,10 @@ def parametrization_jacobian_batch(xi: np.ndarray, surface: ContactSurface) -> n
     jac[..., 1, 1] = mu_c * s[..., 1] * fz / r1
     jac[..., 1, 2] = mu_c * t[..., 1] * e3 / r1
     jac[..., 2, 2] = e3
-    jac[..., 3, 2] = (d.delta_y * t[..., 3] + d.delta_y0) * e3
-    jac[..., 3, 3] = d.delta_y * s[..., 3] * fz
-    jac[..., 4, 2] = (d.delta_x * t[..., 4] + d.delta_x0) * e3
-    jac[..., 4, 4] = d.delta_x * s[..., 4] * fz
+    jac[..., 3, 2] = (c.delta_y * t[..., 3] + c.delta_y0) * e3
+    jac[..., 3, 3] = c.delta_y * s[..., 3] * fz
+    jac[..., 4, 2] = (c.delta_x * t[..., 4] + c.delta_x0) * e3
+    jac[..., 4, 4] = c.delta_x * s[..., 4] * fz
     jac[..., 5, 2] = mu_z * t[..., 5] * e3
     jac[..., 5, 5] = mu_z * s[..., 5] * fz
     return jac
@@ -177,6 +257,22 @@ def parametrization_jacobian_batch(xi: np.ndarray, surface: ContactSurface) -> n
 
 def parametrization_jacobian(xi, surface: ContactSurface) -> np.ndarray:
     return parametrization_jacobian_batch(np.asarray(xi, dtype=float).reshape(6), surface)
+
+
+def rotate_wrenches(wrenches: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Right-multiply the force and the moment of every wrench (..., n_c, 6) by its contact's 3x3.
+
+    `rotations` is (n_c, 3, 3): pass the transposed orientations to map
+    contact-frame wrenches into the inertial frame, the orientations
+    themselves to pull inertial-frame gradients back.  This is one stacked
+    matmul, (..., n_c, 2, 3) @ (n_c, 3, 3), and it is bitwise equal to the
+    per-contact `w[:, i, :3] @ rot` products over two or more stages: matmul
+    rounds each entry the same way whatever the stacking (numpy multiplies a
+    single row on a vector-matrix path that rounds differently).  An `einsum`
+    or a hand-written three-term sum is not; both differ in the last bit
+    (matmul fuses multiply-adds).
+    """
+    return (wrenches.reshape(wrenches.shape[:-1] + (2, 3)) @ rotations).reshape(wrenches.shape)
 
 
 def stability_margins(w: np.ndarray, surface: ContactSurface) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import parametrize_batch
+from .contact import parametrize_batch, rotate_wrenches
 from .dynamics import RobotConstants
 from .errors import ConfigurationError, InfeasiblePhaseError
 from .shooting import cross as _cross
@@ -130,43 +130,68 @@ def velocity_regularization_cost(velocities: np.ndarray, weights: Weights) -> fl
     return _quad(np.asarray(velocities, dtype=float), weights.q_v)
 
 
+@dataclass(frozen=True)
+class TargetConstants:
+    """The parts of the payload targets that one problem never changes.
+
+    They depend only on the contact activity and the robot, not on the
+    states, so a problem builds them once and passes them to every
+    `payload_compensation_targets` call.  Building them is where a stage with
+    no active contact is rejected.
+    """
+
+    eye_scaled: np.ndarray  # (K, 3, 3) active contacts * I, the force block of M
+    gravity_share: np.ndarray  # (K, 1, 3) even share of the robot weight per active contact
+
+    @classmethod
+    def build(cls, activity: np.ndarray, constants: RobotConstants) -> "TargetConstants":
+        n_active = np.asarray(activity, dtype=float).sum(axis=1)
+        if np.any(n_active < 1):
+            raise InfeasiblePhaseError("payload attenuation needs at least one active contact per stage")
+        return cls(
+            eye_scaled=n_active[:, None, None] * np.eye(3),
+            gravity_share=(constants.mass / n_active)[:, None, None] * constants.gravity_vector[None, None, :],
+        )
+
+
 def payload_compensation_targets(
     states: np.ndarray,
     activity: np.ndarray,
     payload,
     constants: RobotConstants,
+    fixed: TargetConstants | None = None,
 ):
     """Per-stage, per-contact wrench targets cancelling the held payload.
 
     `payload` is a `shooting.PayloadArrays` (or a sequence of
-    `PayloadDisturbance`, one per stage).  Returns (targets (K, n_c, 6),
-    solve cache) where targets are only meaningful where `activity` is 1.
-    The cache carries the stacked transport products needed by the analytic
-    gradient.
+    `PayloadDisturbance`, one per stage).  `fixed` is the problem's
+    `TargetConstants` for this activity and robot, built here when not given.
+    Returns (targets (K, n_c, 6), solve cache) where targets are only
+    meaningful where `activity` is 1.  The cache carries the stacked transport
+    products needed by the analytic gradient, among them the top block
+    `z1 = c1 - r x c2` of the targets before the gravity share.
     """
     from .shooting import PayloadArrays
 
     if not isinstance(payload, PayloadArrays):
         payload = PayloadArrays.from_hold(payload)
     activity = np.asarray(activity, dtype=float)
+    if fixed is None:
+        fixed = TargetConstants.build(activity, constants)
     steps, n_c = activity.shape
     com, _, feet = split_states(states, n_c)
     com = com[:steps]
     feet = feet[:steps]
-    n_active = activity.sum(axis=1)
-    if np.any(n_active < 1):
-        raise InfeasiblePhaseError("payload attenuation needs at least one active contact per stage")
 
     r = feet - com[:, None, :]  # (K, n_c, 3) contact lever arms
     rx = _skew_batch(r)  # (K, n_c, 3, 3)
     # M = sum_i gamma_i * A_i A_i' with A_i = [[I, 0], [S(r_i), I]]
-    eye_scaled = n_active[:, None, None] * np.eye(3)
     m_mat = np.empty((steps, 6, 6))
-    m_mat[:, :3, :3] = eye_scaled
+    m_mat[:, :3, :3] = fixed.eye_scaled
     s_sum = np.einsum("ki,kiab->kab", activity, rx)
     m_mat[:, :3, 3:] = -s_sum  # S' = -S
     m_mat[:, 3:, :3] = s_sum
-    m_mat[:, 3:, 3:] = np.einsum("ki,kiab,kicb->kac", activity, rx, rx) + eye_scaled
+    m_mat[:, 3:, 3:] = np.einsum("ki,kiab,kicb->kac", activity, rx, rx) + fixed.eye_scaled
 
     # wrench of the payload about the current CoM, negated
     b = np.empty((steps, 6))
@@ -175,12 +200,12 @@ def payload_compensation_targets(
 
     c = np.linalg.solve(m_mat, b[..., None])[..., 0]  # (K, 6)
     # A_i' c = (c1 - r_i x c2, c2)
+    z1 = c[:, None, :3] - _cross(r, c[:, None, 3:])
     targets = np.empty((steps, n_c, 6))
-    targets[..., :3] = c[:, None, :3] - _cross(r, c[:, None, 3:])
+    targets[..., :3] = z1
     targets[..., 3:] = c[:, None, 3:]
-    gravity_share = (constants.mass / n_active)[:, None, None] * constants.gravity_vector[None, None, :]
-    targets = targets + gravity_share
-    cache = {"m": m_mat, "c": c, "r": r, "n_active": n_active}
+    targets = targets + fixed.gravity_share
+    cache = {"m": m_mat, "c": c, "r": r, "z1": z1}
     return targets, cache
 
 
@@ -219,17 +244,15 @@ def payload_attenuation_cost(
     return payload_attenuation_from_targets(wrenches, targets, activity, weights)
 
 
-def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces) -> np.ndarray:
-    """Map parameters (K, n_c, 6) to inertial-frame wrenches via the parametrization."""
-    xi_traj = np.asarray(xi_traj, dtype=float)
-    steps, n_c = xi_traj.shape[:2]
-    out = np.empty_like(xi_traj)
-    for i in range(n_c):
-        local = parametrize_batch(xi_traj[:, i, :], surfaces[i])
-        rot = np.asarray(orientations[i], dtype=float)
-        out[:, i, :3] = local[:, :3] @ rot.T
-        out[:, i, 3:] = local[:, 3:] @ rot.T
-    return out
+def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces, factors=None) -> np.ndarray:
+    """Map parameters (K, n_c, 6) to inertial-frame wrenches via the parametrization.
+
+    One contact-map call covers every contact: `surfaces` holds one surface
+    per contact, or is their stacked `contact.SurfaceConstants`.  `factors`
+    are the `contact.ParametrizationFactors` of `xi_traj`, when known.
+    """
+    local = parametrize_batch(xi_traj, surfaces, factors)
+    return rotate_wrenches(local, np.asarray(orientations, dtype=float).transpose(0, 2, 1))
 
 
 def _skew_batch(v: np.ndarray) -> np.ndarray:

@@ -6,6 +6,16 @@ swing velocity 3-vector per contact; states are eliminated by forward rollout
 they satisfy the contact-stability conditions by construction, so the only
 inequality constraints left are boxes on the footstep tracking errors.
 Gradients are exact reverse-mode accumulation through the rollout.
+
+An evaluated point costs a fixed number of numpy calls whatever the number of
+contacts: the parameters of every contact go through one contact-map call
+(surface constants stacked once per problem), the tanh/exp factors of that
+call stay in the point's memo for the gradient's Jacobian, and the frame
+rotations and the J^T contraction each run once over all contacts.  The
+rotations are stacked matmuls, not einsums: matmul rounds each entry exactly
+as the per-contact products did, an einsum does not (it skips the fused
+multiply-add).  The payload targets take their stage constants (active
+counts, the weight share) from `costs.TargetConstants`, built on first use.
 """
 
 from __future__ import annotations
@@ -17,8 +27,11 @@ import numpy as np
 from . import costs as _costs
 from . import shooting as _shooting
 from .contact import (
+    SurfaceConstants,
     invert_parametrization,
+    parametrization_factors,
     parametrization_jacobian_batch,
+    rotate_wrenches,
     surface_offsets,
 )
 from .costs import Weights
@@ -163,6 +176,7 @@ class HorizonProblem:
         self.config = config
         self.constants = constants
         self.surfaces = tuple(surfaces)
+        self._surface_constants = SurfaceConstants.of(self.surfaces)
         self.horizon = config.horizon
         self.n_contacts = refs.n_contacts
         self.payload_hold = hold_payload_over_horizon(payload_estimate, self.horizon)
@@ -172,6 +186,7 @@ class HorizonProblem:
         self.use_payload_task = bool(np.any(weights.q_d))
         self._x0 = state.as_vector()
         self._last_point = None
+        self._target_constants = None  # costs.TargetConstants, built on first use
 
     # -- decision vector layout ------------------------------------------------
 
@@ -194,8 +209,10 @@ class HorizonProblem:
 
     # -- model ------------------------------------------------------------------
 
-    def _wrenches_world(self, xi: np.ndarray) -> np.ndarray:
-        return _costs.wrenches_from_parameters(xi, self.refs.contact_orientations, self.surfaces)
+    def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
+        return _costs.wrenches_from_parameters(
+            xi, self.refs.contact_orientations, self._surface_constants, factors
+        )
 
     def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
         """Inputs and rollout at `z`; value and gradient share the last one."""
@@ -204,17 +221,20 @@ class HorizonProblem:
         point = self._last_point
         if point is None or point.key != key:
             xi, vel = self.decode(z.copy())
-            wrenches = self._wrenches_world(xi)
+            factors = parametrization_factors(xi, self._surface_constants)
+            wrenches = self._wrenches_world(xi, factors)
             states = _shooting.rollout(
                 self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
             )
-            point = self._last_point = _shooting.ShootingPoint(key, xi, vel, wrenches, states)
+            point = self._last_point = _shooting.ShootingPoint(key, xi, vel, wrenches, states, factors)
         return point
 
     def _payload_targets(self, point: _shooting.ShootingPoint):
         if point.payload_targets is None:
+            if self._target_constants is None:
+                self._target_constants = _costs.TargetConstants.build(self.activity, self.constants)
             point.payload_targets = _costs.payload_compensation_targets(
-                point.states, self.activity, self._payload, self.constants
+                point.states, self.activity, self._payload, self.constants, self._target_constants
             )
         return point.payload_targets
 
@@ -289,15 +309,11 @@ class HorizonProblem:
             states, wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds
         )
         wrench_total = wrench_adj + wrench_direct
-        # chain through the contact rotation and the parametrization Jacobian
-        xi_grad = np.empty_like(xi)
-        for i in range(n_c):
-            rot = self.refs.contact_orientations[i]
-            local = np.empty((steps, 6))
-            local[:, :3] = wrench_total[:, i, :3] @ rot
-            local[:, 3:] = wrench_total[:, i, 3:] @ rot
-            jac = parametrization_jacobian_batch(xi[:, i, :], self.surfaces[i])
-            xi_grad[:, i, :] = np.einsum("kab,ka->kb", jac, local)
+        # chain through the contact rotations and the parametrization Jacobian,
+        # every contact at once and on the factors the value computed
+        local = rotate_wrenches(wrench_total, self.refs.contact_orientations)
+        jac = parametrization_jacobian_batch(xi, self._surface_constants, point.factors)
+        xi_grad = np.einsum("kiab,kia->kib", jac, local)
         xi_grad += xi @ self.weights.q_xi
         vel_grad = vel_adj + vel @ self.weights.q_v
         return self.encode(xi_grad, vel_grad)

@@ -23,6 +23,14 @@ Scanning the interleaved sequence `s_K, s_{K-1}, t_{K-1}, ..., s_0, t_0`
 performs exactly those additions in exactly that association, so this scan
 too is bitwise equal to the backward loop; a block with no transport term
 is padded with `-0.0`, the one value whose addition changes no bit.
+
+`cross` is the one helper every layer leans on (about a dozen calls per
+evaluated point), so it skips `np.cross`'s and `np.broadcast_shapes`'s
+bookkeeping and does only the six multiplies and three subtractions.  A
+`ShootingPoint` keeps everything one decision vector needs more than once:
+its inputs, world wrenches and states, the parametrization factors that the
+gradient's Jacobian reuses, and the payload targets whose top block the
+payload seeds reuse.
 """
 
 from __future__ import annotations
@@ -35,13 +43,16 @@ from .dynamics import RobotConstants
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over trailing axes; avoids np.cross's axis bookkeeping overhead."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    """Cross product over the trailing axis of two arrays that broadcast.
+
+    The same six multiplies and three subtractions as `np.cross`, without its
+    axis bookkeeping: the output takes its shape from the first component.
+    """
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
+    first = a1 * b2 - a2 * b1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
     return out
@@ -77,7 +88,9 @@ class ShootingPoint:
 
     `key` is the byte image of the decision vector.  The arrays derive from a
     private copy of it, so a caller that reuses its own buffer cannot make
-    them stale.  `payload_targets` is filled on first use.
+    them stale.  `factors` are the parametrization factors of the inputs (the
+    parametrized problem only), so the gradient's Jacobian reuses the tanh and
+    exp of the value.  `payload_targets` is filled on first use.
     """
 
     key: bytes
@@ -85,6 +98,7 @@ class ShootingPoint:
     velocities: np.ndarray  # (K, n_c, 3)
     wrenches: np.ndarray  # (K, n_c, 6) inertial frame
     states: np.ndarray  # (K+1, nx)
+    factors: object = None  # contact.ParametrizationFactors of `inputs`
     payload_targets: tuple | None = None  # (targets, cache) of costs.payload_compensation_targets
 
 
@@ -201,9 +215,9 @@ def payload_cost_state_seeds(
         [v[:, :, :3].sum(axis=1), (v[:, :, 3:] + cross(r, v[:, :, :3])).sum(axis=1)], axis=1
     )
     h = np.linalg.solve(m_mat, w_vec[..., None])[..., 0]  # (K, 6)
-    c1, c2 = c[:, None, :3], c[:, None, 3:]
+    c2 = c[:, None, 3:]
     h1, h2 = h[:, None, :3], h[:, None, 3:]
-    z1 = c1 - cross(r, c2)  # (K, n_c, 3) top block of A_i' c
+    z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
     zeta1 = h1 - cross(r, h2)
     d_r = (-cross(z1, h2) - cross(zeta1, c2) + cross(v[:, :, :3], c2)) * mask
     d_q = -cross(payload.forces, h[:, None, 3:]).sum(axis=1)  # (K, 3)

@@ -153,6 +153,7 @@ class SimLog:
             "max_height_deviation_m": float(np.abs(err[:, 2]).max()) if err.size else 0.0,
             "mean_solve_ms": float(np.mean(self.solve_ms_per_tick)) if self.solve_ms_per_tick is not None and len(self.solve_ms_per_tick) else 0.0,
             "mean_iterations": float(np.mean(self.iterations_per_tick)) if self.iterations_per_tick is not None and len(self.iterations_per_tick) else 0.0,
+            "non_converged_ticks": sum(status != "converged" for status in self.status_per_tick or ()),
             "cost_totals": [float(v) for v in self.costs.sum(axis=0)] if self.costs.size else [],
         }
 

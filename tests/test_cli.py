@@ -1,7 +1,10 @@
 import csv
 import json
 
-from payload_mpc.cli import main
+import pytest
+
+from payload_mpc.cli import _DEFAULT_SURFACE, _scenario_from_config, main
+from payload_mpc.contact import ContactSurface
 
 
 def write_config(tmp_path, data):
@@ -114,3 +117,47 @@ def test_simulate_rejects_invalid_solver_option(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["configuration error: max_iterations must be >= 1, got 0"]
+
+
+MISTYPED_CONFIGS = [
+    {"solver": {"max_iterations": "abc"}},
+    {"robot": {"mass": "abc"}},
+    {"mpc": {"horizon": 2.5}},
+    {"payload": {"mass": "x"}},
+    # a partial surface keeps the other defaults, so only an invalid merge fails
+    {"surface": {"x_min": 0.4}},
+]
+
+
+@pytest.mark.parametrize("document", MISTYPED_CONFIGS, ids=lambda d: json.dumps(d))
+def test_simulate_rejects_bad_config_with_one_line(tmp_path, capsys, document):
+    config = write_config(tmp_path, document)
+    code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+def test_partial_surface_keeps_the_other_defaults(tmp_path, capsys):
+    config = quick_config(tmp_path, surface={"x_min": 0.1}, duration=0.2)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    scenario, _, _, _ = _scenario_from_config({"surface": {"x_min": 0.1}})
+    assert scenario.surface == ContactSurface(**{**_DEFAULT_SURFACE, "x_min": 0.1})
+
+
+def test_simulate_reports_non_converged_ticks(tmp_path, capsys):
+    config = quick_config(tmp_path, solver={"max_iterations": 5})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "sim_log.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    substeps = 20  # plant rows per controller tick: 0.2 s / 0.01 s
+    expected = sum(r["status"] != "converged" for r in rows[::substeps])
+    assert expected > 0  # five iterations cannot converge a carry tick
+    assert printed["non_converged_ticks"] == summary["non_converged_ticks"] == expected

@@ -158,3 +158,9 @@ def test_active_positions_constant_within_phases():
         for t in range(1, len(active)):
             if active[t] and active[t - 1]:
                 assert np.array_equal(log.feet[t, i], log.feet[t - 1, i])
+
+
+def test_summary_counts_non_converged_ticks():
+    log = run_closed_loop(default_payload_scenario(duration=1.0))
+    expected = sum(status != "converged" for status in log.status_per_tick)
+    assert log.summary()["non_converged_ticks"] == expected
