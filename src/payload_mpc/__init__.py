@@ -36,6 +36,7 @@ from .errors import (
     ConfigurationError,
     InfeasiblePhaseError,
     InversionError,
+    NonFiniteStartError,
     ParameterRangeError,
     SolverFailure,
 )

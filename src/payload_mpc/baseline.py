@@ -261,7 +261,7 @@ class BaselineProblem:
     def evaluator(self) -> NlpFunctions:
         def value(z):
             point = self._point(z)
-            if not np.isfinite(point.states).all() or np.abs(point.states).max() > 1e6:
+            if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
                 return np.inf, np.zeros(self.num_constraints)
             f = sum(self._cost_parts(point).values())
             residuals = np.concatenate(

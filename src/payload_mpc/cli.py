@@ -21,7 +21,7 @@ from .baseline import compare_timing
 from .contact import ContactSurface, invert_parametrization, parametrize_batch, stability_margins
 from .costs import Weights
 from .dynamics import RobotConstants, Wrench
-from .errors import ConfigurationError, InversionError
+from .errors import ConfigurationError, InversionError, SolverFailure
 from .gait import GaitParameters
 from .mpc import MpcConfig
 from .simulation import (
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except SolverFailure as exc:  # a solve outside `run_closed_loop`, e.g. the shared trace
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -22,10 +22,15 @@ over xi with no contact-stability constraints at all.  As xi -> 0 the wrench
 tends to a pure normal force of magnitude 1 + fz_min through the rectangle
 center.
 
-The map and its Jacobian share one set of factors (tanh(xi), exp(xi3), F_z
-and the two square roots), computed once per xi by `parametrization_factors`
-together with the finite and overflow checks; an optimizer that evaluates the
-map at a point and later its Jacobian there keeps the factors in between.
+The map and its Jacobian share one set of factors (tanh(xi), exp(xi3), F_z,
+the two square roots and the row prefactors
+ft = (mu_c t1, mu_c t2, 1, delta_y t4 + delta_y0, delta_x t5 + delta_x0, mu_z t6)),
+computed once per xi by `parametrization_factors` together with the finite
+and overflow checks; an optimizer that evaluates the map at a point and later
+its Jacobian there keeps the factors in between.  The map is ft * F_z and the
+Jacobian's xi3 column is ft * exp(xi3), each with its first two rows divided
+by their square roots: the same products in the same order as the formulas
+above, so bitwise the same values.
 Surface constants may be stacked along the contact axis (`SurfaceConstants`),
 so one call maps the parameters of every contact, each with its own surface,
 and `rotate_wrenches` turns them into the inertial frame with one stacked
@@ -151,6 +156,10 @@ class SurfaceConstants:
     delta_x0: float | np.ndarray
     delta_y: float | np.ndarray
     delta_y0: float | np.ndarray
+    # (..., 6) rows of ft = row_scale * tanh(xi) + row_offset; the -0.0 offsets
+    # add nothing to any value, signed zeros included
+    row_scale: np.ndarray
+    row_offset: np.ndarray
 
     @classmethod
     def of(cls, surfaces) -> "SurfaceConstants":
@@ -162,6 +171,8 @@ class SurfaceConstants:
             return cls(
                 s.x_min, s.x_max, s.y_min, s.y_max, s.mu_c, s.mu_z, s.fz_min,
                 d.delta_x, d.delta_x0, d.delta_y, d.delta_y0,
+                row_scale=np.array([s.mu_c, s.mu_c, 0.0, d.delta_y, d.delta_x, s.mu_z]),
+                row_offset=np.array([-0.0, -0.0, 1.0, d.delta_y0, d.delta_x0, -0.0]),
             )
         singles = [cls.of(s) for s in surfaces]
         return cls(*(np.array([getattr(s, f.name) for s in singles]) for f in dataclasses.fields(cls)))
@@ -176,6 +187,7 @@ class ParametrizationFactors:
     fz: np.ndarray  # (...,) normal force exp(xi3) + fz_min
     r1: np.ndarray  # (...,) sqrt(1 + tanh(xi1)^2)
     r2: np.ndarray  # (...,) sqrt(1 + tanh(xi2)^2)
+    ft: np.ndarray  # (..., 6) row prefactors of F_z in the map (of exp(xi3) in its Jacobian)
 
 
 def parametrization_factors(xi: np.ndarray, surface) -> ParametrizationFactors:
@@ -183,18 +195,20 @@ def parametrization_factors(xi: np.ndarray, surface) -> ParametrizationFactors:
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 6:
         raise ConfigurationError(f"xi must have 6 components, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ParameterRangeError("xi must be finite")
     if np.abs(xi[..., 2]).max() > XI3_LIMIT:
         raise ParameterRangeError(f"|xi_3| exceeds the overflow guard {XI3_LIMIT}")
+    c = SurfaceConstants.of(surface)
     t = np.tanh(xi)
     e3 = np.exp(xi[..., 2])
     return ParametrizationFactors(
         t=t,
         e3=e3,
-        fz=e3 + SurfaceConstants.of(surface).fz_min,
+        fz=e3 + c.fz_min,
         r1=np.sqrt(1.0 + t[..., 0] ** 2),
         r2=np.sqrt(1.0 + t[..., 1] ** 2),
+        ft=c.row_scale * t + c.row_offset,
     )
 
 
@@ -207,15 +221,9 @@ def parametrize_batch(xi: np.ndarray, surface, factors: ParametrizationFactors |
     """
     if factors is None:
         factors = parametrization_factors(xi, surface)
-    c = SurfaceConstants.of(surface)
-    t, fz = factors.t, factors.fz
-    out = np.empty(t.shape)
-    out[..., 0] = c.mu_c * t[..., 0] * fz / factors.r2
-    out[..., 1] = c.mu_c * t[..., 1] * fz / factors.r1
-    out[..., 2] = fz
-    out[..., 3] = (c.delta_y * t[..., 3] + c.delta_y0) * fz
-    out[..., 4] = (c.delta_x * t[..., 4] + c.delta_x0) * fz
-    out[..., 5] = c.mu_z * t[..., 5] * fz
+    out = factors.ft * factors.fz[..., None]
+    out[..., 0] /= factors.r2
+    out[..., 1] /= factors.r1
     return out
 
 
@@ -235,23 +243,22 @@ def parametrization_jacobian_batch(
     if factors is None:
         factors = parametrization_factors(xi, surface)
     c = SurfaceConstants.of(surface)
-    t, e3, fz, r1, r2 = factors.t, factors.e3, factors.fz, factors.r1, factors.r2
+    t, e3, fz, r1, r2, ft = factors.t, factors.e3, factors.fz, factors.r1, factors.r2, factors.ft
     s = 1.0 - t**2  # sech^2
     jac = np.zeros(t.shape[:-1] + (6, 6))
-    mu_c, mu_z = c.mu_c, c.mu_z
-    jac[..., 0, 0] = mu_c * s[..., 0] * fz / r2
-    jac[..., 0, 1] = -mu_c * t[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
-    jac[..., 0, 2] = mu_c * t[..., 0] * e3 / r2
-    jac[..., 1, 0] = -mu_c * t[..., 1] * fz * t[..., 0] * s[..., 0] / r1**3
-    jac[..., 1, 1] = mu_c * s[..., 1] * fz / r1
-    jac[..., 1, 2] = mu_c * t[..., 1] * e3 / r1
-    jac[..., 2, 2] = e3
-    jac[..., 3, 2] = (c.delta_y * t[..., 3] + c.delta_y0) * e3
-    jac[..., 3, 3] = c.delta_y * s[..., 3] * fz
-    jac[..., 4, 2] = (c.delta_x * t[..., 4] + c.delta_x0) * e3
-    jac[..., 4, 4] = c.delta_x * s[..., 4] * fz
-    jac[..., 5, 2] = mu_z * t[..., 5] * e3
-    jac[..., 5, 5] = mu_z * s[..., 5] * fz
+    # diagonal: row_scale * sech^2 * F_z (its xi3 entry is overwritten below)
+    diag = c.row_scale * s * fz[..., None]
+    diag[..., 0] /= r2
+    diag[..., 1] /= r1
+    jac.reshape(t.shape[:-1] + (36,))[..., ::7] = diag
+    # the xi3 column: the map's rows with exp(xi3) in place of F_z
+    column = ft * e3[..., None]
+    column[..., 0] /= r2
+    column[..., 1] /= r1
+    jac[..., :, 2] = column
+    # the friction rows' coupling through the other square root
+    jac[..., 0, 1] = -ft[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
+    jac[..., 1, 0] = -ft[..., 1] * fz * t[..., 0] * s[..., 0] / r1**3
     return jac
 
 

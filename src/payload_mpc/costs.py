@@ -255,14 +255,14 @@ def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surf
     return rotate_wrenches(local, np.asarray(orientations, dtype=float).transpose(0, 2, 1))
 
 
+# rows of [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]] as indices into (v, -v, 0)
+_SKEW = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+
+
 def _skew_batch(v: np.ndarray) -> np.ndarray:
     """Skew matrices for an (..., 3) array of vectors."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    signed = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+    # `take`, not `signed[..., _SKEW]`: that result is not C-ordered, and the
+    # einsums over these matrices sum in an order that follows the layout
+    return np.take(signed, _SKEW, axis=-1).reshape(v.shape + (3,))

@@ -23,3 +23,11 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+class NonFiniteStartError(SolverFailure, ValueError):
+    """The solver's starting point, or its objective there, is not finite.
+
+    A `SolverFailure`, so a closed loop ends the run with the reason, and a
+    `ValueError`, because the caller handed the solver an unusable point.
+    """

@@ -348,7 +348,7 @@ class HorizonProblem:
             # reject blown-up rollouts (line-search overshoot): far beyond any
             # physical trajectory, and lever arms this large would make the
             # payload-target solve numerically singular
-            if not np.isfinite(point.states).all() or np.abs(point.states).max() > 1e6:
+            if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
                 return np.inf, np.zeros(self.num_constraints)
             f = sum(self._cost_parts(point).values())
             return float(f), footstep_bound_residuals(point.states, self.refs, self.config)

@@ -11,10 +11,13 @@ This is the optimizer's hot path, and it has no Python loop over stages.
 The forward recursion is a chain of running sums: the feet move only by
 gated swing velocities, linear momentum by the net force, the CoM by the
 linear momentum, and the angular momentum by moments that need only those
-three.  So each block is one `np.cumsum` over the stage axis, taken in that
-order, with every increment computed for all stages at once.  Accumulation
-is strictly sequential (`x0 + d0`, then `+ d1`, ...), so the result is
-bitwise equal to the stage-by-stage recursion, not merely close to it.
+three.  So the rollout takes three in-place cumsums over the stage axis,
+with every increment computed for all stages at once: one over the momentum
+and feet columns together (the angular block rides along as zeros), then the
+CoM, then the angular momentum, whose increments overwrite the zeros before
+its own scan.  Columns never mix in a scan, and accumulation is strictly
+sequential (`x0 + d0`, then `+ d1`, ...), so the result is bitwise equal to
+the stage-by-stage recursion, not merely close to it.
 
 The adjoint's angular-momentum costate is a reverse running sum of its
 seeds.  Every other block has the form `lam_k = (lam_{k+1} + s_k) + t_k`,
@@ -24,10 +27,17 @@ performs exactly those additions in exactly that association, so this scan
 too is bitwise equal to the backward loop; a block with no transport term
 is padded with `-0.0`, the one value whose addition changes no bit.
 
-`cross` is the one helper every layer leans on (about a dozen calls per
-evaluated point), so it skips `np.cross`'s and `np.broadcast_shapes`'s
-bookkeeping and does only the six multiplies and three subtractions.  A
-`ShootingPoint` keeps everything one decision vector needs more than once:
+`cross` is the one helper every layer leans on, so it skips `np.cross`'s
+bookkeeping: one gather of each operand into the six factor pairs, one
+multiply and one subtraction, the same six products and three differences
+as the component formulas.  Cross products that share an operand are taken
+in one call on the stacked other operands: the gated forces and the lever
+arms with the angular costate in the adjoint, the lever arms, the target top
+blocks and the grip forces with `h2` in the payload seeds.  Every such
+product is elementwise, so stacking changes no bit; an evaluated point and
+its gradient make nine cross calls.
+
+A `ShootingPoint` keeps everything one decision vector needs more than once:
 its inputs, world wrenches and states, the parametrization factors that the
 gradient's Jacobian reuses, and the payload targets whose top block the
 payload seeds reuse.
@@ -42,20 +52,22 @@ import numpy as np
 from .dynamics import RobotConstants
 
 
+# the six products of a cross product: a[_L] * b[_R] gives (a1 b2, a2 b0, a0 b1,
+# a2 b1, a0 b2, a1 b0), and the first three minus the last three are the result
+_L = np.array([1, 2, 0, 2, 0, 1])
+_R = np.array([2, 0, 1, 1, 2, 0])
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the trailing axis of two arrays that broadcast.
 
-    The same six multiplies and three subtractions as `np.cross`, without its
-    axis bookkeeping: the output takes its shape from the first component.
+    The same six multiplies and three subtractions as `np.cross`, as one
+    gather-multiply and one subtraction, without its axis bookkeeping.  The
+    result is not C-ordered (the gather puts the component axis outermost);
+    elementwise use does not care, an einsum or matmul over it might.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    first = a1 * b2 - a2 * b1
-    out = np.empty(first.shape + (3,))
-    out[..., 0] = first
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    p = a[..., _L] * b[..., _R]
+    return p[..., :3] - p[..., 3:]
 
 
 @dataclass(frozen=True)
@@ -117,13 +129,14 @@ def rollout(
     gated_f = gated[:, :, :3]
     total_force = gated_f.sum(axis=1) + payload.force_sum  # (K, 3)
     mg = constants.mass * constants.gravity_vector
-    states = np.empty((steps + 1, x0.size))
+    # zeros: the angular block rides along in the first scan, then is
+    # overwritten with its own increments and scanned again
+    states = np.zeros((steps + 1, x0.size))
     states[0] = x0
-    # feet and linear momentum: increments known up front
+    # linear momentum and feet: increments known up front, one scan for both
     states[1:, 3:6] = dt * (total_force - mg[:3])
     states[1:, 9:] = (dt * (1.0 - activity)[..., None] * velocities).reshape(steps, n_c * 3)
-    _scan(states, 3, 6)
-    _scan(states, 9, None)
+    _scan(states, 3, None)
     # CoM: driven by the momentum just accumulated
     states[1:, 0:3] = (dt / constants.mass) * states[:-1, 3:6]
     _scan(states, 0, 3)
@@ -163,20 +176,22 @@ def rollout_adjoint(
     terms = chain[0:-1:2]  # (K, nx) transport terms t_k
     backward = chain[::-1]
     lam_hm = lam[1:, 6:9]  # angular-momentum costate of the next stage
+    r = states[:-1, 9:].reshape(steps, n_c, 3) - states[:-1, None, 0:3]  # lever arms
     terms[:, 6:9] = -0.0  # the additive identity for every sign of zero
     _scan(backward, 6, 9)
     terms[:, 0:3] = dt * cross(lam_hm, total_force)
-    terms[:, 9:] = (dt * cross(gated_f, lam_hm[:, None, :])).reshape(steps, n_c * 3)
+    # the gated forces and the lever arms meet the same costate: one cross for both
+    f_r_cross = cross(np.concatenate([gated_f, r], axis=1), lam_hm[:, None, :])
+    terms[:, 9:] = (dt * f_r_cross[:, :n_c]).reshape(steps, n_c * 3)
     _scan(backward, 0, 3)
     _scan(backward, 9, None)
     terms[:, 3:6] = (dt / constants.mass) * lam[1:, 0:3]
     _scan(backward, 3, 6)
     # input gradients: transported wrench hits the momentum, velocity moves swing feet
     lam_next = lam[1:]
-    r = states[:-1, 9:].reshape(steps, n_c, 3) - states[:-1, None, 0:3]
     gd = dt * activity[..., None]
     wrench_grads = np.empty((steps, n_c, 6))
-    wrench_grads[:, :, :3] = gd * (lam_next[:, None, 3:6] - cross(r, lam_hm[:, None, :]))
+    wrench_grads[:, :, :3] = gd * (lam_next[:, None, 3:6] - f_r_cross[:, n_c:])
     wrench_grads[:, :, 3:] = gd * lam_hm[:, None, :]
     velocity_grads = dt * (1.0 - activity)[..., None] * lam_next[:, 9:].reshape(steps, n_c, 3)
     return wrench_grads, velocity_grads
@@ -185,7 +200,7 @@ def rollout_adjoint(
 def _scan(rows: np.ndarray, start: int, stop) -> None:
     """Running sum down the rows of one column block, in place and in row order."""
     block = rows[:, start:stop]
-    np.cumsum(block, axis=0, out=block)
+    block.cumsum(axis=0, out=block)
 
 
 def payload_cost_state_seeds(
@@ -218,9 +233,12 @@ def payload_cost_state_seeds(
     c2 = c[:, None, 3:]
     h1, h2 = h[:, None, :3], h[:, None, 3:]
     z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
-    zeta1 = h1 - cross(r, h2)
-    d_r = (-cross(z1, h2) - cross(zeta1, c2) + cross(v[:, :, :3], c2)) * mask
-    d_q = -cross(payload.forces, h[:, None, 3:]).sum(axis=1)  # (K, 3)
+    # every cross with h2 in one call: lever arms, z1, then the grip forces
+    by_h2 = cross(np.concatenate([r, z1, payload.forces], axis=1), h2)
+    zeta1 = h1 - by_h2[:, :n_c]
+    by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], axis=1), c2)
+    d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask
+    d_q = -by_h2[:, 2 * n_c :].sum(axis=1)  # (K, 3)
     seeds = np.zeros((steps + 1, nx))
     seeds[:steps, 9:] = -d_r.reshape(steps, n_c * 3)
     seeds[:steps, 0:3] = d_r.sum(axis=1) + d_q

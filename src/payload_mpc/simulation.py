@@ -136,6 +136,9 @@ class SimLog:
     solve_ms_per_tick: np.ndarray = None
     iterations_per_tick: np.ndarray = None
     status_per_tick: list = None
+    value_evaluations_per_tick: np.ndarray = None
+    gradient_evaluations_per_tick: np.ndarray = None
+    backtracks_per_tick: np.ndarray = None
 
     def tracking_error(self) -> np.ndarray:
         return self.com - self.com_ref
@@ -151,9 +154,11 @@ class SimLog:
             "max_horizontal_error_m": float(horizontal.max()) if horizontal.size else 0.0,
             "mean_horizontal_error_m": float(horizontal.mean()) if horizontal.size else 0.0,
             "max_height_deviation_m": float(np.abs(err[:, 2]).max()) if err.size else 0.0,
-            "mean_solve_ms": float(np.mean(self.solve_ms_per_tick)) if self.solve_ms_per_tick is not None and len(self.solve_ms_per_tick) else 0.0,
-            "mean_iterations": float(np.mean(self.iterations_per_tick)) if self.iterations_per_tick is not None and len(self.iterations_per_tick) else 0.0,
+            "mean_solve_ms": _mean(self.solve_ms_per_tick),
+            "mean_iterations": _mean(self.iterations_per_tick),
             "non_converged_ticks": sum(status != "converged" for status in self.status_per_tick or ()),
+            "mean_value_evaluations": _mean(self.value_evaluations_per_tick),
+            "mean_gradient_evaluations": _mean(self.gradient_evaluations_per_tick),
             "cost_totals": [float(v) for v in self.costs.sum(axis=0)] if self.costs.size else [],
         }
 
@@ -196,6 +201,10 @@ class SimLog:
     def write_summary(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.summary(), handle, indent=2)
+
+
+def _mean(values) -> float:
+    return float(np.mean(values)) if values is not None and len(values) else 0.0
 
 
 def _reference_window(schedule, com_refs, tick, horizon):
@@ -254,6 +263,9 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
         solve_ms_per_tick=np.zeros(n_mpc_ticks),
         iterations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
         status_per_tick=[""] * n_mpc_ticks,
+        value_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
+        gradient_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
+        backtracks_per_tick=np.zeros(n_mpc_ticks, dtype=int),
     )
 
     warm = None
@@ -303,6 +315,9 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
         log.solve_ms_per_tick[tick] = solve_ms
         log.iterations_per_tick[tick] = step.stats.iterations
         log.status_per_tick[tick] = step.stats.status
+        log.value_evaluations_per_tick[tick] = step.stats.value_evaluations
+        log.gradient_evaluations_per_tick[tick] = step.stats.gradient_evaluations
+        log.backtracks_per_tick[tick] = step.stats.backtracks
         wrench_rows = np.array([w.as_array() for w in step.wrenches])
         cost_row = np.array(
             [
@@ -374,6 +389,9 @@ def _truncate_log(log: SimLog, rows: int, ticks: int) -> SimLog:
         solve_ms_per_tick=log.solve_ms_per_tick[:ticks],
         iterations_per_tick=log.iterations_per_tick[:ticks],
         status_per_tick=log.status_per_tick[:ticks],
+        value_evaluations_per_tick=log.value_evaluations_per_tick[:ticks],
+        gradient_evaluations_per_tick=log.gradient_evaluations_per_tick[:ticks],
+        backtracks_per_tick=log.backtracks_per_tick[:ticks],
     )
 
 

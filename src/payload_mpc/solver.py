@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteStartError
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
@@ -56,6 +56,16 @@ class SolverResult:
     wall_time: float  # seconds
     constraint_violation: float  # infinity norm of max(0, -c)
     outer_violations: list = field(default_factory=list)  # per outer iteration, for diagnostics
+    value_evaluations: int = 0  # calls of the evaluator's value
+    gradient_evaluations: int = 0  # calls of the evaluator's gradient
+    backtracks: int = 0  # line-search trial steps that failed the sufficient-decrease test
+
+
+@dataclass
+class _Counters:
+    value: int = 0
+    gradient: int = 0
+    backtracks: int = 0
 
 
 @dataclass
@@ -136,10 +146,11 @@ class _LbfgsMemory:
         return -q
 
 
-def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance):
+def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, counters):
     """Inner L-BFGS on the augmented Lagrangian; returns (z, f, c, status, iters)."""
 
     def al_value(point):
+        counters.value += 1
         f, c = problem.value(point)
         if c.size:
             shifted = np.maximum(0.0, lam - rho * c)
@@ -147,6 +158,7 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance):
         return f, c
 
     def al_gradient(point, c):
+        counters.gradient += 1
         if c.size:
             s = -np.maximum(0.0, lam - rho * c)
             return problem.gradient(point, s)
@@ -154,7 +166,7 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance):
 
     value, c = al_value(z)
     if not np.isfinite(value):
-        raise ValueError("objective is not finite at the initial point")
+        raise NonFiniteStartError("objective is not finite at the initial point")
     grad = al_gradient(z, c)
     metric = getattr(problem, "metric_diag", None)
     memory = _LbfgsMemory(options.lbfgs_memory, metric)
@@ -186,6 +198,7 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance):
                 cand_value <= value + options.armijo_coefficient * step * descent
             )
             if not armijo:
+                counters.backtracks += 1
                 hi = step
                 step = lo + options.backtrack_factor * (hi - lo)
                 continue
@@ -215,6 +228,7 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance):
             stalled = 0
     else:
         status = MAX_ITERATIONS
+    counters.value += 1
     f, c = problem.value(z)
     return z, f, c, status, iters
 
@@ -224,7 +238,7 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
     options = options or SolverOptions()
     z = np.asarray(initial_point, dtype=float).reshape(problem.dim).copy()
     if not np.all(np.isfinite(z)):
-        raise ValueError("initial point must be finite")
+        raise NonFiniteStartError("initial point must be finite")
     start = time.perf_counter()
     m = problem.num_constraints
     lam = np.zeros(m)
@@ -237,9 +251,10 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
     total_iters = 0
     outer_violations = []
     status = MAX_ITERATIONS
+    counters = _Counters(value=1)
     f, c = problem.value(z)
     if not np.isfinite(f):
-        raise ValueError("objective is not finite at the initial point")
+        raise NonFiniteStartError("objective is not finite at the initial point")
     violation = _violation(c)
     for _ in range(options.max_outer_iterations):
         budget = options.max_iterations - total_iters
@@ -247,7 +262,9 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
             status = MAX_ITERATIONS
             break
         tolerance = options.kkt_tolerance if m == 0 else max(omega, options.kkt_tolerance)
-        z, f, c, inner_status, used = _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance)
+        z, f, c, inner_status, used = _minimize_lagrangian(
+            problem, z, lam, rho, options, budget, tolerance, counters
+        )
         total_iters += used
         violation = _violation(c)
         outer_violations.append(violation)
@@ -287,6 +304,9 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
         wall_time=time.perf_counter() - start,
         constraint_violation=violation,
         outer_violations=outer_violations,
+        value_evaluations=counters.value,
+        gradient_evaluations=counters.gradient,
+        backtracks=counters.backtracks,
     )
 
 
