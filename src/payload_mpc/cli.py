@@ -85,8 +85,11 @@ def _check_fields(cls, data, path: str) -> None:
 
 
 def _build_from_dict(cls, data: dict, path: str):
-    """Construct a dataclass from a dict, rejecting unknown keys and mistyped values."""
+    """Construct a dataclass from a dict, rejecting unknown keys, mistyped values and missing fields."""
     _check_fields(cls, data, path)
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and f.name not in data:
+            raise ConfigurationError(f"{path}.{f.name} is required")
     return cls(**data)
 
 

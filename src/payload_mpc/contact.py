@@ -374,6 +374,9 @@ def invert_parametrization(w_target: Wrench, surface: ContactSurface, xi_init=No
         for _ in range(30):
             candidate = xi - alpha * step
             candidate[2] = np.clip(candidate[2], -XI3_LIMIT, XI3_LIMIT)
+            if not np.isfinite(candidate).all():  # an overflowed step: no descent this way
+                alpha *= 0.5
+                continue
             new_residual = parametrize_batch(candidate, surface) - w
             new_err = np.linalg.norm(new_residual)
             if new_err < err:

@@ -86,8 +86,10 @@ class RobotConstants:
     gravity_vector: np.ndarray = field(default_factory=gravity_vector)  # m/s^2, extended to 6D
 
     def __post_init__(self):
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise ConfigurationError(f"mass must be positive, got {self.mass}")
+        # the curvature metric divides by 3 m^2, which underflows to zero below
+        # about 1e-154 kg; no legged robot weighs under a gram
+        if not (np.isfinite(self.mass) and self.mass >= 1e-3):
+            raise ConfigurationError(f"mass must be finite and at least 1e-3 kg, got {self.mass}")
         object.__setattr__(self, "gravity_vector", _vec(self.gravity_vector, 6, "gravity_vector"))
 
 

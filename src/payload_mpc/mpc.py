@@ -1,11 +1,19 @@
-"""Receding-horizon problem built on the wrench parametrization.
+"""Receding-horizon problems: the single-shooting core and the parametrized controller.
 
-Decision variables per stage are one parameter 6-vector per contact plus one
-swing velocity 3-vector per contact; states are eliminated by forward rollout
-(single shooting).  Because commanded wrenches come out of the parametrization
-they satisfy the contact-stability conditions by construction, so the only
-inequality constraints left are boxes on the footstep tracking errors.
-Gradients are exact reverse-mode accumulation through the rollout.
+`ShootingProblem` is what both controllers share.  Decision variables per
+stage are one input 6-vector per contact plus one swing velocity 3-vector
+per contact; states are eliminated by forward rollout (single shooting).  It
+owns the layout, the point memo, the tracking and footstep tasks, the
+footstep-error bounds, the exact reverse-mode gradient, the evaluator and
+the receding-horizon step; a subclass plugs in its input model, as in
+Crocoddyl's shooting problem with per-stage action models (Mastalli et al.
+2020).  So the two controllers differ only in the parametrization.
+
+`HorizonProblem` takes the wrench parameters as inputs.  Because commanded
+wrenches come out of the parametrization they satisfy the contact-stability
+conditions by construction, so the only inequality constraints left are
+boxes on the footstep tracking errors.  `baseline.BaselineProblem` takes the
+wrenches themselves and adds explicit stability residuals.
 
 An evaluated point costs a fixed number of numpy calls whatever the number of
 contacts: the parameters of every contact go through one contact-map call
@@ -63,8 +71,11 @@ class MpcConfig:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        lb = np.asarray(self.footstep_bound_lower, dtype=float).reshape(3)
-        ub = np.asarray(self.footstep_bound_upper, dtype=float).reshape(3)
+        lb = np.asarray(self.footstep_bound_lower, dtype=float)
+        ub = np.asarray(self.footstep_bound_upper, dtype=float)
+        if lb.size != 3 or ub.size != 3:
+            raise ConfigurationError(f"footstep bounds must have 3 components, got shapes {lb.shape} and {ub.shape}")
+        lb, ub = lb.reshape(3), ub.reshape(3)
         if np.any(lb > 0) or np.any(ub < 0):
             raise ConfigurationError("footstep bounds must satisfy lb <= 0 <= ub componentwise")
         self.footstep_bound_lower = lb
@@ -142,13 +153,22 @@ def footstep_bound_residuals(states: np.ndarray, refs: HorizonReferences, config
     return (config.footstep_bound_upper[0] - norm).reshape(steps * n_c)
 
 
-class HorizonProblem:
-    """One discrete MPC instance: rollout model, cost tasks and bound residuals.
+class ShootingProblem:
+    """One single-shooting MPC instance, less its input model.
 
-    The decision vector stacks, stage by stage, the parameter 6-vectors of
-    every contact followed by the swing velocities of every contact
-    (length horizon * n_contacts * 9).
+    The decision vector stacks, stage by stage, one input 6-vector per
+    contact followed by the swing velocities of every contact (length
+    horizon * n_contacts * 9).  A subclass plugs in the input model:
+    `_wrenches_world` and `_input_factors` (the map to inertial-frame wrenches
+    and what the gradient reuses of it), `_input_costs` (the input cost parts,
+    in summation order), `_input_seeds` (their seeds, with the extra
+    residuals'), `_input_gradient` (the chain back to the inputs),
+    `_input_curvature` (the input half of the metric) and
+    `initial_warm_start`.  Extra residuals override `_residuals` and
+    `num_constraints`; inputs rejected before any rollout, `_guarded`.
     """
+
+    parametrized = False  # whether the inputs are wrench parameters (ControlStep.xi)
 
     def __init__(
         self,
@@ -183,24 +203,22 @@ class HorizonProblem:
         self._payload = _shooting.PayloadArrays.from_hold(self.payload_hold)
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
         self.dim = self.horizon * self.n_contacts * 9
-        self.use_payload_task = bool(np.any(weights.q_d))
         self._x0 = state.as_vector()
         self._last_point = None
-        self._target_constants = None  # costs.TargetConstants, built on first use
 
     # -- decision vector layout ------------------------------------------------
 
     def decode(self, z: np.ndarray):
-        """Split a decision vector into xi (K, n_c, 6) and velocities (K, n_c, 3)."""
+        """Split a decision vector into inputs (K, n_c, 6) and velocities (K, n_c, 3)."""
         z = np.asarray(z, dtype=float).reshape(self.horizon, self.n_contacts * 9)
-        xi = z[:, : self.n_contacts * 6].reshape(self.horizon, self.n_contacts, 6)
+        inputs = z[:, : self.n_contacts * 6].reshape(self.horizon, self.n_contacts, 6)
         vel = z[:, self.n_contacts * 6 :].reshape(self.horizon, self.n_contacts, 3)
-        return xi, vel
+        return inputs, vel
 
-    def encode(self, xi: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    def encode(self, inputs: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         z = np.concatenate(
             [
-                xi.reshape(self.horizon, self.n_contacts * 6),
+                inputs.reshape(self.horizon, self.n_contacts * 6),
                 velocities.reshape(self.horizon, self.n_contacts * 3),
             ],
             axis=1,
@@ -209,10 +227,8 @@ class HorizonProblem:
 
     # -- model ------------------------------------------------------------------
 
-    def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
-        return _costs.wrenches_from_parameters(
-            xi, self.refs.contact_orientations, self._surface_constants, factors
-        )
+    def _input_factors(self, inputs: np.ndarray):
+        return None
 
     def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
         """Inputs and rollout at `z`; value and gradient share the last one."""
@@ -220,23 +236,14 @@ class HorizonProblem:
         key = z.tobytes()
         point = self._last_point
         if point is None or point.key != key:
-            xi, vel = self.decode(z.copy())
-            factors = parametrization_factors(xi, self._surface_constants)
-            wrenches = self._wrenches_world(xi, factors)
+            inputs, vel = self.decode(z.copy())
+            factors = self._input_factors(inputs)
+            wrenches = self._wrenches_world(inputs, factors)
             states = _shooting.rollout(
                 self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
             )
-            point = self._last_point = _shooting.ShootingPoint(key, xi, vel, wrenches, states, factors)
+            point = self._last_point = _shooting.ShootingPoint(key, inputs, vel, wrenches, states, factors)
         return point
-
-    def _payload_targets(self, point: _shooting.ShootingPoint):
-        if point.payload_targets is None:
-            if self._target_constants is None:
-                self._target_constants = _costs.TargetConstants.build(self.activity, self.constants)
-            point.payload_targets = _costs.payload_compensation_targets(
-                point.states, self.activity, self._payload, self.constants, self._target_constants
-            )
-        return point.payload_targets
 
     def rollout(self, z: np.ndarray) -> np.ndarray:
         return self._point(z).states.copy()
@@ -244,22 +251,14 @@ class HorizonProblem:
     # -- objective and constraints ----------------------------------------------
 
     def _guarded(self, z: np.ndarray) -> bool:
-        xi, _ = self.decode(z)
-        return np.abs(xi[..., 2]).max() > _XI3_GUARD
+        return False
 
     def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
         parts = {
             "tracking": _costs.tracking_cost(point.states, self.refs, self.weights),
             "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights),
-            "parameter_reg": _costs.parameter_regularization_cost(point.inputs, self.weights),
-            "velocity_reg": _costs.velocity_regularization_cost(point.velocities, self.weights),
-            "payload": 0.0,
         }
-        if self.use_payload_task:
-            targets, _ = self._payload_targets(point)
-            parts["payload"] = _costs.payload_attenuation_from_targets(
-                point.wrenches, targets, self.activity, self.weights
-            )
+        parts.update(self._input_costs(point))
         return parts
 
     def cost_breakdown(self, z: np.ndarray) -> dict:
@@ -272,21 +271,27 @@ class HorizonProblem:
     def objective(self, z: np.ndarray) -> float:
         return float(self.cost_breakdown(z)["total"])
 
+    def _residuals(self, point: _shooting.ShootingPoint) -> np.ndarray:
+        return footstep_bound_residuals(point.states, self.refs, self.config)
+
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        return footstep_bound_residuals(self._point(z).states, self.refs, self.config)
+        return self._residuals(self._point(z))
+
+    @property
+    def num_bound_constraints(self) -> int:
+        per_stage = 6 if self.config.footstep_bound_mode == BOUND_MODE_BOX else 1
+        return self.horizon * self.n_contacts * per_stage
 
     @property
     def num_constraints(self) -> int:
-        per_stage = 6 if self.config.footstep_bound_mode == BOUND_MODE_BOX else 1
-        return self.horizon * self.n_contacts * per_stage
+        return self.num_bound_constraints
 
     def gradient(self, z: np.ndarray, constraint_weights=None) -> np.ndarray:
         """Exact gradient of objective + s . constraints via one reverse sweep."""
         point = self._point(z)
-        xi, vel, wrenches, states = point.inputs, point.velocities, point.wrenches, point.states
+        states = point.states
         steps, n_c = self.horizon, self.n_contacts
-        nx = states.shape[1]
-        seeds = np.zeros((steps + 1, nx))
+        seeds = np.zeros_like(states)
         com, momentum, feet = _costs.split_states(states, n_c)
         # tracking task
         seeds[:, 0:3] += (com - self.refs.com_refs) @ self.weights.q_c
@@ -294,31 +299,20 @@ class HorizonProblem:
         # footstep task
         feet_err = feet - self.refs.footstep_refs.transpose(1, 0, 2)
         seeds[:, 9:] += (feet_err @ self.weights.q_pc).reshape(steps + 1, n_c * 3)
-        # payload task: direct wrench gradient plus pseudo-inverse state terms
-        wrench_direct = np.zeros((steps, n_c, 6))
-        if self.use_payload_task:
-            targets, cache = self._payload_targets(point)
-            payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
-                targets, cache, wrenches, self.activity, self._payload, self.weights.q_d
-            )
-            seeds += payload_seeds
+        # the residual weights: footstep bounds first, then any extra residuals
+        s = constraint_weights if constraint_weights is not None and constraint_weights.size else None
+        n_bounds = self.num_bound_constraints
+        wrench_direct = self._input_seeds(point, seeds, None if s is None else s[n_bounds:])
         # footstep bound residuals, folded in through their stage states
-        if constraint_weights is not None and constraint_weights.size:
-            seeds += self._constraint_state_seeds(states, constraint_weights)
+        if s is not None:
+            seeds += self._bound_state_seeds(states, s[:n_bounds])
         wrench_adj, vel_adj = _shooting.rollout_adjoint(
-            states, wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds
+            states, point.wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds
         )
-        wrench_total = wrench_adj + wrench_direct
-        # chain through the contact rotations and the parametrization Jacobian,
-        # every contact at once and on the factors the value computed
-        local = rotate_wrenches(wrench_total, self.refs.contact_orientations)
-        jac = parametrization_jacobian_batch(xi, self._surface_constants, point.factors)
-        xi_grad = np.einsum("kiab,kia->kib", jac, local)
-        xi_grad += xi @ self.weights.q_xi
-        vel_grad = vel_adj + vel @ self.weights.q_v
-        return self.encode(xi_grad, vel_grad)
+        vel_grad = vel_adj + point.velocities @ self.weights.q_v
+        return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
 
-    def _constraint_state_seeds(self, states: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _bound_state_seeds(self, states: np.ndarray, s: np.ndarray) -> np.ndarray:
         steps, n_c = self.horizon, self.n_contacts
         seeds = np.zeros_like(states)
         rots = self.refs.contact_orientations
@@ -351,7 +345,7 @@ class HorizonProblem:
             if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
                 return np.inf, np.zeros(self.num_constraints)
             f = sum(self._cost_parts(point).values())
-            return float(f), footstep_bound_residuals(point.states, self.refs, self.config)
+            return float(f), self._residuals(point)
 
         return NlpFunctions(
             dim=self.dim,
@@ -367,36 +361,154 @@ class HorizonProblem:
         Variable stiffness spans six orders of magnitude (payload-task force
         directions versus gated swing velocities), which cripples an
         unpreconditioned L-BFGS.  Order-of-magnitude structural estimates are
-        enough: force-direction curvature from the payload task and the
-        tracking tasks mapped through the rollout sensitivity, swing-velocity
-        curvature from the footstep task.
+        enough: the subclass estimates its inputs' curvature from their own
+        costs and the tracking tasks, and a swing velocity's comes from the
+        footstep task.
         """
         steps, n_c = self.horizon, self.n_contacts
         dt = self.config.dt
         mass = self.constants.mass
         w = self.weights
-        qd_f = float(np.diag(w.q_d)[:3].mean())
-        qd_m = float(np.diag(w.q_d)[3:].mean())
-        q_xi_d = np.diag(w.q_xi)
         q_h_m = float(np.diag(w.q_h).mean())
         q_c_max = float(np.diag(w.q_c).max())
         q_pc_m = float(np.diag(w.q_pc).mean())
         q_v_d = np.diag(w.q_v)
+        # cost per unit squared stage force or moment from momentum and CoM
+        # tracking, mapped through the one-step impulse response of the
+        # rollout (a stage force acts for a single period)
+        momentum = [q_h_m * dt * dt * (steps - k) for k in range(steps)]
+        com = [q_c_max * dt**4 * (steps - k) ** 3 / (3.0 * mass * mass) for k in range(steps)]
         curvature = np.empty((steps, n_c, 9))
+        self._input_curvature(curvature, momentum, com)
         for k in range(steps):
             remaining = steps - k
+            for i in range(n_c):
+                gamma = self.activity[k, i]
+                # swing velocity: footstep tracking over the remaining stages
+                # plus, once the foot lands inside the horizon, the lever-arm
+                # coupling of its frozen position into the accumulated angular
+                # momentum (hence the cubic stage count)
+                landed_after = int(self.activity[k + 1 :, i].sum()) if gamma < 0.5 else 0
+                lever = q_h_m * dt**4 * (mass * 9.81) ** 2 * landed_after**3 / 3.0
+                curvature[k, i, 6:] = q_v_d + (1.0 - gamma) * (q_pc_m * dt * dt * remaining + lever)
+        metric = np.empty((steps, n_c * 9))
+        metric[:, : n_c * 6] = (1.0 / curvature[:, :, :6]).reshape(steps, n_c * 6)
+        metric[:, n_c * 6 :] = (1.0 / curvature[:, :, 6:]).reshape(steps, n_c * 3)
+        return metric.reshape(self.dim)
+
+    # -- warm starts ---------------------------------------------------------------
+
+    def _weight_shares(self) -> np.ndarray:
+        """Each active contact's equal share of the weight, as a contact-frame wrench (K, n_c, 6)."""
+        shares = np.zeros((self.horizon, self.n_contacts, 6))
+        mass = self.constants.mass
+        for k, i in zip(*np.nonzero(self.activity)):
+            n_active = int(self.activity[k].sum())
+            shares[k, i, :3] = self.refs.contact_orientations[i].T @ [0.0, 0.0, mass * 9.81 / n_active]
+        return shares
+
+    def shift_warm_start(self, z: np.ndarray) -> np.ndarray:
+        """Drop the first stage, duplicate the last one."""
+        blocks = np.asarray(z, dtype=float).reshape(self.horizon, self.n_contacts * 9)
+        return np.concatenate([blocks[1:], blocks[-1:]], axis=0).reshape(self.dim)
+
+    def first_input(self, z: np.ndarray):
+        """Stage-0 command: inputs, inertial-frame wrenches, swing velocities."""
+        inputs, vel = self.decode(z)
+        wrenches_world = self._wrenches_world(inputs[:1])[0]
+        wrenches = [
+            Wrench.from_array(wrenches_world[i]) if self.activity[0, i] else Wrench.zero()
+            for i in range(self.n_contacts)
+        ]
+        return inputs[0].copy(), wrenches, vel[0].copy()
+
+
+class HorizonProblem(ShootingProblem):
+    """The parametrized problem: the inputs are the wrench parameters xi.
+
+    The input costs are the parameter regularizer and the payload task, and
+    the footstep bounds are the only residuals.
+    """
+
+    parametrized = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.use_payload_task = bool(np.any(self.weights.q_d))
+        self._target_constants = None  # costs.TargetConstants, built on first use
+
+    # the class's own binding: perfbench/spans.py wraps `cls.__dict__["evaluator"]`
+    evaluator = ShootingProblem.evaluator
+
+    def _input_factors(self, xi: np.ndarray):
+        return parametrization_factors(xi, self._surface_constants)
+
+    def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
+        return _costs.wrenches_from_parameters(
+            xi, self.refs.contact_orientations, self._surface_constants, factors
+        )
+
+    def _payload_targets(self, point: _shooting.ShootingPoint):
+        if point.payload_targets is None:
+            if self._target_constants is None:
+                self._target_constants = _costs.TargetConstants.build(self.activity, self.constants)
+            point.payload_targets = _costs.payload_compensation_targets(
+                point.states, self.activity, self._payload, self.constants, self._target_constants
+            )
+        return point.payload_targets
+
+    def _guarded(self, z: np.ndarray) -> bool:
+        """Reject |xi_3| past the guard and any non-finite xi (an overflowed line-search trial)."""
+        xi, _ = self.decode(z)
+        return np.abs(xi[..., 2]).max() > _XI3_GUARD or not np.isfinite(xi).all()
+
+    def _input_costs(self, point: _shooting.ShootingPoint) -> dict:
+        parts = {
+            "parameter_reg": _costs.parameter_regularization_cost(point.inputs, self.weights),
+            "velocity_reg": _costs.velocity_regularization_cost(point.velocities, self.weights),
+            "payload": 0.0,
+        }
+        if self.use_payload_task:
+            targets, _ = self._payload_targets(point)
+            parts["payload"] = _costs.payload_attenuation_from_targets(
+                point.wrenches, targets, self.activity, self.weights
+            )
+        return parts
+
+    def _input_seeds(self, point: _shooting.ShootingPoint, seeds: np.ndarray, s_extra) -> np.ndarray:
+        """Payload task: pseudo-inverse state terms into `seeds`, the direct wrench gradient returned."""
+        if not self.use_payload_task:
+            return np.zeros((self.horizon, self.n_contacts, 6))
+        targets, cache = self._payload_targets(point)
+        payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
+            targets, cache, point.wrenches, self.activity, self._payload, self.weights.q_d
+        )
+        seeds += payload_seeds
+        return wrench_direct
+
+    def _input_gradient(self, point: _shooting.ShootingPoint, wrench_adj, wrench_direct) -> np.ndarray:
+        # chain through the contact rotations and the parametrization Jacobian,
+        # every contact at once and on the factors the value computed
+        xi = point.inputs
+        local = rotate_wrenches(wrench_adj + wrench_direct, self.refs.contact_orientations)
+        jac = parametrization_jacobian_batch(xi, self._surface_constants, point.factors)
+        xi_grad = np.einsum("kiab,kia->kib", jac, local)
+        xi_grad += xi @ self.weights.q_xi
+        return xi_grad
+
+    def _input_curvature(self, curvature: np.ndarray, momentum: list, com: list) -> None:
+        """Parameter curvature: the payload task and the tracking tasks through the contact map."""
+        mass = self.constants.mass
+        w = self.weights
+        qd_f = float(np.diag(w.q_d)[:3].mean())
+        qd_m = float(np.diag(w.q_d)[3:].mean())
+        q_xi_d = np.diag(w.q_xi)
+        for k in range(self.horizon):
             n_active = max(self.activity[k].sum(), 1.0)
             share = mass * 9.81 / n_active
-            # cost per unit squared force: payload task plus momentum and CoM
-            # tracking mapped through the one-step impulse response of the
-            # rollout (a stage force acts for a single period)
-            curv_force = (
-                qd_f
-                + q_h_m * dt * dt * remaining
-                + q_c_max * dt**4 * remaining**3 / (3.0 * mass * mass)
-            )
-            curv_moment = qd_m + q_h_m * dt * dt * remaining
-            for i in range(n_c):
+            curv_force = qd_f + momentum[k] + com[k]
+            curv_moment = qd_m + momentum[k]
+            for i in range(self.n_contacts):
                 gamma = self.activity[k, i]
                 d = surface_offsets(self.surfaces[i])
                 mu_c, mu_z = self.surfaces[i].mu_c, self.surfaces[i].mu_z
@@ -407,65 +519,28 @@ class HorizonProblem:
                 c[3] = q_xi_d[3] + gamma * curv_moment * (d.delta_y * share) ** 2
                 c[4] = q_xi_d[4] + gamma * curv_moment * (d.delta_x * share) ** 2
                 c[5] = q_xi_d[5] + gamma * curv_moment * (mu_z * share) ** 2
-                # swing velocity: footstep tracking over the remaining stages
-                # plus, once the foot lands inside the horizon, the lever-arm
-                # coupling of its frozen position into the accumulated angular
-                # momentum (hence the cubic stage count)
-                landed_after = int(self.activity[k + 1 :, i].sum()) if gamma < 0.5 else 0
-                lever = q_h_m * dt**4 * (mass * 9.81) ** 2 * landed_after**3 / 3.0
-                c[6:] = q_v_d + (1.0 - gamma) * (q_pc_m * dt * dt * remaining + lever)
-        metric = np.empty((steps, n_c * 9))
-        metric[:, : n_c * 6] = (1.0 / curvature[:, :, :6]).reshape(steps, n_c * 6)
-        metric[:, n_c * 6 :] = (1.0 / curvature[:, :, 6:]).reshape(steps, n_c * 3)
-        return metric.reshape(self.dim)
-
-    # -- warm starts ---------------------------------------------------------------
 
     def initial_warm_start(self) -> np.ndarray:
         """Static gravity-share guess: invert the per-contact share of the weight."""
-        xi = np.zeros((self.horizon, self.n_contacts, 6))
-        mass = self.constants.mass
-        share_cache = {}
-        for k in range(self.horizon):
-            active = self.activity[k]
-            n_active = max(int(active.sum()), 1)
-            for i in range(self.n_contacts):
-                if not active[i]:
-                    continue
-                key = (i, n_active)
-                if key not in share_cache:
-                    rot = self.refs.contact_orientations[i]
-                    share = np.concatenate([rot.T @ [0.0, 0.0, mass * 9.81 / n_active], np.zeros(3)])
-                    try:
-                        share_cache[key] = invert_parametrization(
-                            Wrench.from_array(share), self.surfaces[i]
-                        )
-                    except InversionError:
-                        share_cache[key] = np.zeros(6)
-                xi[k, i] = share_cache[key]
+        shares = self._weight_shares()
+        xi = np.zeros_like(shares)
+        inverted = {}  # by contact and active count
+        for k, i in zip(*np.nonzero(self.activity)):
+            key = (i, self.activity[k].sum())
+            if key not in inverted:
+                try:
+                    inverted[key] = invert_parametrization(Wrench.from_array(shares[k, i]), self.surfaces[i])
+                except InversionError:
+                    inverted[key] = np.zeros(6)
+            xi[k, i] = inverted[key]
         return self.encode(xi, np.zeros((self.horizon, self.n_contacts, 3)))
-
-    def shift_warm_start(self, z: np.ndarray) -> np.ndarray:
-        """Drop the first stage, duplicate the last one."""
-        blocks = np.asarray(z, dtype=float).reshape(self.horizon, self.n_contacts * 9)
-        return np.concatenate([blocks[1:], blocks[-1:]], axis=0).reshape(self.dim)
-
-    def first_input(self, z: np.ndarray):
-        """Stage-0 command: parameters, inertial-frame wrenches, swing velocities."""
-        xi, vel = self.decode(z)
-        wrenches_world = self._wrenches_world(xi[:1])[0]
-        wrenches = [
-            Wrench.from_array(wrenches_world[i]) if self.activity[0, i] else Wrench.zero()
-            for i in range(self.n_contacts)
-        ]
-        return xi[0].copy(), wrenches, vel[0].copy()
 
 
 @dataclass
 class ControlStep:
     """Outcome of one receding-horizon update."""
 
-    xi: np.ndarray  # (n_c, 6) stage-0 parameters
+    xi: np.ndarray  # (n_c, 6) stage-0 parameters, zeros for the baseline
     wrenches: list  # inertial-frame Wrench per contact (zero for swing contacts)
     contact_velocities: np.ndarray  # (n_c, 3)
     warm_start: np.ndarray  # shifted solution for the next period
@@ -488,20 +563,21 @@ def build_mpc_problem(
     return HorizonProblem(state, refs, payload_estimate, weights, config, constants, surfaces)
 
 
-def receding_horizon_step(problem, warm_start=None) -> ControlStep:
+def receding_horizon_step(problem: ShootingProblem, warm_start=None) -> ControlStep:
     """Solve the horizon problem and return the first input plus a shifted warm start.
 
-    Raises `SolverFailure` (with the last iterate attached) when the solver
-    returns a non-finite iterate; degraded-but-usable outcomes are reported
-    through `stats.status` instead.
+    Serves both controllers; the baseline's `ControlStep.xi` is zeros, since
+    its inputs are wrenches, not parameters.  Raises `SolverFailure` (with
+    the last iterate attached) when the solver returns a non-finite iterate;
+    degraded-but-usable outcomes are reported through `stats.status` instead.
     """
     z0 = problem.initial_warm_start() if warm_start is None else np.asarray(warm_start, dtype=float)
     result = solve(problem.evaluator(), z0, problem.config.solver)
     if not np.all(np.isfinite(result.z)) or not np.isfinite(result.objective):
         raise SolverFailure("solver returned a non-finite iterate", result=result)
-    xi0, wrenches, velocities = problem.first_input(result.z)
+    inputs0, wrenches, velocities = problem.first_input(result.z)
     return ControlStep(
-        xi=xi0,
+        xi=inputs0 if problem.parametrized else np.zeros_like(inputs0),
         wrenches=wrenches,
         contact_velocities=velocities,
         warm_start=problem.shift_warm_start(result.z),

@@ -277,15 +277,10 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
         payload_true = _payload_at(scenario.payload, state.com_position, t)
         estimate = PayloadDisturbance.zero() if payload_blind else payload_true
         if scenario.controller == CONTROLLER_BASELINE:
-            problem = build_constrained_mpc(
-                state, refs, estimate, weights, config, scenario.constants, surfaces
-            )
-            stepper = baseline_receding_horizon_step
+            build, stepper = build_constrained_mpc, baseline_receding_horizon_step
         else:
-            problem = build_mpc_problem(
-                state, refs, estimate, weights, config, scenario.constants, surfaces
-            )
-            stepper = receding_horizon_step
+            build, stepper = build_mpc_problem, receding_horizon_step
+        problem = build(state, refs, estimate, weights, config, scenario.constants, surfaces)
         start = time.perf_counter()
         try:
             step = stepper(problem, warm)

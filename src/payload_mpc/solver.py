@@ -40,11 +40,14 @@ class SolverOptions:
     max_line_search_steps: int = 40
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name in ("kkt_tolerance", "constraint_tolerance", "penalty_init", "penalty_growth"):
+        for name in ("max_iterations", "lbfgs_memory"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("kkt_tolerance", "constraint_tolerance", "penalty_init"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.penalty_growth >= 1:
+            raise ConfigurationError(f"penalty_growth must be >= 1, got {self.penalty_growth}")
 
 
 @dataclass

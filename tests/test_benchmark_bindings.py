@@ -1,0 +1,65 @@
+"""The bindings that `perfbench/` replaces are where it looks for them.
+
+`perfbench/spans.py` wraps a function by replacing `owner.__dict__[attr]`,
+and `perfbench/setup_probe.py` replaces the two step functions in
+`simulation`.  A binding that only a base class holds, or a function a
+module no longer looks up through its globals, stops the benchmark or makes
+it time nothing, while every other test passes.  This module imports the
+harness read-only and runs one short tick of each benchmark workload under
+both of its contexts.
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+from workloads import make_scenario  # noqa: E402
+
+from payload_mpc import simulation  # noqa: E402
+
+WORKLOADS = ("carry-walk", "flat-walk-baseline")
+STEPPERS = [(simulation, "receding_horizon_step"), (simulation, "baseline_receding_horizon_step")]
+
+
+def bindings():
+    return spans.all_bindings() + STEPPERS
+
+
+@pytest.mark.parametrize("owner, attr", bindings(), ids=lambda v: getattr(v, "__name__", v))
+def test_binding_is_in_its_owners_own_namespace(owner, attr):
+    assert attr in vars(owner), f"{owner.__name__}.{attr} is inherited or missing"
+
+
+def one_tick(name):
+    return simulation.run_closed_loop(dataclasses.replace(make_scenario(name, 0), duration=0.2))
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_tracer_records_the_solver_layers_and_restores(name):
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr in bindings()]
+    with spans.Tracer() as tracer:
+        log = one_tick(name)
+    assert log.completed
+    layer = "baseline" if name.endswith("baseline") else "mpc"
+    for span in (f"{layer}.evaluator", f"{layer}.value", f"{layer}.gradient", "solver.solve", "shooting.rollout"):
+        assert span in tracer.names, span
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_clock_stamps_every_evaluation_and_restores(name):
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr in bindings()]
+    clock = spans.Clock()
+    with clock:
+        log = one_tick(name)
+    assert log.completed
+    assert len(clock.steps) == 1  # one controller step
+    entry, exit = clock.steps[0]
+    evaluations = log.value_evaluations_per_tick[0] + log.gradient_evaluations_per_tick[0]
+    assert exit - entry == evaluations + 1  # a stamp per value and gradient, then the step's exit
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)

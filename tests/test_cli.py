@@ -126,6 +126,9 @@ MISTYPED_CONFIGS = [
     {"payload": {"mass": "x"}},
     # a partial surface keeps the other defaults, so only an invalid merge fails
     {"surface": {"x_min": 0.4}},
+    {"robot": {}},
+    {"mpc": {"footstep_bound_lower": [1, 2]}},
+    {"mpc": {"footstep_bound_upper": [[1, 2, 3], [1, 2, 3]]}},
 ]
 
 
@@ -138,6 +141,14 @@ def test_simulate_rejects_bad_config_with_one_line(tmp_path, capsys, document):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+def test_non_finite_line_search_trial_does_not_end_the_run(tmp_path, capsys):
+    # a huge weight overflows the gradient, so line-search trials carry inf and nan parameters
+    config = write_config(tmp_path, {"weights": {"q_h": 1e308}, "duration": 0.4})
+    code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_partial_surface_keeps_the_other_defaults(tmp_path, capsys):

@@ -1,0 +1,118 @@
+"""Property: whatever configuration document `simulate` reads, it exits 0, 2 or 3, never with a traceback.
+
+The documents start from a small valid walk and replace a few known keys
+with wrong types, wrong shapes, negative or zero values and extreme
+magnitudes, or drop the one required field (`robot.mass`).  Fields that size
+the run are drawn only from small valid values or plainly invalid ones: no
+range check bounds the duration, the horizon, the step count, the support
+durations or the iteration budgets, and a tiny valid `plant_dt` (1e-300, a
+divisor of any period) allocates without bound.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from payload_mpc.cli import main
+
+SMALL_WALK = {
+    "duration": 0.4,
+    "gait": {"number_of_steps": 2},
+    "mpc": {"horizon": 3},
+    "solver": {"max_iterations": 20},
+}
+HUGE, TINY = 1e308, 1e-300
+WRONG_TYPE = st.sampled_from(["x", True, None, [], {}, [1, "a"], [[1, 2], [3]], {"a": 1}])
+# any number of the right type, with the signs and magnitudes of a bad document
+ANY_NUMBER = st.sampled_from([0, 0.0, -1, -1.0, HUGE, -HUGE, TINY, 0.5, 2, 7])
+
+
+def field(*valid, invalid=(0, -1, -HUGE)):
+    """A value for a field that sizes the run: one of `valid`, a plainly invalid number, or a wrong type."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid), WRONG_TYPE)
+
+
+def number():
+    return st.one_of(ANY_NUMBER, WRONG_TYPE)
+
+
+def vector():
+    shapes = [[1.0, 2.0], [0.1, 0.2, 0.3], [1, 2, 3, 4, 5, 6], [[1, 2, 3], [1, 2, 3]], [HUGE] * 3, [-HUGE] * 6]
+    return st.one_of(st.sampled_from(shapes), ANY_NUMBER, WRONG_TYPE)
+
+
+def matrix():
+    shapes = [[1.0, 2.0], [1, 2, 3], [1, 2, 3, 4, 5, 6], [[1, 2], [3, 4]], [[1, 2, 3]] * 3, [-1, 1, 1], [HUGE] * 6]
+    return st.one_of(st.sampled_from(shapes), ANY_NUMBER, WRONG_TYPE)
+
+
+FIELDS = {
+    ("duration",): field(0.2, 0.4),
+    # divisors of the 0.2 s controller period, or plainly not one
+    ("plant_dt",): field(0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, invalid=(0, -0.01, 0.03, 0.3, HUGE, -HUGE)),
+    ("seed",): field(0, 7, invalid=(-1, 2**40)),
+    ("controller",): st.one_of(st.sampled_from(["param", "baseline", "param-no-td", "x", ""]), WRONG_TYPE),
+    ("output_dir",): WRONG_TYPE,
+    ("benchmark_runs",): field(1, 2),
+    ("benchmark_shared_trace",): st.one_of(st.booleans(), WRONG_TYPE),
+    ("robot", "mass"): number(),
+    ("robot", "gravity_vector"): vector(),
+    ("gait", "step_length"): number(),
+    ("gait", "step_width"): number(),
+    ("gait", "com_height"): number(),
+    ("gait", "number_of_steps"): field(0, 1, 2, invalid=(-1, -(2**40), 1.5)),
+    ("gait", "single_support_duration"): field(0.2, 0.4, 1.2, invalid=(0, -1, 0.3, -HUGE)),
+    ("gait", "double_support_duration"): field(0.2, 0.6, invalid=(0, -1, 0.1, -HUGE)),
+    ("payload", "mass"): number(),
+    ("payload", "left_offset"): vector(),
+    ("payload", "right_offset"): vector(),
+    ("payload", "onset_time"): number(),
+    ("mpc", "horizon"): field(1, 2, 3, invalid=(0, -1, -(2**40), 2.5)),
+    ("mpc", "dt"): field(0.2, 0.1, invalid=(0, -0.2, -HUGE)),
+    ("mpc", "footstep_bound_lower"): vector(),
+    ("mpc", "footstep_bound_upper"): vector(),
+    ("mpc", "footstep_bound_mode"): st.one_of(st.sampled_from(["box", "norm", "x"]), WRONG_TYPE),
+    ("solver", "max_iterations"): field(1, 5, 20, invalid=(0, -1, 2.5)),
+    ("solver", "max_outer_iterations"): field(0, 1, 15, invalid=(-1, 2.5)),
+    ("solver", "lbfgs_memory"): field(1, 10, invalid=(0, -1, 2.5)),
+    ("solver", "max_line_search_steps"): field(0, 1, 40, invalid=(-1, 2.5)),
+    ("solver", "kkt_tolerance"): number(),
+    ("solver", "constraint_tolerance"): number(),
+    ("solver", "penalty_init"): number(),
+    ("solver", "penalty_growth"): number(),
+    ("solver", "armijo_coefficient"): number(),
+    ("solver", "backtrack_factor"): number(),
+}
+for _key in ("x_min", "x_max", "y_min", "y_max", "mu_c", "mu_z", "fz_min"):
+    FIELDS[("surface", _key)] = number()
+for _key in ("q_h", "q_c", "q_pc", "q_d", "q_xi", "q_v", "q_force_similarity", "q_wrench_reg"):
+    FIELDS[("weights", _key)] = matrix()
+SECTIONS = ("robot", "surface", "gait", "payload", "weights", "mpc", "solver")
+
+
+@st.composite
+def documents(draw):
+    doc = json.loads(json.dumps(SMALL_WALK))
+    paths = draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=4, unique=True))
+    for path in paths:
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = draw(FIELDS[path])
+    if draw(st.integers(0, 9)) == 0:  # a robot section without its required mass
+        doc["robot"] = {k: v for k, v in doc.get("robot", {}).items() if k != "mass"}
+    if draw(st.integers(0, 9)) == 0:  # a section that is not an object
+        doc[draw(st.sampled_from(SECTIONS))] = draw(WRONG_TYPE.filter(lambda v: not isinstance(v, dict)))
+    return doc
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents())
+def test_any_config_document_exits_cleanly(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (code, document, err)
+    assert "Traceback" not in err, (document, err)

@@ -94,7 +94,7 @@ def reference_mpc_gradient(problem, z, constraint_weights):
             targets, cache, wrenches, problem.activity, problem._payload, weights.q_d
         )
         seeds += payload_seeds
-    seeds += problem._constraint_state_seeds(states, constraint_weights)
+    seeds += problem._bound_state_seeds(states, constraint_weights)
     wrench_adj, vel_adj = shooting.rollout_adjoint(
         states, wrenches, problem.activity, problem._payload, problem.constants, problem.config.dt, seeds
     )

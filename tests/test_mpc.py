@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from payload_mpc.baseline import build_constrained_mpc
 from payload_mpc.contact import ContactSurface, invert_parametrization, is_contact_stable, parametrize
 from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
@@ -51,13 +52,33 @@ def test_decision_vector_length():
     assert prob.num_constraints == 10 * 2 * 6
 
 
-def test_reference_length_mismatch_rejected():
+BUILDERS = {"param": build_mpc_problem, "baseline": build_constrained_mpc}
+
+
+@pytest.mark.parametrize("controller", BUILDERS)
+@pytest.mark.parametrize(
+    "horizon, n_surfaces", [(7, 2), (10, 1), (10, 3)], ids=["horizon", "one-surface", "three-surfaces"]
+)
+def test_reference_length_mismatch_rejected(horizon, n_surfaces, controller):
     state = CentroidalState([0, 0, 0.53], np.zeros(6), FEET)
-    refs = static_refs(horizon=7)
+    refs = static_refs(horizon=horizon)
     with pytest.raises(ConfigurationError):
-        build_mpc_problem(
-            state, refs, PayloadDisturbance.zero(), Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2
+        BUILDERS[controller](
+            state, refs, PayloadDisturbance.zero(), Weights(), MpcConfig(), CONSTANTS, [SURFACE] * n_surfaces
         )
+
+
+@pytest.mark.parametrize("controller", BUILDERS)
+def test_non_finite_input_evaluates_to_inf(controller):
+    state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
+    prob = BUILDERS[controller](
+        state, static_refs(), PayloadDisturbance.zero(), Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2
+    )
+    z = prob.initial_warm_start()
+    z[0] = np.nan  # the first input entry of contact 0 at stage 0
+    value, residuals = prob.evaluator().value(z)
+    assert value == np.inf
+    assert residuals.tobytes() == np.zeros(prob.num_constraints).tobytes()
 
 
 def test_objective_decomposition_matches_breakdown():
