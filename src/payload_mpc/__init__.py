@@ -40,12 +40,7 @@ from .errors import (
     ParameterRangeError,
     SolverFailure,
 )
-from .baseline import (
-    BaselineProblem,
-    TimingReport,
-    build_constrained_mpc,
-    compare_timing,
-)
+from .baseline import BaselineProblem, build_constrained_mpc
 from .gait import (
     GaitParameters,
     GaitSchedule,
@@ -67,6 +62,8 @@ from .simulation import (
     PayloadSpec,
     Scenario,
     SimLog,
+    TimingReport,
+    compare_timing,
     default_payload_scenario,
     run_closed_loop,
 )

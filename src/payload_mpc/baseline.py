@@ -14,16 +14,12 @@ parametrization-versus-constraints change.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import costs as _costs
 from .contact import rotate_wrenches
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants
-from .errors import ConfigurationError
 from .mpc import HorizonReferences, MpcConfig, ShootingProblem, receding_horizon_step
 from .solver import solve  # noqa: F401  (perfbench/spans.py wraps `baseline.solve`)
 
@@ -175,77 +171,3 @@ def build_constrained_mpc(
 
 # one receding-horizon update serves both controllers
 baseline_receding_horizon_step = receding_horizon_step
-
-
-@dataclass
-class TickTiming:
-    tick: int
-    controller: str
-    solve_ms: float
-    iterations: int
-    status: str
-
-
-@dataclass
-class TimingReport:
-    """Per-tick solve records for both controllers plus summary statistics."""
-
-    rows: list = field(default_factory=list)
-
-    def append(self, row: TickTiming) -> None:
-        self.rows.append(row)
-
-    def controllers(self):
-        return sorted({r.controller for r in self.rows})
-
-    def summary(self) -> dict:
-        out = {}
-        for name in self.controllers():
-            times = np.array([r.solve_ms for r in self.rows if r.controller == name])
-            iters = np.array([r.iterations for r in self.rows if r.controller == name])
-            failures = sum(
-                1 for r in self.rows if r.controller == name and r.status not in ("converged",)
-            )
-            out[name] = {
-                "ticks": int(times.size),
-                "mean_solve_ms": float(times.mean()) if times.size else float("nan"),
-                "median_solve_ms": float(np.median(times)) if times.size else float("nan"),
-                "mean_iterations": float(iters.mean()) if iters.size else float("nan"),
-                "median_iterations": float(np.median(iters)) if iters.size else float("nan"),
-                "non_converged": int(failures),
-            }
-        return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["tick", "controller", "solve_ms", "iterations", "status"])
-            for r in self.rows:
-                writer.writerow([r.tick, r.controller, f"{r.solve_ms:.3f}", r.iterations, r.status])
-
-
-def compare_timing(scenario, runs: int = 1, shared_trace: bool = False) -> TimingReport:
-    """Run the parametrized and constrained controllers on the same scenario.
-
-    Each controller runs its own closed loop over identical references and
-    payload streams (`runs` repetitions).  With `shared_trace` the baseline
-    instead re-solves the exact state/reference stream recorded from the
-    parametrized closed loop, eliminating trajectory divergence from the
-    comparison.
-    """
-    from . import simulation as _sim  # late import: simulation depends on this module
-
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    report = TimingReport()
-    for _ in range(runs):
-        if shared_trace:
-            _sim.run_shared_trace(scenario, report)
-        else:
-            for controller in ("param", "baseline"):
-                log = _sim.run_closed_loop(_sim.with_controller(scenario, controller))
-                for tick, (ms, iters, status) in enumerate(
-                    zip(log.solve_ms_per_tick, log.iterations_per_tick, log.status_per_tick)
-                ):
-                    report.append(TickTiming(tick, controller, ms, iters, status))
-    return report

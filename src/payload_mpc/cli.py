@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import compare_timing
 from .contact import ContactSurface, invert_parametrization, parametrize_batch, stability_margins
 from .costs import Weights
 from .dynamics import RobotConstants, Wrench
@@ -28,6 +27,7 @@ from .simulation import (
     CONTROLLERS,
     PayloadSpec,
     Scenario,
+    compare_timing,
     default_run_solver_options,
     run_closed_loop,
 )
@@ -173,7 +173,7 @@ def _load_config(path) -> dict:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     updates = {}
-    if args.controller is not None:
+    if getattr(args, "controller", None) is not None:
         updates["controller"] = args.controller
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="JSON scenario configuration")
     bench.add_argument("--out-dir")
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--controller", choices=CONTROLLERS, help=argparse.SUPPRESS)
     bench.add_argument("--runs", type=int, help="closed-loop repetitions")
     bench.add_argument("--shared-trace", action="store_true",
                        help="baseline re-solves the parametrized loop's exact instances")
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except SolverFailure as exc:  # a solve outside `run_closed_loop`, e.g. the shared trace
+    except SolverFailure as exc:  # `compare_timing`: one of its closed loops ended early
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -50,7 +50,7 @@ class GaitParameters:
             if duration <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {duration}")
             ticks = duration / dt
-            if abs(ticks - round(ticks)) > 1e-9:
+            if not np.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9:
                 raise ConfigurationError(
                     f"{name}={duration} is not an integer multiple of the controller period {dt}"
                 )

@@ -12,6 +12,7 @@ Logs are recorded per plant tick and exported to CSV with a fixed header.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import time
@@ -81,7 +82,7 @@ class Scenario:
         if self.plant_dt <= 0:
             raise ConfigurationError(f"plant_dt must be positive, got {self.plant_dt}")
         ratio = self.mpc.dt / self.plant_dt
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigurationError(
                 f"plant_dt={self.plant_dt} must divide the controller period {self.mpc.dt}"
             )
@@ -139,6 +140,7 @@ class SimLog:
     value_evaluations_per_tick: np.ndarray = None
     gradient_evaluations_per_tick: np.ndarray = None
     backtracks_per_tick: np.ndarray = None
+    shadow_per_tick: list = field(default_factory=list)  # TickTiming of the shadow controller's solves
 
     def tracking_error(self) -> np.ndarray:
         return self.com - self.com_ref
@@ -177,10 +179,8 @@ class SimLog:
         return header
 
     def to_csv(self, path) -> None:
-        import csv as _csv
-
         with open(path, "w", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(self.csv_header())
             for t in range(len(self.times)):
                 row = [f"{self.times[t]:.6f}"]
@@ -222,9 +222,28 @@ def _payload_at(spec: PayloadSpec, com: np.ndarray, t: float) -> PayloadDisturba
     return payload_from_mass(spec.mass, spec.left_offset, spec.right_offset).translated(com)
 
 
-def run_closed_loop(scenario: Scenario) -> SimLog:
-    """Simulate one scenario; deterministic for a fixed scenario and seed."""
+def _controller(name: str):
+    """(problem builder, receding-horizon stepper) of one controller.
+
+    Looked up in this module's globals at call time, so that the benchmark's
+    replacements of these bindings time both the driving and the shadow solve.
+    """
+    if name == CONTROLLER_BASELINE:
+        return build_constrained_mpc, baseline_receding_horizon_step
+    return build_mpc_problem, receding_horizon_step
+
+
+def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
+    """Simulate one scenario; deterministic for a fixed scenario and seed.
+
+    With a `shadow` controller, every tick also solves that controller's
+    problem, open loop and from its own warm start, on the driving tick's
+    exact state, references, payload estimate and weights, and keeps its
+    timing in `SimLog.shadow_per_tick`.  The shadow never touches the plant.
+    """
     scenario.validate()
+    if shadow is not None and shadow not in CONTROLLERS:
+        raise ConfigurationError(f"shadow controller must be one of {CONTROLLERS}, got {shadow!r}")
     config = scenario.mpc
     horizon = config.horizon
     n_mpc_ticks = int(round(scenario.duration / config.dt))
@@ -269,6 +288,7 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
     )
 
     warm = None
+    shadow_warm = None
     row = 0
     for tick in range(n_mpc_ticks):
         t = tick * config.dt
@@ -276,21 +296,28 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
         refs = HorizonReferences(com_window, feet_window, gait_window, orientations)
         payload_true = _payload_at(scenario.payload, state.com_position, t)
         estimate = PayloadDisturbance.zero() if payload_blind else payload_true
-        if scenario.controller == CONTROLLER_BASELINE:
-            build, stepper = build_constrained_mpc, baseline_receding_horizon_step
-        else:
-            build, stepper = build_mpc_problem, receding_horizon_step
+        build, stepper = _controller(scenario.controller)
         problem = build(state, refs, estimate, weights, config, scenario.constants, surfaces)
         start = time.perf_counter()
         try:
             step = stepper(problem, warm)
         except SolverFailure as failure:
-            log = _truncate_log(log, row, tick)
-            log.completed = False
-            log.failure_reason = str(failure)
-            return log
+            return _truncate_log(log, row, tick, str(failure))
         solve_ms = 1000.0 * (time.perf_counter() - start)
         warm = step.warm_start
+        if shadow is not None:
+            build, stepper = _controller(shadow)
+            shadow_problem = build(state, refs, estimate, weights, config, scenario.constants, surfaces)
+            start = time.perf_counter()
+            try:
+                shadow_step = stepper(shadow_problem, shadow_warm)
+            except SolverFailure as failure:
+                return _truncate_log(log, row, tick, str(failure))
+            log.shadow_per_tick.append(
+                TickTiming(tick, shadow, 1000.0 * (time.perf_counter() - start),
+                           shadow_step.stats.iterations, shadow_step.stats.status)
+            )
+            shadow_warm = shadow_step.warm_start
         breakdown = problem.cost_breakdown(step.stats.z)
         active = schedule.activity[:, tick].astype(float)
         # stability audit of the applied wrenches (parametrized controllers
@@ -300,13 +327,11 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
                 margins = stability_margins(step.wrenches[i].as_array(), scenario.surface)
                 slack = -1e-12 if scenario.controller != CONTROLLER_BASELINE else -1e-5
                 if margins.min() < slack:
-                    log = _truncate_log(log, row, tick)
-                    log.completed = False
-                    log.failure_reason = (
+                    return _truncate_log(
+                        log, row, tick,
                         f"applied wrench violates contact stability at t={t:.2f}s "
-                        f"(contact {i}, margins {margins})"
+                        f"(contact {i}, margins {margins})",
                     )
-                    return log
         log.solve_ms_per_tick[tick] = solve_ms
         log.iterations_per_tick[tick] = step.stats.iterations
         log.status_per_tick[tick] = step.stats.status
@@ -364,87 +389,96 @@ def run_closed_loop(scenario: Scenario) -> SimLog:
     return log
 
 
-def _truncate_log(log: SimLog, rows: int, ticks: int) -> SimLog:
-    return dataclasses.replace(
-        log,
-        times=log.times[:rows],
-        com=log.com[:rows],
-        com_ref=log.com_ref[:rows],
-        momentum=log.momentum[:rows],
-        feet=log.feet[:rows],
-        feet_ref=log.feet_ref[:rows],
-        feet_active=log.feet_active[:rows],
-        wrenches=log.wrenches[:rows],
-        xi=log.xi[:rows],
-        payload_fz_total=log.payload_fz_total[:rows],
-        costs=log.costs[:rows],
-        solve_ms=log.solve_ms[:rows],
-        iterations=log.iterations[:rows],
-        status=log.status[:rows],
-        solve_ms_per_tick=log.solve_ms_per_tick[:ticks],
-        iterations_per_tick=log.iterations_per_tick[:ticks],
-        status_per_tick=log.status_per_tick[:ticks],
-        value_evaluations_per_tick=log.value_evaluations_per_tick[:ticks],
-        gradient_evaluations_per_tick=log.gradient_evaluations_per_tick[:ticks],
-        backtracks_per_tick=log.backtracks_per_tick[:ticks],
-    )
+def _truncate_log(log: SimLog, rows: int, ticks: int, reason: str) -> SimLog:
+    """The log of a run that ended early: `*_per_tick` fields cut to `ticks`, the others to `rows`."""
+    cut = {}
+    for f in dataclasses.fields(log):
+        value = getattr(log, f.name)
+        if isinstance(value, (np.ndarray, list)):
+            cut[f.name] = value[: ticks if f.name.endswith("_per_tick") else rows]
+    return dataclasses.replace(log, completed=False, failure_reason=reason, **cut)
 
 
-def run_shared_trace(scenario: Scenario, report) -> None:
-    """Benchmark mode: baseline re-solves the parametrized loop's exact problems.
+@dataclass
+class TickTiming:
+    tick: int
+    controller: str
+    solve_ms: float
+    iterations: int
+    status: str
 
-    The parametrized controller drives the plant; at every tick the baseline
-    solves the same state/reference/payload instance open loop.  Removes
-    trajectory divergence from the timing comparison.
+
+@dataclass
+class TimingReport:
+    """Per-tick solve records for both controllers plus summary statistics."""
+
+    rows: list = field(default_factory=list)
+
+    def append(self, row: TickTiming) -> None:
+        self.rows.append(row)
+
+    def controllers(self):
+        return sorted({r.controller for r in self.rows})
+
+    def summary(self) -> dict:
+        out = {}
+        for name in self.controllers():
+            rows = [r for r in self.rows if r.controller == name]
+            times = np.array([r.solve_ms for r in rows])
+            iters = np.array([r.iterations for r in rows])
+            converged = np.array([r.status == "converged" for r in rows])
+            out[name] = {
+                "ticks": int(times.size),
+                "mean_solve_ms": float(times.mean()),
+                "median_solve_ms": float(np.median(times)),
+                "mean_iterations": float(iters.mean()),
+                "median_iterations": float(np.median(iters)),
+                "non_converged": int((~converged).sum()),
+                "mean_converged_solve_ms": float(times[converged].mean()) if converged.any() else float("nan"),
+                "non_converged_share": float((~converged).mean()),
+            }
+        return out
+
+    def to_csv(self, path) -> None:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["tick", "controller", "solve_ms", "iterations", "status"])
+            for r in self.rows:
+                writer.writerow([r.tick, r.controller, f"{r.solve_ms:.3f}", r.iterations, r.status])
+
+
+def _tick_timings(log: SimLog, controller: str) -> list:
+    """The driving controller's rows of one completed run."""
+    if not log.completed:
+        raise SolverFailure(log.failure_reason)
+    return [
+        TickTiming(tick, controller, ms, iters, status)
+        for tick, (ms, iters, status) in enumerate(
+            zip(log.solve_ms_per_tick, log.iterations_per_tick, log.status_per_tick)
+        )
+    ]
+
+
+def compare_timing(scenario: Scenario, runs: int = 1, shared_trace: bool = False) -> TimingReport:
+    """Run the parametrized and constrained controllers on the same scenario.
+
+    Each controller runs its own closed loop over identical references and
+    payload streams (`runs` repetitions).  With `shared_trace` the
+    parametrized controller drives one loop and the baseline shadows it,
+    re-solving every tick's exact instance, which removes trajectory
+    divergence from the comparison.  Raises `SolverFailure` when a loop ends
+    early.
     """
-    from .baseline import TickTiming
-
-    scenario.validate()
-    config = scenario.mpc
-    horizon = config.horizon
-    n_mpc_ticks = int(round(scenario.duration / config.dt))
-    substeps = int(round(config.dt / scenario.plant_dt))
-    schedule = generate_gait_schedule(scenario.gait, config, min_ticks=n_mpc_ticks + horizon + 1)
-    com_refs = generate_nominal_com_reference(schedule, scenario.gait)
-    n_c = schedule.n_contacts
-    surfaces = [scenario.surface] * n_c
-    orientations = np.tile(np.eye(3), (n_c, 1, 1))
-    feet0 = schedule.footstep_refs[:, 0, :].copy()
-    state = CentroidalState(com_refs[0], np.zeros(6), feet0)
-    warm_param = None
-    warm_base = None
-    for tick in range(n_mpc_ticks):
-        t = tick * config.dt
-        com_window, feet_window, gait_window = _reference_window(schedule, com_refs, tick, horizon)
-        refs = HorizonReferences(com_window, feet_window, gait_window, orientations)
-        payload_true = _payload_at(scenario.payload, state.com_position, t)
-        param_problem = build_mpc_problem(
-            state, refs, payload_true, scenario.weights, config, scenario.constants, surfaces
-        )
-        start = time.perf_counter()
-        step = receding_horizon_step(param_problem, warm_param)
-        report.append(
-            TickTiming(tick, "param", 1000.0 * (time.perf_counter() - start), step.stats.iterations, step.stats.status)
-        )
-        warm_param = step.warm_start
-        base_problem = build_constrained_mpc(
-            state, refs, payload_true, scenario.weights, config, scenario.constants, surfaces
-        )
-        start = time.perf_counter()
-        base_step = baseline_receding_horizon_step(base_problem, warm_base)
-        report.append(
-            TickTiming(tick, "baseline", 1000.0 * (time.perf_counter() - start), base_step.stats.iterations, base_step.stats.status)
-        )
-        warm_base = base_step.warm_start
-        contacts = ContactConfiguration(
-            tuple(
-                ContactPoint(state.contact_positions[i], orientations[i], int(schedule.activity[i, tick]), scenario.surface)
-                for i in range(n_c)
-            )
-        )
-        for sub in range(substeps):
-            payload_plant = _payload_at(scenario.payload, state.com_position, t + sub * scenario.plant_dt)
-            state = euler_step(
-                state, step.wrenches, step.contact_velocities, payload_plant, contacts,
-                scenario.constants, scenario.plant_dt,
-            )
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    report = TimingReport()
+    for _ in range(runs):
+        if shared_trace:
+            log = run_closed_loop(with_controller(scenario, CONTROLLER_PARAM), shadow=CONTROLLER_BASELINE)
+            for pair in zip(_tick_timings(log, CONTROLLER_PARAM), log.shadow_per_tick):
+                report.rows.extend(pair)
+        else:
+            for controller in (CONTROLLER_PARAM, CONTROLLER_BASELINE):
+                log = run_closed_loop(with_controller(scenario, controller))
+                report.rows.extend(_tick_timings(log, controller))
+    return report

@@ -32,8 +32,8 @@ from payload_mpc.dynamics import (
 from payload_mpc.errors import InversionError
 from payload_mpc.gait import GaitParameters, payload_from_mass
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
-from payload_mpc.baseline import build_constrained_mpc, compare_timing
-from payload_mpc.simulation import Scenario, default_payload_scenario, run_closed_loop
+from payload_mpc.baseline import build_constrained_mpc
+from payload_mpc.simulation import Scenario, compare_timing, default_payload_scenario, run_closed_loop
 from payload_mpc.solver import SolverOptions, finite_difference_gradient, solve
 
 

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from payload_mpc.baseline import (
-    TickTiming,
-    TimingReport,
-    baseline_receding_horizon_step,
-    build_constrained_mpc,
-    compare_timing,
-)
+from payload_mpc.baseline import baseline_receding_horizon_step, build_constrained_mpc
 from payload_mpc.contact import ContactSurface, is_contact_stable
 from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from payload_mpc.simulation import Scenario, default_run_solver_options
+from payload_mpc.simulation import Scenario, TickTiming, TimingReport, compare_timing, default_run_solver_options
 from payload_mpc.gait import GaitParameters
 from payload_mpc.solver import SolverOptions, finite_difference_gradient
 
@@ -142,6 +136,21 @@ def test_timing_report_identical_controller_ratio():
         report.append(TickTiming(tick, "baseline", ms, 10, "converged"))
     summary = report.summary()
     assert summary["param"]["mean_solve_ms"] == pytest.approx(summary["baseline"]["mean_solve_ms"])
+    report.append(TickTiming(20, "baseline", 500.0, 200, "max-iterations"))
+    summary = report.summary()
+    assert summary["baseline"]["non_converged"] == 1
+    assert summary["baseline"]["non_converged_share"] == pytest.approx(1 / 21)
+    assert summary["baseline"]["mean_converged_solve_ms"] == pytest.approx(summary["param"]["mean_solve_ms"])
+    assert summary["param"]["non_converged_share"] == 0.0
+    assert summary["param"]["mean_converged_solve_ms"] == summary["param"]["mean_solve_ms"]
+
+
+def test_timing_report_no_converged_tick():
+    report = TimingReport()
+    report.append(TickTiming(0, "baseline", 500.0, 200, "max-iterations"))
+    summary = report.summary()["baseline"]
+    assert np.isnan(summary["mean_converged_solve_ms"])
+    assert summary["non_converged_share"] == 1.0
 
 
 def test_timing_report_csv(tmp_path):

@@ -129,6 +129,9 @@ MISTYPED_CONFIGS = [
     {"robot": {}},
     {"mpc": {"footstep_bound_lower": [1, 2]}},
     {"mpc": {"footstep_bound_upper": [[1, 2, 3], [1, 2, 3]]}},
+    # a tick ratio that overflows to inf
+    {"mpc": {"dt": 1e308}},
+    {"gait": {"single_support_duration": 1e308}},
 ]
 
 

@@ -62,14 +62,14 @@ FIELDS = {
     ("gait", "step_width"): number(),
     ("gait", "com_height"): number(),
     ("gait", "number_of_steps"): field(0, 1, 2, invalid=(-1, -(2**40), 1.5)),
-    ("gait", "single_support_duration"): field(0.2, 0.4, 1.2, invalid=(0, -1, 0.3, -HUGE)),
-    ("gait", "double_support_duration"): field(0.2, 0.6, invalid=(0, -1, 0.1, -HUGE)),
+    ("gait", "single_support_duration"): field(0.2, 0.4, 1.2, invalid=(0, -1, 0.3, HUGE, -HUGE)),
+    ("gait", "double_support_duration"): field(0.2, 0.6, invalid=(0, -1, 0.1, HUGE, -HUGE)),
     ("payload", "mass"): number(),
     ("payload", "left_offset"): vector(),
     ("payload", "right_offset"): vector(),
     ("payload", "onset_time"): number(),
     ("mpc", "horizon"): field(1, 2, 3, invalid=(0, -1, -(2**40), 2.5)),
-    ("mpc", "dt"): field(0.2, 0.1, invalid=(0, -0.2, -HUGE)),
+    ("mpc", "dt"): field(0.2, 0.1, invalid=(0, -0.2, HUGE, -HUGE)),
     ("mpc", "footstep_bound_lower"): vector(),
     ("mpc", "footstep_bound_upper"): vector(),
     ("mpc", "footstep_bound_mode"): st.one_of(st.sampled_from(["box", "norm", "x"]), WRONG_TYPE),

@@ -9,6 +9,7 @@ from payload_mpc.gait import GaitParameters
 from payload_mpc.simulation import (
     PayloadSpec,
     Scenario,
+    compare_timing,
     default_payload_scenario,
     run_closed_loop,
     with_controller,
@@ -164,3 +165,31 @@ def test_summary_counts_non_converged_ticks():
     log = run_closed_loop(default_payload_scenario(duration=1.0))
     expected = sum(status != "converged" for status in log.status_per_tick)
     assert log.summary()["non_converged_ticks"] == expected
+
+
+def test_shadow_leaves_the_driving_loop_bitwise_alone():
+    scenario = default_payload_scenario(duration=1.0)
+    plain = run_closed_loop(scenario)
+    shadowed = run_closed_loop(scenario, shadow="baseline")
+    assert shadowed.completed
+    assert shadowed.com.tobytes() == plain.com.tobytes()
+    assert shadowed.iterations_per_tick.tobytes() == plain.iterations_per_tick.tobytes()
+    assert shadowed.status_per_tick == plain.status_per_tick
+    assert plain.shadow_per_tick == []
+    assert [(r.tick, r.controller) for r in shadowed.shadow_per_tick] == [(k, "baseline") for k in range(5)]
+
+    report = compare_timing(scenario, shared_trace=True)
+    param = [r for r in report.rows if r.controller == "param"]
+    assert [r.iterations for r in param] == list(plain.iterations_per_tick)
+    assert [r.status for r in param] == plain.status_per_tick
+    # one param row, then its shadow's row, per tick
+    assert [(r.tick, r.controller) for r in report.rows] == [
+        (k, name) for k in range(5) for name in ("param", "baseline")
+    ]
+    shadow = [(r.iterations, r.status) for r in shadowed.shadow_per_tick]
+    assert [(r.iterations, r.status) for r in report.rows if r.controller == "baseline"] == shadow
+
+
+def test_unknown_shadow_controller_rejected():
+    with pytest.raises(ConfigurationError):
+        run_closed_loop(quick_scenario(duration=0.2), shadow="x")

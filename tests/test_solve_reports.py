@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from payload_mpc import mpc
-from payload_mpc.baseline import baseline_receding_horizon_step, build_constrained_mpc
+from payload_mpc.baseline import BaselineProblem, baseline_receding_horizon_step, build_constrained_mpc
 from payload_mpc.cli import main
 from payload_mpc.contact import ContactSurface
 from payload_mpc.costs import Weights
@@ -146,6 +146,17 @@ def test_closed_loop_ends_on_a_non_finite_warm_start(monkeypatch):
     assert len(log.value_evaluations_per_tick) == 1
 
 
+def test_shadow_failure_ends_the_run(monkeypatch):
+    shift = mpc.ShootingProblem.shift_warm_start
+    monkeypatch.setattr(BaselineProblem, "shift_warm_start", lambda self, z: shift(self, z) + 1e9)
+    log = run_closed_loop(default_payload_scenario(duration=0.4), shadow="baseline")
+    assert log.completed is False
+    assert "not finite" in log.failure_reason
+    assert len(log.status_per_tick) == 1
+    assert len(log.shadow_per_tick) == 1
+    assert len(log.com) == len(log.times) == 20
+
+
 def test_cli_exits_2_on_a_non_finite_warm_start(tmp_path, capsys, monkeypatch):
     poison_the_warm_start(monkeypatch)
     config = tmp_path / "config.json"
@@ -160,11 +171,12 @@ def test_cli_exits_2_on_a_non_finite_warm_start(tmp_path, capsys, monkeypatch):
     assert summary["completed"] is False
 
 
-def test_shared_trace_benchmark_exits_2_on_a_non_finite_warm_start(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode", [[], ["--shared-trace"]], ids=["closed-loops", "shared-trace"])
+def test_shared_trace_benchmark_exits_2_on_a_non_finite_warm_start(tmp_path, capsys, monkeypatch, mode):
     poison_the_warm_start(monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"payload": {"mass": 1.5}, "gait": {"number_of_steps": 0}, "duration": 0.4}))
-    code = main(["benchmark", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--shared-trace"])
+    code = main(["benchmark", "--config", str(config), "--out-dir", str(tmp_path / "out")] + mode)
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
