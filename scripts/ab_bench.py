@@ -13,8 +13,18 @@ evaluation counters, together with the numpy and BLAS versions, the CPU count
 and the load average.  It exits 1 when the two trees' iteration, status or
 CoM logs differ, or when one tree's passes are not bitwise alike.
 
+With `--ticks`, the unit is one controller tick instead of a pass.  Each tree
+runs the slice once, keeping every tick's problem-builder arguments and warm
+start; then, round after round, every tick is rebuilt and solved by both
+trees in alternating order, and each tick's time is its fastest solve over
+the rounds.  Whole passes drift by up to 1.5x within minutes on a shared
+host; two solves of the same tick a few milliseconds apart see nearly the
+same host phase.  Every solve's iterate, objective, status and counters must
+be bitwise the same in both trees (exit 1 otherwise).
+
     python3 scripts/ab_bench.py --base /path/to/base/checkout --base-label f252976 \\
         --rounds 12 --out BENCH_label.json
+    python3 scripts/ab_bench.py --base /path/to/base/checkout --ticks --rounds 30
 """
 
 from __future__ import annotations
@@ -72,7 +82,8 @@ class Tree:
             for key in [k for k in sys.modules if k == "payload_mpc" or k.startswith("payload_mpc.")]:
                 del sys.modules[key]
             sys.modules.update(saved)
-        self.run_closed_loop = sys.modules[prefix + ".simulation"].run_closed_loop
+        self.simulation = sys.modules[prefix + ".simulation"]
+        self.run_closed_loop = self.simulation.run_closed_loop
         self.make_scenario = workloads.make_scenario
 
     def run(self, workload: str, seed: int):
@@ -80,6 +91,58 @@ class Tree:
         start = time.perf_counter()
         log = self.run_closed_loop(scenario)
         return time.perf_counter() - start, log
+
+    def capture(self, workload: str, seed: int) -> list:
+        """(builder, its arguments, stepper, warm start) of every tick of one closed loop of the slice."""
+        sim = self.simulation
+        ticks, pending = [], {}
+        names = ("build_mpc_problem", "build_constrained_mpc", "receding_horizon_step", "baseline_receding_horizon_step")
+        originals = {name: getattr(sim, name) for name in names}
+
+        def builder(name):
+            def build(*args):
+                problem = originals[name](*args)
+                pending[id(problem)] = (originals[name], args)
+                return problem
+
+            return build
+
+        def stepper(name):
+            def step(problem, warm=None):
+                build, args = pending.pop(id(problem))
+                ticks.append((build, args, originals[name], None if warm is None else np.array(warm)))
+                return originals[name](problem, warm)
+
+            return step
+
+        for name in names:
+            setattr(sim, name, builder(name) if "build" in name else stepper(name))
+        try:
+            self.run_closed_loop(self.make_scenario(workload, seed, full=False))
+        finally:
+            for name, fn in originals.items():
+                setattr(sim, name, fn)
+        return ticks
+
+
+def solve_tick(tick) -> tuple:
+    """Rebuild one captured tick's problem and solve it: (seconds, bitwise fingerprint, stats)."""
+    build, args, step, warm = tick
+    problem = build(*args)
+    start = time.perf_counter()
+    result = step(problem, warm)
+    elapsed = time.perf_counter() - start
+    stats = result.stats
+    counts = tuple(getattr(stats, name, None) for name in ("value_evaluations", "gradient_evaluations", "backtracks"))
+    fingerprint = (
+        stats.z.tobytes(),
+        np.float64(stats.objective).tobytes(),
+        stats.iterations,
+        stats.status,
+        counts,
+        result.warm_start.tobytes(),
+    )
+    return elapsed, fingerprint, stats
 
 
 def fingerprint(log) -> tuple:
@@ -132,11 +195,61 @@ def environment() -> dict:
     }
 
 
+def run_ticks(trees, rounds: int) -> tuple:
+    """Per-tick alternating solves of every case; returns (records, identical)."""
+    records, identical = [], True
+    for workload, seed in CASES:
+        captured = {t.label: t.capture(workload, seed) for t in trees}
+        same = len(captured["base"]) == len(captured["change"])
+        n_ticks = min(len(captured["base"]), len(captured["change"]))
+        fastest = {t.label: np.full(n_ticks, np.inf) for t in trees}
+        stats = {}
+        for round_ in range(rounds + 1):  # round 0 warms up and is not timed
+            for tick in range(n_ticks):
+                order = trees if (round_ + tick) % 2 == 0 else trees[::-1]
+                prints = {}
+                for tree in order:
+                    elapsed, prints[tree.label], stats[tree.label, tick] = solve_tick(captured[tree.label][tick])
+                    if round_:
+                        fastest[tree.label][tick] = min(fastest[tree.label][tick], 1e3 * elapsed)
+                same &= prints["base"] == prints["change"]
+        identical &= same
+        record = {"workload": workload, "seed": seed, "identical_results": same, "rounds": rounds}
+        for tree in trees:
+            ticks = [stats[tree.label, k] for k in range(n_ticks)]
+            record[tree.label] = {
+                "tick_solve_ms_fastest": [round(float(v), 3) for v in fastest[tree.label]],
+                "sum_ms": float(fastest[tree.label].sum()),
+                "tick_solve_ms_p50": float(np.median(fastest[tree.label])),
+                "iterations": [int(s.iterations) for s in ticks],
+                "mean_iterations": float(np.mean([s.iterations for s in ticks])),
+                "status_counts": dict(Counter(s.status for s in ticks)),
+                "mean_value_evaluations": float(np.mean([s.value_evaluations for s in ticks])),
+                "mean_gradient_evaluations": float(np.mean([s.gradient_evaluations for s in ticks])),
+            }
+        ratios = fastest["change"] / fastest["base"]
+        record["sum_ratio"] = record["change"]["sum_ms"] / record["base"]["sum_ms"]
+        record["tick_p50_ratio"] = record["change"]["tick_solve_ms_p50"] / record["base"]["tick_solve_ms_p50"]
+        record["tick_ratios"] = [round(float(r), 4) for r in ratios]
+        record["change_faster_ticks"] = int((ratios < 1.0).sum())
+        records.append(record)
+        base, change = record["base"], record["change"]
+        print(
+            f"{workload} seed={seed}: sum of tick minima {base['sum_ms']:.1f} -> {change['sum_ms']:.1f} ms "
+            f"({record['sum_ratio']:.3f}), tick p50 {base['tick_solve_ms_p50']:.1f} -> "
+            f"{change['tick_solve_ms_p50']:.1f} ms, faster ticks {record['change_faster_ticks']}/{n_ticks}, "
+            f"iterations {base['mean_iterations']:.1f} / {change['mean_iterations']:.1f}, identical={same}"
+        )
+        sys.stdout.flush()
+    return records, identical
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="root of the base checkout")
     parser.add_argument("--base-label", default="base", help="name of the base tree in the output")
-    parser.add_argument("--rounds", type=int, default=10, help="timed passes per tree and slice")
+    parser.add_argument("--rounds", type=int, default=10, help="timed passes (with --ticks: solves) per tree and slice")
+    parser.add_argument("--ticks", action="store_true", help="alternate per-tick solves instead of whole passes")
     parser.add_argument("--out", help="write the JSON record here")
     args = parser.parse_args()
     if args.rounds < 1:
@@ -144,6 +257,30 @@ def main() -> int:
 
     trees = (Tree("base", Path(args.base).resolve()), Tree("change", ROOT))
     env_start = environment()
+    if args.ticks:
+        records, identical = run_ticks(trees, args.rounds)
+    else:
+        records, identical = run_passes(trees, args.rounds)
+    if args.out:
+        out = {
+            "script": "scripts/ab_bench.py" + (" --ticks" if args.ticks else ""),
+            "base": args.base_label,
+            "rounds": args.rounds,
+            "env_start": env_start,
+            "env_end": environment(),
+            ("identical_results" if args.ticks else "identical_logs"): identical,
+            "cases": records,
+        }
+        Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    if not identical:
+        what = "solve results" if args.ticks else "iteration, status or CoM logs"
+        print(f"FAIL: the trees' {what} differ", file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_passes(trees, rounds: int) -> tuple:
+    """Alternating whole passes of every case; returns (records, identical)."""
     records, identical = [], True
     for index, (workload, seed) in enumerate(CASES):
         for tree in trees:  # warm-up pass, not timed
@@ -152,7 +289,7 @@ def main() -> int:
         ticks = {t.label: [] for t in trees}
         prints = {t.label: set() for t in trees}
         logs = {}
-        for round_ in range(args.rounds):
+        for round_ in range(rounds):
             order = trees if (round_ + index) % 2 == 0 else trees[::-1]
             for tree in order:
                 wall, log = tree.run(workload, seed)
@@ -179,25 +316,11 @@ def main() -> int:
         print(
             f"{workload} seed={seed}: pass min {base['pass_s_min']:.3f} -> {change['pass_s_min']:.3f} s, "
             f"tick p50 {base['tick_solve_ms_p50']:.1f} -> {change['tick_solve_ms_p50']:.1f} ms, "
-            f"paired ratio {record['paired_ratio_median']:.3f}, faster {record['change_faster_pairs']}/{args.rounds}, "
+            f"paired ratio {record['paired_ratio_median']:.3f}, faster {record['change_faster_pairs']}/{rounds}, "
             f"iterations {base['mean_iterations']:.1f} / {change['mean_iterations']:.1f}, identical={same}"
         )
         sys.stdout.flush()
-    if args.out:
-        out = {
-            "script": "scripts/ab_bench.py",
-            "base": args.base_label,
-            "rounds": args.rounds,
-            "env_start": env_start,
-            "env_end": environment(),
-            "identical_logs": identical,
-            "cases": records,
-        }
-        Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    if not identical:
-        print("FAIL: the trees' iteration, status or CoM logs differ", file=sys.stderr)
-        return 1
-    return 0
+    return records, identical
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ parametrization-versus-constraints change.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import costs as _costs
@@ -24,6 +26,13 @@ from .mpc import HorizonReferences, MpcConfig, ShootingProblem, receding_horizon
 from .solver import solve  # noqa: F401  (perfbench/spans.py wraps `baseline.solve`)
 
 STABILITY_RESIDUALS_PER_CONTACT = 5
+
+
+class WrenchFactors(NamedTuple):
+    """What an evaluated point's value computes of its wrenches that the gradient needs again."""
+
+    cop: tuple  # (a_y, b_y, a_x, b_x): the two factors of each center-of-pressure product
+    similarity: np.ndarray | None  # left minus right wrench at the double-support stages
 
 
 class BaselineProblem(ShootingProblem):
@@ -41,6 +50,12 @@ class BaselineProblem(ShootingProblem):
         self._both_active = (self.activity.sum(axis=1) == 2.0) if self.n_contacts == 2 else np.zeros(
             self.horizon, dtype=bool
         )
+        self._both_stages = np.flatnonzero(self._both_active)
+        self._inactive = self.activity < 0.5
+        # the squared cones' gradient factors, 2 mu^2
+        s = self._surface_constants
+        self._two_mu_c_sq = 2.0 * s.mu_c**2
+        self._two_mu_z_sq = 2.0 * s.mu_z**2
 
     # the class's own binding: perfbench/spans.py wraps `cls.__dict__["evaluator"]`
     evaluator = ShootingProblem.evaluator
@@ -48,64 +63,70 @@ class BaselineProblem(ShootingProblem):
     def _wrenches_world(self, wrenches: np.ndarray, factors=None) -> np.ndarray:
         return rotate_wrenches(wrenches, self.refs.contact_orientations.transpose(0, 2, 1))
 
+    def _input_factors(self, wrenches: np.ndarray) -> WrenchFactors:
+        s = self._surface_constants
+        fz, mx, my = wrenches[..., 2], wrenches[..., 3], wrenches[..., 4]
+        both = self._both_stages
+        return WrenchFactors(
+            cop=(s.y_max * fz - mx, mx - s.y_min * fz, s.x_max * fz + my, -my - s.x_min * fz),
+            similarity=wrenches[both, 0, :] - wrenches[both, 1, :] if self._both_stages.size else None,
+        )
+
     # -- objective ----------------------------------------------------------------
 
     def _input_costs(self, point) -> dict:
         wrenches, w = point.inputs, self.weights
         cost = _costs.velocity_regularization_cost(point.velocities, w)
         cost += 0.5 * float(np.einsum("kli,ij,klj->", wrenches, w.q_wrench_reg, wrenches))
-        if self._both_active.any():
-            diff = wrenches[self._both_active, 0, :] - wrenches[self._both_active, 1, :]
+        if self._both_stages.size:
+            diff = point.factors.similarity
             cost += 0.5 * float(np.einsum("ki,ij,kj->", diff, w.q_force_similarity, diff))
         return {"input_reg": cost}
 
     # -- constraints ----------------------------------------------------------------
 
-    def stability_residuals(self, wrenches: np.ndarray) -> np.ndarray:
+    def stability_residuals(self, wrenches: np.ndarray, cop_factors: tuple | None = None) -> np.ndarray:
         """Smooth stability residuals for active contact stages, flattened.
 
         Per active contact stage: normal force, squared friction cone, CoP-y
         product, CoP-x product, squared torsion cone.  Inactive stages emit a
         constant satisfied residual so the constraint count stays fixed.
+        `cop_factors` are the `WrenchFactors.cop` of the wrenches, when known.
         """
         s = self._surface_constants
-        fx, fy, fz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2]
-        mx, my, mz = wrenches[..., 3], wrenches[..., 4], wrenches[..., 5]
+        a_y, b_y, a_x, b_x = self._input_factors(wrenches).cop if cop_factors is None else cop_factors
+        fx, fy, fz, mz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2], wrenches[..., 5]
         res = np.empty((self.horizon, self.n_contacts, STABILITY_RESIDUALS_PER_CONTACT))
         res[..., 0] = fz - s.fz_min
         res[..., 1] = (s.mu_c * fz) ** 2 - fx**2 - fy**2
-        res[..., 2] = (s.y_max * fz - mx) * (mx - s.y_min * fz)
-        res[..., 3] = (s.x_max * fz + my) * (-my - s.x_min * fz)
+        res[..., 2] = a_y * b_y
+        res[..., 3] = a_x * b_x
         res[..., 4] = (s.mu_z * fz) ** 2 - mz**2
-        inactive = self.activity < 0.5
-        res[inactive] = 1.0
+        res[self._inactive] = 1.0
         return res.reshape(-1)
 
-    def _stability_gradient(self, wrenches: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
+    def _stability_gradient(self, wrenches: np.ndarray, s_weights: np.ndarray, cop_factors: tuple) -> np.ndarray:
         """Accumulate sum_j s_j * d(stability residual j)/d(wrench) per stage."""
         s = self._surface_constants
         sw = s_weights.reshape(self.horizon, self.n_contacts, STABILITY_RESIDUALS_PER_CONTACT)
-        fx, fy, fz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2]
-        mx, my, mz = wrenches[..., 3], wrenches[..., 4], wrenches[..., 5]
+        fz, mz = wrenches[..., 2], wrenches[..., 5]
+        a_y, b_y, a_x, b_x = cop_factors
+        sw1 = sw[..., 1]
         g = np.zeros_like(wrenches)
-        g[..., 2] += sw[..., 0]
-        g[..., 0] += sw[..., 1] * (-2.0 * fx)
-        g[..., 1] += sw[..., 1] * (-2.0 * fy)
-        g[..., 2] += sw[..., 1] * (2.0 * s.mu_c**2 * fz)
-        a = s.y_max * fz - mx
-        b = mx - s.y_min * fz
-        g[..., 2] += sw[..., 2] * (s.y_max * b - s.y_min * a)
-        g[..., 3] += sw[..., 2] * (a - b)
-        a = s.x_max * fz + my
-        b = -my - s.x_min * fz
-        g[..., 2] += sw[..., 3] * (s.x_max * b - s.x_min * a)
-        g[..., 4] += sw[..., 3] * (b - a)
-        g[..., 2] += sw[..., 4] * (2.0 * s.mu_z**2 * fz)
+        g2 = g[..., 2]
+        g2 += sw[..., 0]
+        g[..., :2] += sw1[..., None] * (-2.0 * wrenches[..., :2])
+        g2 += sw1 * (self._two_mu_c_sq * fz)
+        g2 += sw[..., 2] * (s.y_max * b_y - s.y_min * a_y)
+        g[..., 3] += sw[..., 2] * (a_y - b_y)
+        g2 += sw[..., 3] * (s.x_max * b_x - s.x_min * a_x)
+        g[..., 4] += sw[..., 3] * (b_x - a_x)
+        g2 += sw[..., 4] * (self._two_mu_z_sq * fz)
         g[..., 5] += sw[..., 4] * (-2.0 * mz)
-        return g * self.activity[..., None]
+        return g * self._gates.stance
 
     def _residuals(self, point) -> np.ndarray:
-        return np.concatenate([super()._residuals(point), self.stability_residuals(point.inputs)])
+        return np.concatenate([super()._residuals(point), self.stability_residuals(point.inputs, point.factors.cop)])
 
     @property
     def num_constraints(self) -> int:
@@ -123,12 +144,13 @@ class BaselineProblem(ShootingProblem):
         wrenches, w = point.inputs, self.weights
         wrench_direct = np.zeros((self.horizon, self.n_contacts, 6))
         wrench_direct += wrenches @ w.q_wrench_reg
-        if self._both_active.any():
-            diff = (wrenches[self._both_active, 0, :] - wrenches[self._both_active, 1, :]) @ w.q_force_similarity
-            wrench_direct[self._both_active, 0, :] += diff
-            wrench_direct[self._both_active, 1, :] -= diff
+        if self._both_stages.size:
+            both = self._both_stages
+            diff = point.factors.similarity @ w.q_force_similarity
+            wrench_direct[both, 0, :] += diff
+            wrench_direct[both, 1, :] -= diff
         if s_stability is not None:
-            wrench_direct += self._stability_gradient(wrenches, s_stability)
+            wrench_direct += self._stability_gradient(wrenches, s_stability, point.factors.cop)
         return wrench_direct
 
     def _input_gradient(self, point, wrench_adj: np.ndarray, wrench_direct: np.ndarray) -> np.ndarray:

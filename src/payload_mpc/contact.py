@@ -199,7 +199,11 @@ def parametrization_factors(xi: np.ndarray, surface) -> ParametrizationFactors:
         raise ParameterRangeError("xi must be finite")
     if np.abs(xi[..., 2]).max() > XI3_LIMIT:
         raise ParameterRangeError(f"|xi_3| exceeds the overflow guard {XI3_LIMIT}")
-    c = SurfaceConstants.of(surface)
+    return _unchecked_factors(xi, SurfaceConstants.of(surface))
+
+
+def _unchecked_factors(xi: np.ndarray, c: SurfaceConstants) -> ParametrizationFactors:
+    """`parametrization_factors` for a caller that has checked xi itself (finite, |xi_3| <= XI3_LIMIT)."""
     t = np.tanh(xi)
     e3 = np.exp(xi[..., 2])
     return ParametrizationFactors(
@@ -242,24 +246,55 @@ def parametrization_jacobian_batch(
     """
     if factors is None:
         factors = parametrization_factors(xi, surface)
-    c = SurfaceConstants.of(surface)
+    diag, column, j01, j10 = _jacobian_entries(factors, SurfaceConstants.of(surface))
+    jac = np.zeros(diag.shape + (6,))
+    jac.reshape(diag.shape[:-1] + (36,))[..., ::7] = diag
+    jac[..., :, 2] = column  # overwrites the diagonal's xi3 entry
+    jac[..., 0, 1] = j01
+    jac[..., 1, 0] = j10
+    return jac
+
+
+def _jacobian_entries(factors: ParametrizationFactors, c: SurfaceConstants):
+    """The Jacobian's 13 structural nonzeros: (diagonal, xi3 column, J[0, 1], J[1, 0]).
+
+    The diagonal's xi3 entry is not one of them: the column replaces it.
+    """
     t, e3, fz, r1, r2, ft = factors.t, factors.e3, factors.fz, factors.r1, factors.r2, factors.ft
     s = 1.0 - t**2  # sech^2
-    jac = np.zeros(t.shape[:-1] + (6, 6))
-    # diagonal: row_scale * sech^2 * F_z (its xi3 entry is overwritten below)
+    # diagonal: row_scale * sech^2 * F_z
     diag = c.row_scale * s * fz[..., None]
     diag[..., 0] /= r2
     diag[..., 1] /= r1
-    jac.reshape(t.shape[:-1] + (36,))[..., ::7] = diag
     # the xi3 column: the map's rows with exp(xi3) in place of F_z
     column = ft * e3[..., None]
     column[..., 0] /= r2
     column[..., 1] /= r1
-    jac[..., :, 2] = column
     # the friction rows' coupling through the other square root
-    jac[..., 0, 1] = -ft[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
-    jac[..., 1, 0] = -ft[..., 1] * fz * t[..., 0] * s[..., 0] / r1**3
-    return jac
+    j01 = -ft[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
+    j10 = -ft[..., 1] * fz * t[..., 0] * s[..., 0] / r1**3
+    return diag, column, j01, j10
+
+
+def parametrization_vjp(v: np.ndarray, surface, factors: ParametrizationFactors) -> np.ndarray:
+    """J(xi)' v for every (..., 6) row of `v`, from the `factors` of xi.
+
+    Bitwise `einsum("...ab,...a->...b", J, v)` over the dense Jacobian, for
+    finite v: that einsum sums each output over a = 0..5 in order from +0.0,
+    and a structural zero adds a zero, which changes no nonzero sum.  So
+    J'v is the diagonal products, plus the coupling product in the two
+    friction entries (a two-term sum, whose order cannot matter), with the
+    xi3 entry the column's six products summed in order (`cumsum`, which
+    differs from that sum only in the sign of an all-zero prefix), and the
+    final `+ 0.0` gives the einsum's +0.0 for a sum of zeros.
+    """
+    diag, column, j01, j10 = _jacobian_entries(factors, SurfaceConstants.of(surface))
+    out = diag * v
+    out[..., 0] += j10 * v[..., 1]
+    out[..., 1] += j01 * v[..., 0]
+    out[..., 2] = (column * v).cumsum(axis=-1)[..., 5]
+    out += 0.0
+    return out
 
 
 def parametrization_jacobian(xi, surface: ContactSurface) -> np.ndarray:

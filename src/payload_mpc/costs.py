@@ -99,11 +99,12 @@ def split_states(states: np.ndarray, n_contacts: int):
     return com, momentum, feet
 
 
-def tracking_cost(states: np.ndarray, refs, weights: Weights) -> float:
+def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarray | None = None) -> float:
     """Angular-momentum damping plus CoM reference tracking, summed over stages.
 
     Linear momentum is deliberately left unpenalized; the CoM term shapes it
-    indirectly.
+    indirectly.  `com_err` is the CoM minus its reference, when the caller
+    keeps it.
     """
     n_c = refs.n_contacts
     com, momentum, _ = split_states(states, n_c)
@@ -111,14 +112,21 @@ def tracking_cost(states: np.ndarray, refs, weights: Weights) -> float:
         raise ConfigurationError(
             f"trajectory has {com.shape[0]} stages, references expect {refs.horizon + 1}"
         )
-    return _quad(momentum[:, 3:], weights.q_h) + _quad(com - refs.com_refs, weights.q_c)
+    if com_err is None:
+        com_err = com - refs.com_refs
+    return _quad(momentum[:, 3:], weights.q_h) + _quad(com_err, weights.q_c)
 
 
-def footstep_cost(states: np.ndarray, refs, weights: Weights) -> float:
-    """Quadratic penalty on contact positions vs. their planned references."""
-    _, _, feet = split_states(states, refs.n_contacts)
-    err = feet - refs.footstep_refs.transpose(1, 0, 2)  # (K+1, n_c, 3)
-    return _quad(err, weights.q_pc)
+def footstep_cost(states: np.ndarray, refs, weights: Weights, feet_err: np.ndarray | None = None) -> float:
+    """Quadratic penalty on contact positions vs. their planned references.
+
+    `feet_err` is the feet minus their references (K+1, n_c, 3), when the
+    caller keeps it.
+    """
+    if feet_err is None:
+        _, _, feet = split_states(states, refs.n_contacts)
+        feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
+    return _quad(feet_err, weights.q_pc)
 
 
 def parameter_regularization_cost(xi_traj: np.ndarray, weights: Weights) -> float:
@@ -209,6 +217,16 @@ def payload_compensation_targets(
     return targets, cache
 
 
+def payload_residual(wrenches: np.ndarray, targets: np.ndarray, stance: np.ndarray) -> np.ndarray:
+    """Inertial wrenches (K, n_c, 6) minus their targets, zero where `stance` (activity[..., None]) is."""
+    return (wrenches - targets) * stance
+
+
+def payload_attenuation_from_residual(residual: np.ndarray, weights: Weights) -> float:
+    """Payload-attenuation penalty of a `payload_residual`."""
+    return _quad(residual, weights.q_d)
+
+
 def payload_attenuation_from_targets(
     wrenches: np.ndarray,
     targets: np.ndarray,
@@ -216,8 +234,7 @@ def payload_attenuation_from_targets(
     weights: Weights,
 ) -> float:
     """Payload-attenuation penalty of inertial wrenches (K, n_c, 6) against their targets."""
-    residual = (wrenches - targets) * activity[..., None]
-    return _quad(residual, weights.q_d)
+    return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
 
 
 def payload_attenuation_cost(

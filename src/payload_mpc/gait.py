@@ -54,6 +54,8 @@ class GaitParameters:
                 raise ConfigurationError(
                     f"{name}={duration} is not an integer multiple of the controller period {dt}"
                 )
+            if round(ticks) < 1:
+                raise ConfigurationError(f"{name}={duration} is shorter than one controller period {dt}")
 
 
 @dataclass

@@ -19,11 +19,19 @@ An evaluated point costs a fixed number of numpy calls whatever the number of
 contacts: the parameters of every contact go through one contact-map call
 (surface constants stacked once per problem), the tanh/exp factors of that
 call stay in the point's memo for the gradient's Jacobian, and the frame
-rotations and the J^T contraction each run once over all contacts.  The
+rotations and the J^T product each run once over all contacts.  The
 rotations are stacked matmuls, not einsums: matmul rounds each entry exactly
 as the per-contact products did, an einsum does not (it skips the fused
-multiply-add).  The payload targets take their stage constants (active
-counts, the weight share) from `costs.TargetConstants`, built on first use.
+multiply-add).  J^T v runs over the Jacobian's 13 structural nonzeros
+(`contact.parametrization_vjp`), bitwise what the dense einsum gave.  The
+payload targets take their stage constants (active counts, the weight share)
+from `costs.TargetConstants`, built on first use.
+
+Each quantity is computed once per point: the value keeps in the point memo
+what the gradient needs again (task errors, gated forces, input factors,
+payload residual), and the value itself, so the solver's repeated value at
+the start and the end of each inner loop costs one key comparison.
+The merit guard on the parameters is the only check of a point's xi.
 """
 
 from __future__ import annotations
@@ -34,17 +42,18 @@ import numpy as np
 
 from . import costs as _costs
 from . import shooting as _shooting
-from .contact import (
+from .contact import (  # noqa: F401  (perfbench/spans.py wraps `mpc.parametrization_jacobian_batch`)
     SurfaceConstants,
     invert_parametrization,
-    parametrization_factors,
     parametrization_jacobian_batch,
+    parametrization_vjp,
     rotate_wrenches,
     surface_offsets,
+    _unchecked_factors,
 )
 from .costs import Weights
 from .dynamics import CentroidalState, ControlInput, PayloadDisturbance, RobotConstants, Wrench
-from .errors import ConfigurationError, InversionError, SolverFailure
+from .errors import ConfigurationError, InversionError, ParameterRangeError, SolverFailure
 from .solver import NlpFunctions, SolverOptions, SolverResult, solve
 
 BOUND_MODE_BOX = "box"
@@ -131,19 +140,23 @@ def hold_payload_over_horizon(estimate: PayloadDisturbance, n_steps: int):
     return (estimate,) * n_steps
 
 
-def footstep_bound_residuals(states: np.ndarray, refs: HorizonReferences, config: MpcConfig) -> np.ndarray:
+def footstep_bound_residuals(
+    states: np.ndarray, refs: HorizonReferences, config: MpcConfig, feet_err: np.ndarray | None = None
+) -> np.ndarray:
     """Inequality residuals (positive = satisfied) of the footstep error bounds.
 
     Errors are expressed in each contact frame.  Box mode emits lower and
     upper residuals per axis (6 per contact-stage); norm mode emits a single
     upper residual on the error norm (the printed lower bound is vacuous for
     non-negative bounds).  Stage 0 is the measured state and carries no
-    residuals.
+    residuals.  `feet_err` is the feet minus their references (K+1, n_c, 3),
+    when the caller keeps it.
     """
-    n_c = refs.n_contacts
-    _, _, feet = _costs.split_states(states, n_c)
-    steps = feet.shape[0] - 1
-    err_world = feet[1:] - refs.footstep_refs.transpose(1, 0, 2)[1:]  # (K, n_c, 3)
+    if feet_err is None:
+        _, _, feet = _costs.split_states(states, refs.n_contacts)
+        feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
+    steps, n_c = feet_err.shape[0] - 1, feet_err.shape[1]
+    err_world = feet_err[1:]  # (K, n_c, 3)
     err = np.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
     if config.footstep_bound_mode == BOUND_MODE_BOX:
         lower = err - config.footstep_bound_lower
@@ -165,7 +178,9 @@ class ShootingProblem:
     residuals'), `_input_gradient` (the chain back to the inputs),
     `_input_curvature` (the input half of the metric) and
     `initial_warm_start`.  Extra residuals override `_residuals` and
-    `num_constraints`; inputs rejected before any rollout, `_guarded`.
+    `num_constraints`; `_input_factors` rejects inputs before any rollout by
+    raising `ParameterRangeError`, which the evaluator reads as an infinite
+    objective.
     """
 
     parametrized = False  # whether the inputs are wrench parameters (ControlStep.xi)
@@ -205,6 +220,10 @@ class ShootingProblem:
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()
         self._last_point = None
+        # tick constants: the activity gates of every rollout and adjoint, and
+        # the footstep references in the feet's (K+1, n_c, 3) layout
+        self._gates = _shooting.StageGates.of(self.activity, constants, config.dt)
+        self._feet_refs = refs.footstep_refs.transpose(1, 0, 2)
 
     # -- decision vector layout ------------------------------------------------
 
@@ -231,7 +250,10 @@ class ShootingProblem:
         return None
 
     def _point(self, z: np.ndarray) -> _shooting.ShootingPoint:
-        """Inputs and rollout at `z`; value and gradient share the last one."""
+        """Inputs, rollout and task errors at `z`; value and gradient share the last one.
+
+        Inputs that `_input_factors` rejects raise before the memo changes.
+        """
         z = np.asarray(z, dtype=float)
         key = z.tobytes()
         point = self._last_point
@@ -239,10 +261,16 @@ class ShootingProblem:
             inputs, vel = self.decode(z.copy())
             factors = self._input_factors(inputs)
             wrenches = self._wrenches_world(inputs, factors)
+            forces = _shooting.stage_forces(wrenches, self._gates, self._payload)
             states = _shooting.rollout(
-                self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt
+                self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt,
+                self._gates, forces,
             )
-            point = self._last_point = _shooting.ShootingPoint(key, inputs, vel, wrenches, states, factors)
+            com, _, feet = _costs.split_states(states, self.n_contacts)
+            point = self._last_point = _shooting.ShootingPoint(
+                key, inputs, vel, wrenches, states, forces,
+                com_err=com - self.refs.com_refs, feet_err=feet - self._feet_refs, factors=factors,
+            )
         return point
 
     def rollout(self, z: np.ndarray) -> np.ndarray:
@@ -250,21 +278,20 @@ class ShootingProblem:
 
     # -- objective and constraints ----------------------------------------------
 
-    def _guarded(self, z: np.ndarray) -> bool:
-        return False
-
     def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
         parts = {
-            "tracking": _costs.tracking_cost(point.states, self.refs, self.weights),
-            "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights),
+            "tracking": _costs.tracking_cost(point.states, self.refs, self.weights, point.com_err),
+            "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights, point.feet_err),
         }
         parts.update(self._input_costs(point))
         return parts
 
     def cost_breakdown(self, z: np.ndarray) -> dict:
-        if self._guarded(z):
+        try:
+            point = self._point(z)
+        except ParameterRangeError:  # inputs past the merit guard
             return {"total": np.inf}
-        parts = self._cost_parts(self._point(z))
+        parts = self._cost_parts(point)
         parts["total"] = sum(parts.values())
         return parts
 
@@ -272,7 +299,7 @@ class ShootingProblem:
         return float(self.cost_breakdown(z)["total"])
 
     def _residuals(self, point: _shooting.ShootingPoint) -> np.ndarray:
-        return footstep_bound_residuals(point.states, self.refs, self.config)
+        return footstep_bound_residuals(point.states, self.refs, self.config, point.feet_err)
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
         return self._residuals(self._point(z))
@@ -292,13 +319,11 @@ class ShootingProblem:
         states = point.states
         steps, n_c = self.horizon, self.n_contacts
         seeds = np.zeros_like(states)
-        com, momentum, feet = _costs.split_states(states, n_c)
-        # tracking task
-        seeds[:, 0:3] += (com - self.refs.com_refs) @ self.weights.q_c
-        seeds[:, 6:9] += momentum[:, 3:] @ self.weights.q_h
+        # tracking task: CoM error and angular momentum
+        seeds[:, 0:3] += point.com_err @ self.weights.q_c
+        seeds[:, 6:9] += states[:, 6:9] @ self.weights.q_h
         # footstep task
-        feet_err = feet - self.refs.footstep_refs.transpose(1, 0, 2)
-        seeds[:, 9:] += (feet_err @ self.weights.q_pc).reshape(steps + 1, n_c * 3)
+        seeds[:, 9:] += (point.feet_err @ self.weights.q_pc).reshape(steps + 1, n_c * 3)
         # the residual weights: footstep bounds first, then any extra residuals
         s = constraint_weights if constraint_weights is not None and constraint_weights.size else None
         n_bounds = self.num_bound_constraints
@@ -307,7 +332,8 @@ class ShootingProblem:
         if s is not None:
             seeds += self._bound_state_seeds(states, s[:n_bounds])
         wrench_adj, vel_adj = _shooting.rollout_adjoint(
-            states, point.wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds
+            states, point.wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds,
+            self._gates, point.forces,
         )
         vel_grad = vel_adj + point.velocities @ self.weights.q_v
         return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
@@ -336,16 +362,22 @@ class ShootingProblem:
 
     def evaluator(self) -> NlpFunctions:
         def value(z):
-            if self._guarded(z):
+            """(f, c) at `z`, kept in the point memo; `c` is read-only."""
+            try:
+                point = self._point(z)
+            except ParameterRangeError:  # inputs past the merit guard
                 return np.inf, np.zeros(self.num_constraints)
-            point = self._point(z)
-            # reject blown-up rollouts (line-search overshoot): far beyond any
-            # physical trajectory, and lever arms this large would make the
-            # payload-target solve numerically singular
-            if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
-                return np.inf, np.zeros(self.num_constraints)
-            f = sum(self._cost_parts(point).values())
-            return float(f), self._residuals(point)
+            if point.value is None:
+                # reject blown-up rollouts (line-search overshoot): far beyond
+                # any physical trajectory, and lever arms this large would make
+                # the payload-target solve numerically singular
+                if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
+                    f, c = np.inf, np.zeros(self.num_constraints)
+                else:
+                    f, c = float(sum(self._cost_parts(point).values())), self._residuals(point)
+                c.flags.writeable = False
+                point.value = (f, c)
+            return point.value
 
         return NlpFunctions(
             dim=self.dim,
@@ -441,7 +473,14 @@ class HorizonProblem(ShootingProblem):
     evaluator = ShootingProblem.evaluator
 
     def _input_factors(self, xi: np.ndarray):
-        return parametrization_factors(xi, self._surface_constants)
+        """The contact-map factors of xi; |xi_3| past the merit guard, or a non-finite xi, is rejected.
+
+        The guard is stricter than the map's own range checks, so the
+        factors come from the unchecked core: one check per point.
+        """
+        if np.abs(xi[..., 2]).max() > _XI3_GUARD or not np.isfinite(xi).all():
+            raise ParameterRangeError(f"xi must be finite with |xi_3| <= {_XI3_GUARD}")
+        return _unchecked_factors(xi, self._surface_constants)
 
     def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
         return _costs.wrenches_from_parameters(
@@ -457,11 +496,6 @@ class HorizonProblem(ShootingProblem):
             )
         return point.payload_targets
 
-    def _guarded(self, z: np.ndarray) -> bool:
-        """Reject |xi_3| past the guard and any non-finite xi (an overflowed line-search trial)."""
-        xi, _ = self.decode(z)
-        return np.abs(xi[..., 2]).max() > _XI3_GUARD or not np.isfinite(xi).all()
-
     def _input_costs(self, point: _shooting.ShootingPoint) -> dict:
         parts = {
             "parameter_reg": _costs.parameter_regularization_cost(point.inputs, self.weights),
@@ -469,11 +503,14 @@ class HorizonProblem(ShootingProblem):
             "payload": 0.0,
         }
         if self.use_payload_task:
-            targets, _ = self._payload_targets(point)
-            parts["payload"] = _costs.payload_attenuation_from_targets(
-                point.wrenches, targets, self.activity, self.weights
-            )
+            parts["payload"] = _costs.payload_attenuation_from_residual(self._payload_residual(point), self.weights)
         return parts
+
+    def _payload_residual(self, point: _shooting.ShootingPoint) -> np.ndarray:
+        if point.payload_residual is None:
+            targets, _ = self._payload_targets(point)
+            point.payload_residual = _costs.payload_residual(point.wrenches, targets, self._gates.stance)
+        return point.payload_residual
 
     def _input_seeds(self, point: _shooting.ShootingPoint, seeds: np.ndarray, s_extra) -> np.ndarray:
         """Payload task: pseudo-inverse state terms into `seeds`, the direct wrench gradient returned."""
@@ -481,7 +518,8 @@ class HorizonProblem(ShootingProblem):
             return np.zeros((self.horizon, self.n_contacts, 6))
         targets, cache = self._payload_targets(point)
         payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
-            targets, cache, point.wrenches, self.activity, self._payload, self.weights.q_d
+            targets, cache, point.wrenches, self.activity, self._payload, self.weights.q_d,
+            self._payload_residual(point),
         )
         seeds += payload_seeds
         return wrench_direct
@@ -491,8 +529,7 @@ class HorizonProblem(ShootingProblem):
         # every contact at once and on the factors the value computed
         xi = point.inputs
         local = rotate_wrenches(wrench_adj + wrench_direct, self.refs.contact_orientations)
-        jac = parametrization_jacobian_batch(xi, self._surface_constants, point.factors)
-        xi_grad = np.einsum("kiab,kia->kib", jac, local)
+        xi_grad = parametrization_vjp(local, self._surface_constants, point.factors)
         xi_grad += xi @ self.weights.q_xi
         return xi_grad
 

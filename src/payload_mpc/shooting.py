@@ -38,9 +38,12 @@ product is elementwise, so stacking changes no bit; an evaluated point and
 its gradient make nine cross calls.
 
 A `ShootingPoint` keeps everything one decision vector needs more than once:
-its inputs, world wrenches and states, the parametrization factors that the
-gradient's Jacobian reuses, and the payload targets whose top block the
-payload seeds reuse.
+its inputs, world wrenches and states, the gated forces that the rollout and
+the adjoint share, the tracking and footstep errors that the cost and its
+seeds share, the input factors, the payload targets and residual, and the
+evaluator's value.  `StageGates` holds what a problem derives from its
+activity flags alone (the dt-scaled stance and swing gates, m g), built once
+per problem instead of once per rollout and adjoint.
 """
 
 from __future__ import annotations
@@ -94,15 +97,50 @@ class PayloadArrays:
         )
 
 
+@dataclass(frozen=True)
+class StageGates:
+    """What a problem's rollouts and adjoints derive from its contact activity alone.
+
+    A problem builds these once (`of`); `rollout` and `rollout_adjoint` build
+    their own when not given any, with the same operations, so the results
+    are the same bits either way.
+    """
+
+    stance: np.ndarray  # (K, n_c, 1) activity flags
+    stance_dt: np.ndarray  # (K, n_c, 1) dt * activity
+    swing_dt: np.ndarray  # (K, n_c, 1) dt * (1 - activity)
+    mg: np.ndarray  # (6,) mass * gravity_vector
+    dt_over_mass: float
+
+    @classmethod
+    def of(cls, activity: np.ndarray, constants: RobotConstants, dt: float) -> "StageGates":
+        stance = activity[..., None]
+        return cls(
+            stance=stance,
+            stance_dt=dt * stance,
+            swing_dt=dt * (1.0 - activity)[..., None],
+            mg=constants.mass * constants.gravity_vector,
+            dt_over_mass=dt / constants.mass,
+        )
+
+
+def stage_forces(wrenches: np.ndarray, gates: StageGates, payload: PayloadArrays):
+    """The gated wrenches (K, n_c, 6) and each stage's total force (K, 3), payload included."""
+    gated = wrenches * gates.stance
+    return gated, gated[:, :, :3].sum(axis=1) + payload.force_sum
+
+
 @dataclass
 class ShootingPoint:
     """One evaluated decision vector, shared by a problem's value and gradient.
 
     `key` is the byte image of the decision vector.  The arrays derive from a
     private copy of it, so a caller that reuses its own buffer cannot make
-    them stale.  `factors` are the parametrization factors of the inputs (the
-    parametrized problem only), so the gradient's Jacobian reuses the tanh and
-    exp of the value.  `payload_targets` is filled on first use.
+    them stale.  Everything the value computes that the gradient needs again
+    is kept: the gated forces of the rollout, the tracking and footstep
+    errors, the input factors (the parametrization's tanh and exp, or the
+    baseline's center-of-pressure factors), the payload targets and residual
+    (filled on first use) and the evaluator's `(f, c)`.
     """
 
     key: bytes
@@ -110,8 +148,13 @@ class ShootingPoint:
     velocities: np.ndarray  # (K, n_c, 3)
     wrenches: np.ndarray  # (K, n_c, 6) inertial frame
     states: np.ndarray  # (K+1, nx)
-    factors: object = None  # contact.ParametrizationFactors of `inputs`
+    forces: tuple  # stage_forces: (gated wrenches, total force)
+    com_err: np.ndarray  # (K+1, 3) CoM minus its reference
+    feet_err: np.ndarray  # (K+1, n_c, 3) feet minus their references
+    factors: object = None  # what the subclass's `_input_factors` keeps of `inputs`
     payload_targets: tuple | None = None  # (targets, cache) of costs.payload_compensation_targets
+    payload_residual: np.ndarray | None = None  # (K, n_c, 6) active wrenches minus their targets
+    value: tuple | None = None  # (f, c) of the evaluator
 
 
 def rollout(
@@ -122,23 +165,30 @@ def rollout(
     payload: PayloadArrays,
     constants: RobotConstants,
     dt: float,
+    gates: StageGates | None = None,
+    forces: tuple | None = None,
 ) -> np.ndarray:
-    """Forward Euler rollout; returns the (K+1, nx) state trajectory."""
+    """Forward Euler rollout; returns the (K+1, nx) state trajectory.
+
+    `gates` are the `StageGates` of (activity, constants, dt) and `forces`
+    the `stage_forces` of the wrenches, when the caller keeps them.
+    """
     steps, n_c = activity.shape
-    gated = wrenches * activity[..., None]
+    if gates is None:
+        gates = StageGates.of(activity, constants, dt)
+    gated, total_force = stage_forces(wrenches, gates, payload) if forces is None else forces
     gated_f = gated[:, :, :3]
-    total_force = gated_f.sum(axis=1) + payload.force_sum  # (K, 3)
-    mg = constants.mass * constants.gravity_vector
+    mg = gates.mg
     # zeros: the angular block rides along in the first scan, then is
     # overwritten with its own increments and scanned again
     states = np.zeros((steps + 1, x0.size))
     states[0] = x0
     # linear momentum and feet: increments known up front, one scan for both
     states[1:, 3:6] = dt * (total_force - mg[:3])
-    states[1:, 9:] = (dt * (1.0 - activity)[..., None] * velocities).reshape(steps, n_c * 3)
+    states[1:, 9:] = (gates.swing_dt * velocities).reshape(steps, n_c * 3)
     _scan(states, 3, None)
     # CoM: driven by the momentum just accumulated
-    states[1:, 0:3] = (dt / constants.mass) * states[:-1, 3:6]
+    states[1:, 0:3] = gates.dt_over_mass * states[:-1, 3:6]
     _scan(states, 0, 3)
     # angular momentum: moments about the stage CoM, now known for every stage
     com = states[:-1, 0:3]
@@ -158,15 +208,19 @@ def rollout_adjoint(
     constants: RobotConstants,
     dt: float,
     state_seeds: np.ndarray,  # (K+1, nx) stage-cost gradients w.r.t. the states
+    gates: StageGates | None = None,
+    forces: tuple | None = None,
 ):
     """Backward sweep; returns (wrench gradients (K, n_c, 6), velocity gradients (K, n_c, 3)).
 
     Only the dynamics path is accumulated here; direct input-cost gradients
-    are the caller's business.
+    are the caller's business.  `gates` and `forces` as for `rollout`.
     """
     steps, n_c = activity.shape
-    gated_f = wrenches[:, :, :3] * activity[..., None]
-    total_force = gated_f.sum(axis=1) + payload.force_sum  # (K, 3)
+    if gates is None:
+        gates = StageGates.of(activity, constants, dt)
+    gated, total_force = stage_forces(wrenches, gates, payload) if forces is None else forces
+    gated_f = gated[:, :, :3]
     # interleaved scan buffer read backwards: s_K, s_{K-1}, t_{K-1}, ..., s_0,
     # t_0, so the costate of stage k ends up in row 2k
     chain = np.empty((2 * steps + 1, states.shape[1]))
@@ -185,15 +239,15 @@ def rollout_adjoint(
     terms[:, 9:] = (dt * f_r_cross[:, :n_c]).reshape(steps, n_c * 3)
     _scan(backward, 0, 3)
     _scan(backward, 9, None)
-    terms[:, 3:6] = (dt / constants.mass) * lam[1:, 0:3]
+    terms[:, 3:6] = gates.dt_over_mass * lam[1:, 0:3]
     _scan(backward, 3, 6)
     # input gradients: transported wrench hits the momentum, velocity moves swing feet
     lam_next = lam[1:]
-    gd = dt * activity[..., None]
+    gd = gates.stance_dt
     wrench_grads = np.empty((steps, n_c, 6))
     wrench_grads[:, :, :3] = gd * (lam_next[:, None, 3:6] - f_r_cross[:, n_c:])
     wrench_grads[:, :, 3:] = gd * lam_hm[:, None, :]
-    velocity_grads = dt * (1.0 - activity)[..., None] * lam_next[:, 9:].reshape(steps, n_c, 3)
+    velocity_grads = gates.swing_dt * lam_next[:, 9:].reshape(steps, n_c, 3)
     return wrench_grads, velocity_grads
 
 
@@ -210,19 +264,23 @@ def payload_cost_state_seeds(
     activity: np.ndarray,
     payload: PayloadArrays,
     q_d: np.ndarray,
+    residual: np.ndarray | None = None,
 ):
     """Gradients of the payload-attenuation cost.
 
     `targets` and `cache` are the result of `costs.payload_compensation_targets`
-    at the same states.  Returns (state seeds (K+1, nx), direct wrench
-    gradients (K, n_c, 6)).  The state dependence runs through the
-    pseudo-inverse wrench targets; the reverse-mode algebra differentiates the
-    batched linear solves against the stacked transport maps directly.
+    at the same states, `residual` is `costs.payload_residual` of the
+    wrenches and targets when the caller keeps it.  Returns (state seeds
+    (K+1, nx), direct wrench gradients (K, n_c, 6)).  The state dependence
+    runs through the pseudo-inverse wrench targets; the reverse-mode algebra
+    differentiates the batched linear solves against the stacked transport
+    maps directly.
     """
     steps, n_c = activity.shape
     nx = 9 + 3 * n_c
     mask = activity[..., None]
-    residual = (wrenches - targets) * mask
+    if residual is None:
+        residual = (wrenches - targets) * mask
     v = (residual @ q_d) * mask  # (K, n_c, 6), rows v_i = Q_d rho_i
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages

@@ -41,6 +41,10 @@ CONTROLLER_BASELINE = "baseline"
 CONTROLLER_PARAM_NO_PAYLOAD_TASK = "param-no-td"
 CONTROLLERS = (CONTROLLER_PARAM, CONTROLLER_BASELINE, CONTROLLER_PARAM_NO_PAYLOAD_TASK)
 
+# the most plant ticks one run may log (about 0.5 kB each): far above the
+# 3,000 of the 30 s timing walk, and a bound on what a config can allocate
+MAX_PLANT_TICKS = 100_000
+
 # practical solver settings for closed-loop runs: the absolute 1e-6 library
 # default is below the line-search noise floor of these cost magnitudes
 def default_run_solver_options() -> SolverOptions:
@@ -85,6 +89,11 @@ class Scenario:
         if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigurationError(
                 f"plant_dt={self.plant_dt} must divide the controller period {self.mpc.dt}"
+            )
+        periods = self.duration / self.mpc.dt
+        if not (np.isfinite(periods) and round(periods) * round(ratio) <= MAX_PLANT_TICKS):
+            raise ConfigurationError(
+                f"duration={self.duration} at plant_dt={self.plant_dt} exceeds {MAX_PLANT_TICKS} plant ticks"
             )
         self.payload.validate()
         self.gait.validate(self.mpc.dt)
@@ -140,6 +149,8 @@ class SimLog:
     value_evaluations_per_tick: np.ndarray = None
     gradient_evaluations_per_tick: np.ndarray = None
     backtracks_per_tick: np.ndarray = None
+    outer_iterations_per_tick: np.ndarray = None
+    kkt_norm_per_tick: np.ndarray = None  # inf-norm of each solve's last merit gradient
     shadow_per_tick: list = field(default_factory=list)  # TickTiming of the shadow controller's solves
 
     def tracking_error(self) -> np.ndarray:
@@ -161,6 +172,8 @@ class SimLog:
             "non_converged_ticks": sum(status != "converged" for status in self.status_per_tick or ()),
             "mean_value_evaluations": _mean(self.value_evaluations_per_tick),
             "mean_gradient_evaluations": _mean(self.gradient_evaluations_per_tick),
+            "mean_outer_iterations": _mean(self.outer_iterations_per_tick),
+            "mean_kkt_norm": _mean(self.kkt_norm_per_tick),
             "cost_totals": [float(v) for v in self.costs.sum(axis=0)] if self.costs.size else [],
         }
 
@@ -285,6 +298,8 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         value_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
         gradient_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
         backtracks_per_tick=np.zeros(n_mpc_ticks, dtype=int),
+        outer_iterations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
+        kkt_norm_per_tick=np.zeros(n_mpc_ticks),
     )
 
     warm = None
@@ -338,6 +353,8 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         log.value_evaluations_per_tick[tick] = step.stats.value_evaluations
         log.gradient_evaluations_per_tick[tick] = step.stats.gradient_evaluations
         log.backtracks_per_tick[tick] = step.stats.backtracks
+        log.outer_iterations_per_tick[tick] = step.stats.outer_iterations
+        log.kkt_norm_per_tick[tick] = step.stats.kkt_norm
         wrench_rows = np.array([w.as_array() for w in step.wrenches])
         cost_row = np.array(
             [

@@ -9,10 +9,18 @@ inputs produce identical iterates.
 Problems are supplied as an `NlpFunctions` pair: `value(z) -> (f, c)` and
 `gradient(z, s) -> grad(f + s . c)`, the latter doubling as the residual
 Jacobian-transpose product needed by the augmented Lagrangian gradient.
+
+The loop computes each quantity once: a point's multiplier shift
+max(0, lam - rho c) serves its merit value and its gradient, lam^2 is taken
+once per inner solve, and each curvature pair's scalars once at `push`.
+Scalars stay Python floats (`ndarray.dot`, `math`), which round exactly as
+the numpy scalars did, so the iterates are bitwise those of a direct
+transcription of the formulas.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -62,6 +70,8 @@ class SolverResult:
     value_evaluations: int = 0  # calls of the evaluator's value
     gradient_evaluations: int = 0  # calls of the evaluator's gradient
     backtracks: int = 0  # line-search trial steps that failed the sufficient-decrease test
+    outer_iterations: int = 0  # augmented-Lagrangian multiplier/penalty rounds, len(outer_violations)
+    kkt_norm: float = math.nan  # inf-norm of the last inner loop's merit gradient
 
 
 @dataclass
@@ -105,99 +115,106 @@ def _violation(c: np.ndarray) -> float:
 
 
 class _LbfgsMemory:
+    """The curvature pairs and the two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    Each pair is `(s, y, 1/s'y)`.  `push` also keeps the H0 scale of the
+    newest pair, `s'y / y'(M y)` (M the metric, or I), so a direction
+    computes no product that a pair has already fixed.  The recursion runs
+    in place on one copy of the gradient with one preallocated work vector,
+    in the products and the order of the textbook formulas, so its result is
+    bitwise that of a direct transcription.
+    """
+
     def __init__(self, memory: int, metric: Optional[np.ndarray] = None):
         self.memory = memory
         self.metric = metric  # positive diagonal seed for H0, or None for scaled identity
-        self.s: list = []
-        self.y: list = []
-        self.rho: list = []
+        self.pairs: list = []
+        self.scale = None  # H0 scale of the newest pair
+        self._work = None
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        sy = float(s @ y)
-        if sy <= 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        sy = float(s.dot(y))
+        if sy <= 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             return  # curvature too weak; skip the pair
-        if len(self.s) == self.memory:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-        self.s.append(s)
-        self.y.append(y)
-        self.rho.append(1.0 / sy)
-
-    def _apply_h0(self, q: np.ndarray) -> np.ndarray:
-        if self.s:
-            s, y = self.s[-1], self.y[-1]
-            if self.metric is not None:
-                my = self.metric * y
-                return (float(s @ y) / float(y @ my)) * (self.metric * q)
-            return (float(s @ y) / float(y @ y)) * q
-        if self.metric is not None:
-            return self.metric * q
-        return q
+        if len(self.pairs) == self.memory:
+            self.pairs.pop(0)
+        self.pairs.append((s, y, 1.0 / sy))
+        my = y if self.metric is None else self.metric * y
+        self.scale = sy / float(y.dot(my))
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         q = grad.copy()
+        if self._work is None:
+            self._work = np.empty_like(q)
+        work = self._work
         alphas = []
-        for s, y, rho in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
-            a = rho * (s @ q)
+        for s, y, rho in reversed(self.pairs):
+            a = rho * float(s.dot(q))
             alphas.append(a)
-            q -= a * y
-        q = self._apply_h0(q)
-        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho), reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        return -q
+            q -= np.multiply(a, y, out=work)
+        if self.metric is not None:
+            q *= self.metric
+        if self.scale is not None:
+            q *= self.scale
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
+            b = rho * float(y.dot(q))
+            q += np.multiply(a - b, s, out=work)
+        return np.negative(q, out=q)
 
 
 def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, counters):
-    """Inner L-BFGS on the augmented Lagrangian; returns (z, f, c, status, iters)."""
+    """Inner L-BFGS on the augmented Lagrangian; returns (z, f, c, status, iters, kkt_norm).
+
+    Each point's shift `max(0, lam - rho c)` is computed once, by its value,
+    and reused by its gradient; `kkt_norm` is the inf-norm of the last
+    gradient.
+    """
+    lam_sq = lam**2
+    two_rho = 2.0 * rho
 
     def al_value(point):
+        """The merit value at `point`, its residuals and their shift (None without residuals)."""
         counters.value += 1
         f, c = problem.value(point)
-        if c.size:
-            shifted = np.maximum(0.0, lam - rho * c)
-            f = f + float((shifted**2 - lam**2).sum()) / (2.0 * rho)
-        return f, c
+        if not c.size:
+            return f, c, None
+        shift = np.maximum(0.0, lam - rho * c)
+        return f + float((shift**2 - lam_sq).sum()) / two_rho, c, shift
 
-    def al_gradient(point, c):
+    def al_gradient(point, shift):
         counters.gradient += 1
-        if c.size:
-            s = -np.maximum(0.0, lam - rho * c)
-            return problem.gradient(point, s)
-        return problem.gradient(point, None)
+        return problem.gradient(point, None if shift is None else np.negative(shift))
 
-    value, c = al_value(z)
-    if not np.isfinite(value):
+    value, c, shift = al_value(z)
+    if not math.isfinite(value):
         raise NonFiniteStartError("objective is not finite at the initial point")
-    grad = al_gradient(z, c)
+    grad = al_gradient(z, shift)
     metric = getattr(problem, "metric_diag", None)
     memory = _LbfgsMemory(options.lbfgs_memory, metric)
     status = MAX_ITERATIONS
     iters = 0
     stalled = 0
     while iters < budget:
-        grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
-        if grad_norm <= tolerance:
+        if _inf_norm(grad) <= tolerance:
             status = CONVERGED
             break
         direction = memory.direction(grad)
-        descent = float(grad @ direction)
-        if not np.isfinite(descent) or descent >= 0.0:
+        descent = float(grad.dot(direction))
+        if not math.isfinite(descent) or descent >= 0.0:
             direction = -grad if metric is None else -(metric * grad)
-            descent = float(grad @ direction)
+            descent = float(grad.dot(direction))
             memory = _LbfgsMemory(options.lbfgs_memory, metric)
         # weak-Wolfe line search by backtracking/bisection: the curvature
         # condition keeps the quasi-Newton pairs well posed, and its gradient
         # evaluation is reused as the next iterate's gradient
+        curvature = 0.9 * descent
         step = 1.0
-        lo, hi = 0.0, np.inf
-        accepted = False
+        lo, hi = 0.0, math.inf
         best = None
         for _ in range(options.max_line_search_steps):
             candidate = z + step * direction
-            cand_value, cand_c = al_value(candidate)
-            armijo = np.isfinite(cand_value) and (
+            cand_value, cand_c, cand_shift = al_value(candidate)
+            armijo = math.isfinite(cand_value) and (
                 cand_value <= value + options.armijo_coefficient * step * descent
             )
             if not armijo:
@@ -205,13 +222,12 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, count
                 hi = step
                 step = lo + options.backtrack_factor * (hi - lo)
                 continue
-            cand_grad = al_gradient(candidate, cand_c)
+            cand_grad = al_gradient(candidate, cand_shift)
             best = (step, candidate, cand_value, cand_c, cand_grad)
-            if float(cand_grad @ direction) >= 0.9 * descent:
-                accepted = True
+            if float(cand_grad.dot(direction)) >= curvature:
                 break
             lo = step
-            step = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
+            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         iters += 1
         if best is None:
             status = LINE_SEARCH_FAILURE
@@ -229,11 +245,13 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, count
                 break
         else:
             stalled = 0
-    else:
-        status = MAX_ITERATIONS
     counters.value += 1
     f, c = problem.value(z)
-    return z, f, c, status, iters
+    return z, f, c, status, iters, _inf_norm(grad)
+
+
+def _inf_norm(v: np.ndarray) -> float:
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -> SolverResult:
@@ -256,16 +274,17 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
     status = MAX_ITERATIONS
     counters = _Counters(value=1)
     f, c = problem.value(z)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteStartError("objective is not finite at the initial point")
     violation = _violation(c)
+    kkt_norm = math.nan
     for _ in range(options.max_outer_iterations):
         budget = options.max_iterations - total_iters
         if budget <= 0:
             status = MAX_ITERATIONS
             break
         tolerance = options.kkt_tolerance if m == 0 else max(omega, options.kkt_tolerance)
-        z, f, c, inner_status, used = _minimize_lagrangian(
+        z, f, c, inner_status, used, kkt_norm = _minimize_lagrangian(
             problem, z, lam, rho, options, budget, tolerance, counters
         )
         total_iters += used
@@ -310,6 +329,8 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
         value_evaluations=counters.value,
         gradient_evaluations=counters.gradient,
         backtracks=counters.backtracks,
+        outer_iterations=len(outer_violations),
+        kkt_norm=kkt_norm,
     )
 
 

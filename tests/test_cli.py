@@ -132,6 +132,12 @@ MISTYPED_CONFIGS = [
     # a tick ratio that overflows to inf
     {"mpc": {"dt": 1e308}},
     {"gait": {"single_support_duration": 1e308}},
+    # support phases that round to zero controller ticks
+    {"mpc": {"dt": 1e308}, "plant_dt": 1e308, "duration": 0.4, "gait": {"number_of_steps": 2}},
+    # runs past the plant-tick bound
+    {"plant_dt": 1e-300},
+    {"plant_dt": 1e-7},
+    {"duration": 1e308},
 ]
 
 

@@ -2,11 +2,13 @@
 
 The documents start from a small valid walk and replace a few known keys
 with wrong types, wrong shapes, negative or zero values and extreme
-magnitudes, or drop the one required field (`robot.mass`).  Fields that size
-the run are drawn only from small valid values or plainly invalid ones: no
-range check bounds the duration, the horizon, the step count, the support
-durations or the iteration budgets, and a tiny valid `plant_dt` (1e-300, a
-divisor of any period) allocates without bound.
+magnitudes, or drop the one required field (`robot.mass`).  The run length
+is bounded (`simulation.MAX_PLANT_TICKS`), so `duration` and `plant_dt` are
+also drawn from extremes: a huge duration, a tiny valid plant step (1e-300
+divides any period), a duration shorter than one period (an empty run).
+The other fields that size the run are drawn only from small valid values or
+plainly invalid ones: no range check bounds the horizon, the step count, the
+support durations or the iteration budgets.
 """
 
 import json
@@ -48,9 +50,13 @@ def matrix():
 
 
 FIELDS = {
-    ("duration",): field(0.2, 0.4),
-    # divisors of the 0.2 s controller period, or plainly not one
-    ("plant_dt",): field(0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, invalid=(0, -0.01, 0.03, 0.3, HUGE, -HUGE)),
+    # shorter than one period (an empty run), or past the plant-tick bound
+    ("duration",): field(0.2, 0.4, TINY, 1e6, HUGE),
+    # divisors of the 0.2 s controller period, or plainly not one; the tiny
+    # divisors exceed the plant-tick bound
+    ("plant_dt",): field(
+        0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, 1e-7, TINY, invalid=(0, -0.01, 0.03, 0.3, HUGE, -HUGE)
+    ),
     ("seed",): field(0, 7, invalid=(-1, 2**40)),
     ("controller",): st.one_of(st.sampled_from(["param", "baseline", "param-no-td", "x", ""]), WRONG_TYPE),
     ("output_dir",): WRONG_TYPE,

@@ -60,6 +60,13 @@ def test_durations_must_divide_controller_period():
         generate_gait_schedule(make_params(double_support_duration=0.3), MpcConfig())
 
 
+def test_support_phase_of_zero_ticks_rejected():
+    # 1.2 / 1e308 is within 1e-9 of zero ticks, so the multiple check alone passes it
+    with pytest.raises(ConfigurationError, match="shorter than one controller period"):
+        make_params(single_support_duration=1.2, double_support_duration=0.6).validate(1e308)
+    make_params().validate(0.2)  # the default walk's phases are whole periods
+
+
 def test_com_reference_constant_in_double_support():
     params = make_params(number_of_steps=0)
     schedule = generate_gait_schedule(params, MpcConfig(), min_ticks=25)

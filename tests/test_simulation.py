@@ -7,6 +7,7 @@ from payload_mpc.contact import stability_margins
 from payload_mpc.errors import ConfigurationError
 from payload_mpc.gait import GaitParameters
 from payload_mpc.simulation import (
+    MAX_PLANT_TICKS,
     PayloadSpec,
     Scenario,
     compare_timing,
@@ -92,6 +93,19 @@ def test_scenario_validation():
         quick_scenario(plant_dt=0.03).validate()  # does not divide 0.2
     with pytest.raises(ConfigurationError):
         quick_scenario(payload=PayloadSpec(mass=-2.0)).validate()
+
+
+def test_run_size_is_bounded():
+    # at the bound: 0.2 s periods of 2,000 plant ticks each, 50 periods
+    quick_scenario(plant_dt=1e-4, duration=10.0).validate()
+    assert 50 * 2000 == MAX_PLANT_TICKS
+    with pytest.raises(ConfigurationError, match="plant ticks"):
+        quick_scenario(plant_dt=1e-4, duration=10.2).validate()
+    with pytest.raises(ConfigurationError, match="plant ticks"):
+        quick_scenario(plant_dt=1e-300).validate()
+    with pytest.raises(ConfigurationError, match="plant ticks"):
+        quick_scenario(duration=1e308).validate()
+    quick_scenario(duration=0.05).validate()  # shorter than one period: a valid empty run
 
 
 def test_with_controller_round_trip():
