@@ -28,6 +28,7 @@ from .simulation import (
     PayloadSpec,
     Scenario,
     compare_timing,
+    default_payload_scenario,
     default_run_solver_options,
     run_closed_loop,
 )
@@ -150,10 +151,8 @@ def _scenario_from_config(data: dict) -> tuple:
     return scenario, out_dir, runs, shared_trace
 
 
-_DEFAULT_SURFACE = {
-    "x_min": -0.05, "x_max": 0.35, "y_min": -0.075, "y_max": 0.075,
-    "mu_c": 0.33, "mu_z": 0.1, "fz_min": 0.01,
-}
+# the carry-walk demo's foot, which a config's `surface` section amends
+_DEFAULT_SURFACE = dataclasses.asdict(default_payload_scenario().surface)
 
 
 def _load_config(path) -> dict:

@@ -57,6 +57,11 @@ class GaitParameters:
             if round(ticks) < 1:
                 raise ConfigurationError(f"{name}={duration} is shorter than one controller period {dt}")
 
+    def walk_ticks(self, dt: float) -> int:
+        """Controller ticks of the walk: the opening double support, then each step's two phases."""
+        ds_ticks = round(self.double_support_duration / dt)
+        return ds_ticks + self.number_of_steps * (round(self.single_support_duration / dt) + ds_ticks)
+
 
 @dataclass
 class Phase:

@@ -330,7 +330,7 @@ class ShootingProblem:
         wrench_direct = self._input_seeds(point, seeds, None if s is None else s[n_bounds:])
         # footstep bound residuals, folded in through their stage states
         if s is not None:
-            seeds += self._bound_state_seeds(states, s[:n_bounds])
+            seeds += self._bound_state_seeds(point, s[:n_bounds])
         wrench_adj, vel_adj = _shooting.rollout_adjoint(
             states, point.wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds,
             self._gates, point.forces,
@@ -338,9 +338,9 @@ class ShootingProblem:
         vel_grad = vel_adj + point.velocities @ self.weights.q_v
         return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
 
-    def _bound_state_seeds(self, states: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _bound_state_seeds(self, point: _shooting.ShootingPoint, s: np.ndarray) -> np.ndarray:
         steps, n_c = self.horizon, self.n_contacts
-        seeds = np.zeros_like(states)
+        seeds = np.zeros_like(point.states)
         rots = self.refs.contact_orientations
         if self.config.footstep_bound_mode == BOUND_MODE_BOX:
             sw = s.reshape(steps, n_c, 6)
@@ -349,9 +349,7 @@ class ShootingProblem:
             seeds[1:, 9:] = np.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
         else:
             sw = s.reshape(steps, n_c)
-            _, _, feet = _costs.split_states(states, n_c)
-            err_world = feet[1:] - self.refs.footstep_refs.transpose(1, 0, 2)[1:]
-            err = np.einsum("iba,kib->kia", rots, err_world)
+            err = np.einsum("iba,kib->kia", rots, point.feet_err[1:])
             norm = np.linalg.norm(err, axis=2, keepdims=True)
             unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
             contrib = -sw[..., None] * np.einsum("iab,kib->kia", rots, unit)
@@ -400,6 +398,7 @@ class ShootingProblem:
         steps, n_c = self.horizon, self.n_contacts
         dt = self.config.dt
         mass = self.constants.mass
+        weight = float(self._gates.mg[2])  # m g, the model's weight
         w = self.weights
         q_h_m = float(np.diag(w.q_h).mean())
         q_c_max = float(np.diag(w.q_c).max())
@@ -421,7 +420,7 @@ class ShootingProblem:
                 # coupling of its frozen position into the accumulated angular
                 # momentum (hence the cubic stage count)
                 landed_after = int(self.activity[k + 1 :, i].sum()) if gamma < 0.5 else 0
-                lever = q_h_m * dt**4 * (mass * 9.81) ** 2 * landed_after**3 / 3.0
+                lever = q_h_m * dt**4 * weight**2 * landed_after**3 / 3.0
                 curvature[k, i, 6:] = q_v_d + (1.0 - gamma) * (q_pc_m * dt * dt * remaining + lever)
         metric = np.empty((steps, n_c * 9))
         metric[:, : n_c * 6] = (1.0 / curvature[:, :, :6]).reshape(steps, n_c * 6)
@@ -433,10 +432,10 @@ class ShootingProblem:
     def _weight_shares(self) -> np.ndarray:
         """Each active contact's equal share of the weight, as a contact-frame wrench (K, n_c, 6)."""
         shares = np.zeros((self.horizon, self.n_contacts, 6))
-        mass = self.constants.mass
+        weight = float(self._gates.mg[2])
         for k, i in zip(*np.nonzero(self.activity)):
             n_active = int(self.activity[k].sum())
-            shares[k, i, :3] = self.refs.contact_orientations[i].T @ [0.0, 0.0, mass * 9.81 / n_active]
+            shares[k, i, :3] = self.refs.contact_orientations[i].T @ [0.0, 0.0, weight / n_active]
         return shares
 
     def shift_warm_start(self, z: np.ndarray) -> np.ndarray:
@@ -535,14 +534,14 @@ class HorizonProblem(ShootingProblem):
 
     def _input_curvature(self, curvature: np.ndarray, momentum: list, com: list) -> None:
         """Parameter curvature: the payload task and the tracking tasks through the contact map."""
-        mass = self.constants.mass
+        weight = float(self._gates.mg[2])
         w = self.weights
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())
         q_xi_d = np.diag(w.q_xi)
         for k in range(self.horizon):
             n_active = max(self.activity[k].sum(), 1.0)
-            share = mass * 9.81 / n_active
+            share = weight / n_active
             curv_force = qd_f + momentum[k] + com[k]
             curv_moment = qd_m + momentum[k]
             for i in range(self.n_contacts):

@@ -97,6 +97,13 @@ class Scenario:
             )
         self.payload.validate()
         self.gait.validate(self.mpc.dt)
+        # the gait schedule holds every tick of the walk, padded past the run
+        # by one horizon: bound its length before anything builds it
+        if max(self.gait.walk_ticks(self.mpc.dt), round(periods) + self.mpc.horizon + 1) > MAX_PLANT_TICKS:
+            raise ConfigurationError(
+                f"the gait schedule of number_of_steps={self.gait.number_of_steps} and "
+                f"horizon={self.mpc.horizon} exceeds {MAX_PLANT_TICKS} controller ticks"
+            )
 
 
 def with_controller(scenario: Scenario, controller: str) -> Scenario:

@@ -8,7 +8,17 @@ inputs produce identical iterates.
 
 Problems are supplied as an `NlpFunctions` pair: `value(z) -> (f, c)` and
 `gradient(z, s) -> grad(f + s . c)`, the latter doubling as the residual
-Jacobian-transpose product needed by the augmented Lagrangian gradient.
+Jacobian-transpose product needed by the augmented Lagrangian gradient (a
+problem without residuals gets an empty `s`).
+
+`SolverOptions` holds what a caller sets: the iteration budget and the KKT
+tolerance.  The rest are module constants: `CONSTRAINT_TOLERANCE`, the
+penalty schedule (`PENALTY_INIT`, `PENALTY_GROWTH`, `MAX_OUTER_ITERATIONS`),
+`LBFGS_MEMORY` and the line search's `ARMIJO_COEFFICIENT`,
+`BACKTRACK_FACTOR` and `MAX_LINE_SEARCH_STEPS`, at the textbook values
+(c1 = 1e-4 and m = 10; Nocedal & Wright, *Numerical Optimization*, §3.1 and
+§7.2), like the literals next to them: the 0.9 curvature coefficient, the
+1e8 penalty cap and the five-step 1e-13 stall test.
 
 The loop computes each quantity once: a point's multiplier shift
 max(0, lam - rho c) serves its merit value and its gradient, lam^2 is taken
@@ -33,29 +43,26 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
 
+CONSTRAINT_TOLERANCE = 1e-8  # largest violation max(0, -c) that counts as feasible
+PENALTY_INIT = 10.0  # the first augmented-Lagrangian penalty
+PENALTY_GROWTH = 10.0  # the penalty's factor when feasibility stalls or is reached
+MAX_OUTER_ITERATIONS = 15  # multiplier/penalty rounds
+LBFGS_MEMORY = 10  # curvature pairs kept
+ARMIJO_COEFFICIENT = 1e-4  # sufficient decrease
+BACKTRACK_FACTOR = 0.5  # step cut after a failed sufficient-decrease test
+MAX_LINE_SEARCH_STEPS = 40  # trial steps per line search
+
 
 @dataclass
 class SolverOptions:
     max_iterations: int = 200  # total inner iterations across all outer loops
     kkt_tolerance: float = 1e-6  # infinity norm of the (augmented) Lagrangian gradient
-    constraint_tolerance: float = 1e-8
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    max_outer_iterations: int = 15
-    lbfgs_memory: int = 10
-    armijo_coefficient: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_line_search_steps: int = 40
 
     def __post_init__(self):
-        for name in ("max_iterations", "lbfgs_memory"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("kkt_tolerance", "constraint_tolerance", "penalty_init"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.penalty_growth >= 1:
-            raise ConfigurationError(f"penalty_growth must be >= 1, got {self.penalty_growth}")
+        if self.max_iterations < 1:
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.kkt_tolerance <= 0:
+            raise ConfigurationError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
 
 
 @dataclass
@@ -93,7 +100,7 @@ class NlpFunctions:
     dim: int
     num_constraints: int
     value: Callable[[np.ndarray], tuple]
-    gradient: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
     metric_diag: Optional[np.ndarray] = None
 
 
@@ -104,7 +111,7 @@ def unconstrained(fun: Callable[[np.ndarray], float], grad: Callable[[np.ndarray
         dim=dim,
         num_constraints=0,
         value=lambda z: (float(fun(z)), empty),
-        gradient=lambda z, s=None: np.asarray(grad(z), dtype=float),
+        gradient=lambda z, s: np.asarray(grad(z), dtype=float),
     )
 
 
@@ -117,17 +124,17 @@ def _violation(c: np.ndarray) -> float:
 class _LbfgsMemory:
     """The curvature pairs and the two-loop recursion (Nocedal & Wright, Alg. 7.4).
 
-    Each pair is `(s, y, 1/s'y)`.  `push` also keeps the H0 scale of the
-    newest pair, `s'y / y'(M y)` (M the metric, or I), so a direction
-    computes no product that a pair has already fixed.  The recursion runs
-    in place on one copy of the gradient with one preallocated work vector,
-    in the products and the order of the textbook formulas, so its result is
-    bitwise that of a direct transcription.
+    Each pair is `(s, y, 1/s'y)`; the newest `LBFGS_MEMORY` are kept.  `push`
+    also keeps the H0 scale of the newest pair, `s'y / y'(M y)` (M the
+    metric), so a direction computes no product that a pair has already
+    fixed.  The recursion runs in place on one copy of the gradient with one
+    preallocated work vector, in the products and the order of the textbook
+    formulas, so its result is bitwise that of a direct transcription; a
+    metric of ones is the scaled identity, bitwise, since x * 1.0 == x.
     """
 
-    def __init__(self, memory: int, metric: Optional[np.ndarray] = None):
-        self.memory = memory
-        self.metric = metric  # positive diagonal seed for H0, or None for scaled identity
+    def __init__(self, metric: np.ndarray):
+        self.metric = metric  # positive diagonal seed for H0
         self.pairs: list = []
         self.scale = None  # H0 scale of the newest pair
         self._work = None
@@ -136,11 +143,10 @@ class _LbfgsMemory:
         sy = float(s.dot(y))
         if sy <= 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             return  # curvature too weak; skip the pair
-        if len(self.pairs) == self.memory:
+        if len(self.pairs) == LBFGS_MEMORY:
             self.pairs.pop(0)
         self.pairs.append((s, y, 1.0 / sy))
-        my = y if self.metric is None else self.metric * y
-        self.scale = sy / float(y.dot(my))
+        self.scale = sy / float(y.dot(self.metric * y))
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         q = grad.copy()
@@ -152,8 +158,7 @@ class _LbfgsMemory:
             a = rho * float(s.dot(q))
             alphas.append(a)
             q -= np.multiply(a, y, out=work)
-        if self.metric is not None:
-            q *= self.metric
+        q *= self.metric
         if self.scale is not None:
             q *= self.scale
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
@@ -162,35 +167,35 @@ class _LbfgsMemory:
         return np.negative(q, out=q)
 
 
-def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, counters):
+def _minimize_lagrangian(problem, z, lam, rho, budget, tolerance, counters):
     """Inner L-BFGS on the augmented Lagrangian; returns (z, f, c, status, iters, kkt_norm).
 
     Each point's shift `max(0, lam - rho c)` is computed once, by its value,
-    and reused by its gradient; `kkt_norm` is the inf-norm of the last
-    gradient.
+    and reused by its gradient; without residuals it is empty and the merit
+    value is f + 0.0.  `kkt_norm` is the inf-norm of the last gradient.
     """
     lam_sq = lam**2
     two_rho = 2.0 * rho
+    metric = problem.metric_diag
+    if metric is None:
+        metric = np.ones(problem.dim)
 
     def al_value(point):
-        """The merit value at `point`, its residuals and their shift (None without residuals)."""
+        """The merit value at `point`, its residuals and their shift."""
         counters.value += 1
         f, c = problem.value(point)
-        if not c.size:
-            return f, c, None
         shift = np.maximum(0.0, lam - rho * c)
         return f + float((shift**2 - lam_sq).sum()) / two_rho, c, shift
 
     def al_gradient(point, shift):
         counters.gradient += 1
-        return problem.gradient(point, None if shift is None else np.negative(shift))
+        return problem.gradient(point, np.negative(shift))
 
     value, c, shift = al_value(z)
     if not math.isfinite(value):
         raise NonFiniteStartError("objective is not finite at the initial point")
     grad = al_gradient(z, shift)
-    metric = getattr(problem, "metric_diag", None)
-    memory = _LbfgsMemory(options.lbfgs_memory, metric)
+    memory = _LbfgsMemory(metric)
     status = MAX_ITERATIONS
     iters = 0
     stalled = 0
@@ -201,9 +206,9 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, count
         direction = memory.direction(grad)
         descent = float(grad.dot(direction))
         if not math.isfinite(descent) or descent >= 0.0:
-            direction = -grad if metric is None else -(metric * grad)
+            direction = -(metric * grad)
             descent = float(grad.dot(direction))
-            memory = _LbfgsMemory(options.lbfgs_memory, metric)
+            memory = _LbfgsMemory(metric)
         # weak-Wolfe line search by backtracking/bisection: the curvature
         # condition keeps the quasi-Newton pairs well posed, and its gradient
         # evaluation is reused as the next iterate's gradient
@@ -211,16 +216,16 @@ def _minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, count
         step = 1.0
         lo, hi = 0.0, math.inf
         best = None
-        for _ in range(options.max_line_search_steps):
+        for _ in range(MAX_LINE_SEARCH_STEPS):
             candidate = z + step * direction
             cand_value, cand_c, cand_shift = al_value(candidate)
             armijo = math.isfinite(cand_value) and (
-                cand_value <= value + options.armijo_coefficient * step * descent
+                cand_value <= value + ARMIJO_COEFFICIENT * step * descent
             )
             if not armijo:
                 counters.backtracks += 1
                 hi = step
-                step = lo + options.backtrack_factor * (hi - lo)
+                step = lo + BACKTRACK_FACTOR * (hi - lo)
                 continue
             cand_grad = al_gradient(candidate, cand_shift)
             best = (step, candidate, cand_value, cand_c, cand_grad)
@@ -263,12 +268,12 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
     start = time.perf_counter()
     m = problem.num_constraints
     lam = np.zeros(m)
-    rho = options.penalty_init
+    rho = PENALTY_INIT
     # safeguarded schedule: solve inner problems loosely at first and tighten
     # as the iterates become feasible, so multiplier/penalty updates are not
     # starved of budget by early high-accuracy inner solves
     omega = max(1.0 / rho, options.kkt_tolerance)
-    eta = max(0.1 * rho**-0.1, options.constraint_tolerance)
+    eta = max(0.1 * rho**-0.1, CONSTRAINT_TOLERANCE)
     total_iters = 0
     outer_violations = []
     status = MAX_ITERATIONS
@@ -278,19 +283,19 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
         raise NonFiniteStartError("objective is not finite at the initial point")
     violation = _violation(c)
     kkt_norm = math.nan
-    for _ in range(options.max_outer_iterations):
+    for _ in range(MAX_OUTER_ITERATIONS):
         budget = options.max_iterations - total_iters
         if budget <= 0:
             status = MAX_ITERATIONS
             break
         tolerance = options.kkt_tolerance if m == 0 else max(omega, options.kkt_tolerance)
         z, f, c, inner_status, used, kkt_norm = _minimize_lagrangian(
-            problem, z, lam, rho, options, budget, tolerance, counters
+            problem, z, lam, rho, budget, tolerance, counters
         )
         total_iters += used
         violation = _violation(c)
         outer_violations.append(violation)
-        feasible = violation <= options.constraint_tolerance
+        feasible = violation <= CONSTRAINT_TOLERANCE
         if feasible and inner_status == CONVERGED and tolerance <= options.kkt_tolerance:
             status = CONVERGED
             break
@@ -303,21 +308,21 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
             status = MAX_ITERATIONS
             break
         status = inner_status
-        if violation <= max(eta, options.constraint_tolerance):
+        if violation <= max(eta, CONSTRAINT_TOLERANCE):
             # making feasibility progress: update multipliers, tighten targets
             lam = np.maximum(0.0, lam - rho * c)
             if feasible:
                 # final stationarity polish; the stiffer penalty keeps the
                 # remaining multiplier error from re-violating the constraints
                 omega = options.kkt_tolerance
-                rho = min(rho * options.penalty_growth, 1e8)
+                rho = min(rho * PENALTY_GROWTH, 1e8)
             else:
                 omega = max(omega / rho, options.kkt_tolerance)
-            eta = max(eta / rho**0.9, options.constraint_tolerance)
+            eta = max(eta / rho**0.9, CONSTRAINT_TOLERANCE)
         else:
-            rho *= options.penalty_growth
+            rho *= PENALTY_GROWTH
             omega = max(1.0 / rho, options.kkt_tolerance)
-            eta = max(0.1 * rho**-0.1, options.constraint_tolerance)
+            eta = max(0.1 * rho**-0.1, CONSTRAINT_TOLERANCE)
     return SolverResult(
         z=z,
         objective=float(f),

@@ -9,7 +9,7 @@ from payload_mpc.errors import ConfigurationError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
 from payload_mpc.simulation import Scenario, TickTiming, TimingReport, compare_timing, default_run_solver_options
 from payload_mpc.gait import GaitParameters
-from payload_mpc.solver import SolverOptions, finite_difference_gradient
+from payload_mpc.solver import CONSTRAINT_TOLERANCE, SolverOptions, finite_difference_gradient
 
 SURFACE = ContactSurface(-0.2, 0.2, -0.075, 0.075)
 CONSTANTS = RobotConstants(mass=1.0)
@@ -66,7 +66,7 @@ def test_solution_respects_stability_conditions():
     )
     step = baseline_receding_horizon_step(prob)
     assert step.stats.status == "converged"
-    assert step.stats.constraint_violation <= config.solver.constraint_tolerance
+    assert step.stats.constraint_violation <= CONSTRAINT_TOLERANCE
     for wrench in step.wrenches:
         margins = is_contact_stable(wrench, SURFACE).margins
         assert margins.min() > -1e-6

@@ -138,6 +138,9 @@ MISTYPED_CONFIGS = [
     {"plant_dt": 1e-300},
     {"plant_dt": 1e-7},
     {"duration": 1e308},
+    # gait schedules past the same bound
+    {"gait": {"number_of_steps": 1000000000000}},
+    {"mpc": {"horizon": 1000000000000}},
 ]
 
 
@@ -150,6 +153,27 @@ def test_simulate_rejects_bad_config_with_one_line(tmp_path, capsys, document):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+# solver settings that are constants, not options
+FIXED_SOLVER_SETTINGS = [
+    ("constraint_tolerance", 1e-8),
+    ("penalty_init", 10.0),
+    ("penalty_growth", 10.0),
+    ("max_outer_iterations", 15),
+    ("lbfgs_memory", 10),
+    ("armijo_coefficient", 1e-4),
+    ("backtrack_factor", 0.5),
+    ("max_line_search_steps", 40),
+]
+
+
+@pytest.mark.parametrize("key, value", FIXED_SOLVER_SETTINGS, ids=[key for key, _ in FIXED_SOLVER_SETTINGS])
+def test_simulate_rejects_fixed_solver_settings(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, {"solver": {key: value}, "duration": 0.4})
+    code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: unknown configuration key solver.{key}"]
 
 
 def test_non_finite_line_search_trial_does_not_end_the_run(tmp_path, capsys):

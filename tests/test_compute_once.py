@@ -32,9 +32,17 @@ from payload_mpc.errors import NonFiniteStartError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
 from payload_mpc.simulation import default_payload_scenario, run_closed_loop
 from payload_mpc.solver import (
+    ARMIJO_COEFFICIENT,
+    BACKTRACK_FACTOR,
+    CONSTRAINT_TOLERANCE,
     CONVERGED,
+    LBFGS_MEMORY,
     LINE_SEARCH_FAILURE,
     MAX_ITERATIONS,
+    MAX_LINE_SEARCH_STEPS,
+    MAX_OUTER_ITERATIONS,
+    PENALTY_GROWTH,
+    PENALTY_INIT,
     NlpFunctions,
     SolverOptions,
     SolverResult,
@@ -94,8 +102,11 @@ class ReferenceLbfgsMemory:
         return -q
 
 
-def reference_minimize_lagrangian(problem, z, lam, rho, options, budget, tolerance, counters):
-    """The inner loop as it was: the AL closures recompute the shift, `_apply_h0` its scale."""
+def reference_minimize_lagrangian(problem, z, lam, rho, budget, tolerance, counters):
+    """The inner loop as it was: the AL closures recompute the shift, `_apply_h0` its scale.
+
+    The former options read the solver's constants, which keep their values.
+    """
 
     def al_value(point):
         counters.value += 1
@@ -117,7 +128,7 @@ def reference_minimize_lagrangian(problem, z, lam, rho, options, budget, toleran
         raise NonFiniteStartError("objective is not finite at the initial point")
     grad = al_gradient(z, c)
     metric = getattr(problem, "metric_diag", None)
-    memory = ReferenceLbfgsMemory(options.lbfgs_memory, metric)
+    memory = ReferenceLbfgsMemory(LBFGS_MEMORY, metric)
     status = MAX_ITERATIONS
     iters = 0
     stalled = 0
@@ -131,7 +142,7 @@ def reference_minimize_lagrangian(problem, z, lam, rho, options, budget, toleran
         if not np.isfinite(descent) or descent >= 0.0:
             direction = -grad if metric is None else -(metric * grad)
             descent = float(grad @ direction)
-            memory = ReferenceLbfgsMemory(options.lbfgs_memory, metric)
+            memory = ReferenceLbfgsMemory(LBFGS_MEMORY, metric)
         # weak-Wolfe line search by backtracking/bisection: the curvature
         # condition keeps the quasi-Newton pairs well posed, and its gradient
         # evaluation is reused as the next iterate's gradient
@@ -139,16 +150,16 @@ def reference_minimize_lagrangian(problem, z, lam, rho, options, budget, toleran
         lo, hi = 0.0, np.inf
         accepted = False
         best = None
-        for _ in range(options.max_line_search_steps):
+        for _ in range(MAX_LINE_SEARCH_STEPS):
             candidate = z + step * direction
             cand_value, cand_c = al_value(candidate)
             armijo = np.isfinite(cand_value) and (
-                cand_value <= value + options.armijo_coefficient * step * descent
+                cand_value <= value + ARMIJO_COEFFICIENT * step * descent
             )
             if not armijo:
                 counters.backtracks += 1
                 hi = step
-                step = lo + options.backtrack_factor * (hi - lo)
+                step = lo + BACKTRACK_FACTOR * (hi - lo)
                 continue
             cand_grad = al_gradient(candidate, cand_c)
             best = (step, candidate, cand_value, cand_c, cand_grad)
@@ -189,12 +200,12 @@ def reference_solve(problem, initial_point, options=None):
     start = time.perf_counter()
     m = problem.num_constraints
     lam = np.zeros(m)
-    rho = options.penalty_init
+    rho = PENALTY_INIT
     # safeguarded schedule: solve inner problems loosely at first and tighten
     # as the iterates become feasible, so multiplier/penalty updates are not
     # starved of budget by early high-accuracy inner solves
     omega = max(1.0 / rho, options.kkt_tolerance)
-    eta = max(0.1 * rho**-0.1, options.constraint_tolerance)
+    eta = max(0.1 * rho**-0.1, CONSTRAINT_TOLERANCE)
     total_iters = 0
     outer_violations = []
     status = MAX_ITERATIONS
@@ -203,19 +214,19 @@ def reference_solve(problem, initial_point, options=None):
     if not np.isfinite(f):
         raise NonFiniteStartError("objective is not finite at the initial point")
     violation = _violation(c)
-    for _ in range(options.max_outer_iterations):
+    for _ in range(MAX_OUTER_ITERATIONS):
         budget = options.max_iterations - total_iters
         if budget <= 0:
             status = MAX_ITERATIONS
             break
         tolerance = options.kkt_tolerance if m == 0 else max(omega, options.kkt_tolerance)
         z, f, c, inner_status, used = reference_minimize_lagrangian(
-            problem, z, lam, rho, options, budget, tolerance, counters
+            problem, z, lam, rho, budget, tolerance, counters
         )
         total_iters += used
         violation = _violation(c)
         outer_violations.append(violation)
-        feasible = violation <= options.constraint_tolerance
+        feasible = violation <= CONSTRAINT_TOLERANCE
         if feasible and inner_status == CONVERGED and tolerance <= options.kkt_tolerance:
             status = CONVERGED
             break
@@ -228,21 +239,21 @@ def reference_solve(problem, initial_point, options=None):
             status = MAX_ITERATIONS
             break
         status = inner_status
-        if violation <= max(eta, options.constraint_tolerance):
+        if violation <= max(eta, CONSTRAINT_TOLERANCE):
             # making feasibility progress: update multipliers, tighten targets
             lam = np.maximum(0.0, lam - rho * c)
             if feasible:
                 # final stationarity polish; the stiffer penalty keeps the
                 # remaining multiplier error from re-violating the constraints
                 omega = options.kkt_tolerance
-                rho = min(rho * options.penalty_growth, 1e8)
+                rho = min(rho * PENALTY_GROWTH, 1e8)
             else:
                 omega = max(omega / rho, options.kkt_tolerance)
-            eta = max(eta / rho**0.9, options.constraint_tolerance)
+            eta = max(eta / rho**0.9, CONSTRAINT_TOLERANCE)
         else:
-            rho *= options.penalty_growth
+            rho *= PENALTY_GROWTH
             omega = max(1.0 / rho, options.kkt_tolerance)
-            eta = max(0.1 * rho**-0.1, options.constraint_tolerance)
+            eta = max(0.1 * rho**-0.1, CONSTRAINT_TOLERANCE)
     return SolverResult(
         z=z,
         objective=float(f),
@@ -275,16 +286,22 @@ def signed_zeros(rng, a, share=0.2):
     return a
 
 
-@given(seed=seeds, dim=st.integers(1, 40), memory=st.integers(1, 6), metric=st.booleans(), steps=st.integers(1, 30))
+@given(seed=seeds, dim=st.integers(1, 40), metric=st.booleans(), steps=st.integers(1, 40))
 @settings(max_examples=300, deadline=None)
-def test_directions_bitwise_equal_the_reference_over_pair_streams(seed, dim, memory, metric, steps):
+def test_directions_bitwise_equal_the_reference_over_pair_streams(seed, dim, metric, steps):
+    """A metric of ones gives the reference's scaled-identity (`metric=None`) directions."""
     rng = np.random.default_rng(seed)
     diag = rng.uniform(1e-3, 1e3, dim) if metric else None
-    new, old = _LbfgsMemory(memory, diag), ReferenceLbfgsMemory(memory, diag)
+    ones = np.ones(dim)
+
+    def fresh():
+        return _LbfgsMemory(ones if diag is None else diag), ReferenceLbfgsMemory(LBFGS_MEMORY, diag)
+
+    new, old = fresh()
     for _ in range(steps):
         kind = rng.integers(0, 6)
         if kind == 0:  # a reset, as after a non-descent direction
-            new, old = _LbfgsMemory(memory, diag), ReferenceLbfgsMemory(memory, diag)
+            new, old = fresh()
         elif kind == 1:  # a weak pair: y nearly orthogonal to s, or pointing against it
             s = rng.normal(size=dim)
             y = -s * rng.uniform(0, 2) if dim == 1 or rng.random() < 0.5 else np.roll(s, 1) - s * (s @ np.roll(s, 1)) / (s @ s)
@@ -297,7 +314,7 @@ def test_directions_bitwise_equal_the_reference_over_pair_streams(seed, dim, mem
             old.push(s, y)
         grad = signed_zeros(rng, rng.normal(size=dim) * 10.0 ** rng.integers(-6, 6))
         assert new.direction(grad).tobytes() == old.direction(grad).tobytes()
-        assert len(new.pairs) == len(old.s) <= memory
+        assert len(new.pairs) == len(old.s) <= LBFGS_MEMORY
 
 
 # -- the whole solve on a stub problem ------------------------------------------------
@@ -343,17 +360,39 @@ def assert_same_result(got: SolverResult, want: SolverResult):
     m=st.integers(0, 12),
     metric=st.booleans(),
     poison=st.booleans(),
-    memory=st.integers(1, 8),
     budget=st.integers(1, 120),
 )
 @settings(max_examples=150, deadline=None)
-def test_solve_bitwise_equals_the_reference_on_stub_problems(seed, dim, m, metric, poison, memory, budget):
+def test_solve_bitwise_equals_the_reference_on_stub_problems(seed, dim, m, metric, poison, budget):
     rng = np.random.default_rng(seed)
     problem = stub_problem(rng, dim, m, metric, poison)
     z0 = rng.normal(size=dim)
     z0[0] = -abs(z0[0])  # a finite start; trial steps may still reach the poisoned part
-    options = SolverOptions(max_iterations=budget, lbfgs_memory=memory, max_outer_iterations=int(rng.integers(1, 8)))
+    options = SolverOptions(max_iterations=budget)
     assert_same_result(solve(problem, z0, options), reference_solve(problem, z0, options))
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_unsatisfiable_residual_runs_every_outer_round(metric):
+    """c(z) = -(1 + z0^2) < 0 everywhere: the penalty grows every round until the rounds run out."""
+    scale = np.array([1.0, 4.0, 0.5])
+
+    def value(z):
+        return 0.5 * float(scale @ (z * z)), np.array([-(1.0 + z[0] ** 2)])
+
+    def gradient(z, s):
+        g = scale * z
+        g[0] -= 2.0 * z[0] * s[0]
+        return g
+
+    problem = NlpFunctions(3, 1, value, gradient, 1.0 / scale if metric else None)
+    z0 = np.array([0.7, -0.3, 1.1])
+    options = SolverOptions(max_iterations=10_000)
+    result = solve(problem, z0, options)
+    assert result.outer_iterations == len(result.outer_violations) == MAX_OUTER_ITERATIONS
+    assert result.iterations < options.max_iterations  # the rounds ran out, not the budget
+    assert min(result.outer_violations) >= 1.0
+    assert_same_result(result, reference_solve(problem, z0, options))
 
 
 # -- J'v through the parametrization ------------------------------------------------
@@ -456,18 +495,18 @@ def test_guarded_trial_leaves_the_memo_alone():
 # -- the solve's own report ---------------------------------------------------------------
 
 
-@given(seed=seeds, dim=st.integers(1, 12), m=st.integers(0, 8), budget=st.integers(1, 200), outer=st.integers(1, 6))
+@given(seed=seeds, dim=st.integers(1, 12), m=st.integers(0, 8), budget=st.integers(1, 200))
 @settings(max_examples=80, deadline=None)
-def test_outer_iterations_and_kkt_norm_agree_with_the_run(seed, dim, m, budget, outer):
+def test_outer_iterations_and_kkt_norm_agree_with_the_run(seed, dim, m, budget):
     rng = np.random.default_rng(seed)
-    options = SolverOptions(max_iterations=budget, max_outer_iterations=outer, kkt_tolerance=1e-4)
+    options = SolverOptions(max_iterations=budget, kkt_tolerance=1e-4)
     result = solve(stub_problem(rng, dim, m, False, False), rng.normal(size=dim), options)
-    assert result.outer_iterations == len(result.outer_violations) <= options.max_outer_iterations
+    assert result.outer_iterations == len(result.outer_violations) <= MAX_OUTER_ITERATIONS
     assert result.outer_iterations >= 1
     assert result.kkt_norm >= 0.0
     # a solve that runs out of outer rounds reports its last inner status,
     # which may be a loose inner convergence; every other `converged` is tight
-    if result.status == CONVERGED and result.outer_iterations < outer:
+    if result.status == CONVERGED and result.outer_iterations < MAX_OUTER_ITERATIONS:
         assert result.kkt_norm <= options.kkt_tolerance
 
 
@@ -475,7 +514,7 @@ def test_sim_log_keeps_outer_iterations_and_kkt_norms():
     log = run_closed_loop(default_payload_scenario(duration=0.6))
     options = default_payload_scenario().mpc.solver
     assert len(log.outer_iterations_per_tick) == len(log.kkt_norm_per_tick) == len(log.status_per_tick)
-    assert np.all((log.outer_iterations_per_tick >= 1) & (log.outer_iterations_per_tick <= options.max_outer_iterations))
+    assert np.all((log.outer_iterations_per_tick >= 1) & (log.outer_iterations_per_tick <= MAX_OUTER_ITERATIONS))
     for status, kkt in zip(log.status_per_tick, log.kkt_norm_per_tick):
         if status == CONVERGED:
             assert kkt <= options.kkt_tolerance

@@ -3,12 +3,13 @@
 The documents start from a small valid walk and replace a few known keys
 with wrong types, wrong shapes, negative or zero values and extreme
 magnitudes, or drop the one required field (`robot.mass`).  The run length
-is bounded (`simulation.MAX_PLANT_TICKS`), so `duration` and `plant_dt` are
-also drawn from extremes: a huge duration, a tiny valid plant step (1e-300
-divides any period), a duration shorter than one period (an empty run).
-The other fields that size the run are drawn only from small valid values or
-plainly invalid ones: no range check bounds the horizon, the step count, the
-support durations or the iteration budgets.
+and the gait schedule's length are bounded (`simulation.MAX_PLANT_TICKS`), so
+`duration`, `plant_dt`, `gait.number_of_steps` and `mpc.horizon` are also
+drawn from extremes: a huge duration, a tiny valid plant step (1e-300
+divides any period), a duration shorter than one period (an empty run), and
+a step count or a horizon of 2**40 or 1e12.  The other fields that size the
+run are drawn only from small valid values or plainly invalid ones: no range
+check bounds the support durations or the iteration budget.
 """
 
 import json
@@ -67,28 +68,20 @@ FIELDS = {
     ("gait", "step_length"): number(),
     ("gait", "step_width"): number(),
     ("gait", "com_height"): number(),
-    ("gait", "number_of_steps"): field(0, 1, 2, invalid=(-1, -(2**40), 1.5)),
+    ("gait", "number_of_steps"): field(0, 1, 2, 2**40, 10**12, invalid=(-1, -(2**40), 1.5)),
     ("gait", "single_support_duration"): field(0.2, 0.4, 1.2, invalid=(0, -1, 0.3, HUGE, -HUGE)),
     ("gait", "double_support_duration"): field(0.2, 0.6, invalid=(0, -1, 0.1, HUGE, -HUGE)),
     ("payload", "mass"): number(),
     ("payload", "left_offset"): vector(),
     ("payload", "right_offset"): vector(),
     ("payload", "onset_time"): number(),
-    ("mpc", "horizon"): field(1, 2, 3, invalid=(0, -1, -(2**40), 2.5)),
+    ("mpc", "horizon"): field(1, 2, 3, 2**40, 10**12, invalid=(0, -1, -(2**40), 2.5)),
     ("mpc", "dt"): field(0.2, 0.1, invalid=(0, -0.2, HUGE, -HUGE)),
     ("mpc", "footstep_bound_lower"): vector(),
     ("mpc", "footstep_bound_upper"): vector(),
     ("mpc", "footstep_bound_mode"): st.one_of(st.sampled_from(["box", "norm", "x"]), WRONG_TYPE),
     ("solver", "max_iterations"): field(1, 5, 20, invalid=(0, -1, 2.5)),
-    ("solver", "max_outer_iterations"): field(0, 1, 15, invalid=(-1, 2.5)),
-    ("solver", "lbfgs_memory"): field(1, 10, invalid=(0, -1, 2.5)),
-    ("solver", "max_line_search_steps"): field(0, 1, 40, invalid=(-1, 2.5)),
     ("solver", "kkt_tolerance"): number(),
-    ("solver", "constraint_tolerance"): number(),
-    ("solver", "penalty_init"): number(),
-    ("solver", "penalty_growth"): number(),
-    ("solver", "armijo_coefficient"): number(),
-    ("solver", "backtrack_factor"): number(),
 }
 for _key in ("x_min", "x_max", "y_min", "y_max", "mu_c", "mu_z", "fz_min"):
     FIELDS[("surface", _key)] = number()

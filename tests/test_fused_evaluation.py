@@ -94,7 +94,7 @@ def reference_mpc_gradient(problem, z, constraint_weights):
             targets, cache, wrenches, problem.activity, problem._payload, weights.q_d
         )
         seeds += payload_seeds
-    seeds += problem._bound_state_seeds(states, constraint_weights)
+    seeds += problem._bound_state_seeds(point, constraint_weights)
     wrench_adj, vel_adj = shooting.rollout_adjoint(
         states, wrenches, problem.activity, problem._payload, problem.constants, problem.config.dt, seeds
     )
@@ -182,7 +182,7 @@ def reference_baseline_gradient(problem, z, constraint_weights):
         diff = (wrenches[both, 0, :] - wrenches[both, 1, :]) @ weights.q_force_similarity
         wrench_direct[both, 0, :] += diff
         wrench_direct[both, 1, :] -= diff
-    seeds += problem._bound_state_seeds(states, constraint_weights[: problem.num_bound_constraints])
+    seeds += problem._bound_state_seeds(point, constraint_weights[: problem.num_bound_constraints])
     wrench_direct += reference_stability_gradient(
         problem, wrenches, constraint_weights[problem.num_bound_constraints :]
     )

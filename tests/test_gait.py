@@ -31,6 +31,14 @@ def test_zero_steps_permanent_double_support():
     assert np.all(schedule.footstep_refs == schedule.footstep_refs[:, :1, :])
 
 
+@pytest.mark.parametrize("steps", [0, 1, 4, 7])
+@pytest.mark.parametrize("single, double", [(0.8, 0.4), (0.2, 0.2), (1.2, 0.6)])
+def test_walk_ticks_is_the_unpadded_schedule_length(steps, single, double):
+    params = make_params(number_of_steps=steps, single_support_duration=single, double_support_duration=double)
+    config = MpcConfig()
+    assert params.walk_ticks(config.dt) == generate_gait_schedule(params, config).ticks
+
+
 def test_four_steps_final_positions():
     params = make_params()
     schedule = generate_gait_schedule(params, MpcConfig())

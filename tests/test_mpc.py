@@ -69,6 +69,21 @@ def test_reference_length_mismatch_rejected(horizon, n_surfaces, controller):
 
 
 @pytest.mark.parametrize("controller", BUILDERS)
+def test_warm_start_carries_the_model_weight_under_any_gravity(controller):
+    # at 3.71 m/s^2 each stage's warm-start normal forces sum to the model's m g
+    constants = RobotConstants(mass=1.0, gravity_vector=[0.0, 0.0, 3.71, 0.0, 0.0, 0.0])
+    gait = np.ones((2, 11), dtype=int)
+    gait[1, 3:6] = 0  # a single-support phase: one share, then two
+    state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
+    prob = BUILDERS[controller](
+        state, static_refs(gait=gait), PayloadDisturbance.zero(), Weights(), MpcConfig(), constants, [SURFACE] * 2
+    )
+    inputs, _ = prob.decode(prob.initial_warm_start())
+    applied = prob._wrenches_world(inputs) * prob.activity[..., None]
+    np.testing.assert_allclose(applied[..., 2].sum(axis=1), 3.71, rtol=1e-9)
+
+
+@pytest.mark.parametrize("controller", BUILDERS)
 def test_non_finite_input_evaluates_to_inf(controller):
     state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
     prob = BUILDERS[controller](
