@@ -22,7 +22,6 @@ from .dynamics import (
     CentroidalState,
     ContactConfiguration,
     ContactPoint,
-    ControlInput,
     PayloadDisturbance,
     RobotConstants,
     Wrench,

@@ -87,17 +87,6 @@ class ContactSurface:
         if not (self.fz_min >= 0):
             raise ConfigurationError(f"fz_min must be non-negative, got {self.fz_min}")
 
-    def corner_offsets(self) -> np.ndarray:
-        """The four rectangle corners in the contact frame (geometry bookkeeping only)."""
-        return np.array(
-            [
-                [self.x_min, self.y_min, 0.0],
-                [self.x_max, self.y_min, 0.0],
-                [self.x_max, self.y_max, 0.0],
-                [self.x_min, self.y_max, 0.0],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class SurfaceOffsets:

@@ -227,16 +227,6 @@ def payload_attenuation_from_residual(residual: np.ndarray, weights: Weights) ->
     return _quad(residual, weights.q_d)
 
 
-def payload_attenuation_from_targets(
-    wrenches: np.ndarray,
-    targets: np.ndarray,
-    activity: np.ndarray,
-    weights: Weights,
-) -> float:
-    """Payload-attenuation penalty of inertial wrenches (K, n_c, 6) against their targets."""
-    return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
-
-
 def payload_attenuation_cost(
     xi_traj: np.ndarray,
     states: np.ndarray,
@@ -258,7 +248,7 @@ def payload_attenuation_cost(
     activity = np.asarray(gait, dtype=float)[:, :steps].T  # (K, n_c)
     wrenches = wrenches_from_parameters(xi_traj, orientations, surfaces)
     targets, _ = payload_compensation_targets(states, activity, payload_hold, constants)
-    return payload_attenuation_from_targets(wrenches, targets, activity, weights)
+    return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
 
 
 def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces, factors=None) -> np.ndarray:

@@ -140,7 +140,6 @@ class ContactPoint:
     orientation: np.ndarray  # rotation matrix, contact frame -> inertial
     active: int  # 1 = in contact (position frozen), 0 = swing
     surface: object  # ContactSurface; duck-typed to keep this module surface-agnostic
-    vertex_offsets: np.ndarray = None  # (4, 3) corners in the contact frame
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec(self.position, 3, "contact position"))
@@ -153,11 +152,6 @@ class ContactPoint:
         if self.active not in (0, 1, True, False):
             raise ConfigurationError(f"active flag must be 0 or 1, got {self.active}")
         object.__setattr__(self, "active", int(self.active))
-        offsets = self.vertex_offsets
-        if offsets is None:
-            offsets = self.surface.corner_offsets()
-        offsets = np.asarray(offsets, dtype=float).reshape(4, 3)
-        object.__setattr__(self, "vertex_offsets", offsets)
 
 
 @dataclass(frozen=True)
@@ -202,26 +196,6 @@ class PayloadDisturbance:
         return PayloadDisturbance(
             self.left_wrench, self.right_wrench, self.left_point + offset, self.right_point + offset
         )
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Per-contact wrench parameters and commanded contact velocities."""
-
-    xi: np.ndarray  # (n_contacts, 6), dimensionless
-    contact_velocities: np.ndarray  # (n_contacts, 3), m/s
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        vel = np.asarray(self.contact_velocities, dtype=float)
-        if xi.ndim != 2 or xi.shape[1] != 6:
-            raise ConfigurationError(f"xi must be (n, 6), got {xi.shape}")
-        if vel.shape != (xi.shape[0], 3):
-            raise ConfigurationError(f"contact_velocities must be ({xi.shape[0]}, 3), got {vel.shape}")
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(vel))):
-            raise ConfigurationError("control input must be finite")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "contact_velocities", vel)
 
 
 def centroidal_dynamics(

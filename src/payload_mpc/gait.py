@@ -166,15 +166,20 @@ def generate_nominal_com_reference(schedule: GaitSchedule, params: GaitParameter
     return out
 
 
-def payload_from_mass(mass: float, left_offset=DEFAULT_LEFT_GRIP, right_offset=DEFAULT_RIGHT_GRIP) -> PayloadDisturbance:
+def payload_from_mass(
+    mass: float, left_offset=DEFAULT_LEFT_GRIP, right_offset=DEFAULT_RIGHT_GRIP, gravity: float = GRAVITY
+) -> PayloadDisturbance:
     """Downward payload of the given mass split evenly between the two grips.
+
+    `gravity` is the magnitude (m/s^2) that weighs the load; pass the robot's
+    `RobotConstants.gravity_vector[2]` so that load and robot share one field.
 
     The returned grip points are CoM-relative offsets; shift them by the
     current CoM position (`PayloadDisturbance.translated`) before applying.
     """
     if mass < 0:
         raise ConfigurationError(f"payload mass must be >= 0, got {mass}")
-    half = np.array([0.0, 0.0, -mass * GRAVITY / 2.0])
+    half = np.array([0.0, 0.0, -mass * gravity / 2.0])
     return PayloadDisturbance(
         left_wrench=Wrench(half, np.zeros(3)),
         right_wrench=Wrench(half, np.zeros(3)),

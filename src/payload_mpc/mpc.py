@@ -52,7 +52,7 @@ from .contact import (  # noqa: F401  (perfbench/spans.py wraps `mpc.parametriza
     _unchecked_factors,
 )
 from .costs import Weights
-from .dynamics import CentroidalState, ControlInput, PayloadDisturbance, RobotConstants, Wrench
+from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from .errors import ConfigurationError, InversionError, ParameterRangeError, SolverFailure
 from .solver import NlpFunctions, SolverOptions, SolverResult, solve
 
@@ -65,6 +65,11 @@ BOUND_MODE_NORM = "norm"
 # line search from wandering into overflow territory
 _XI3_GUARD = 50.0
 
+# the longest prediction horizon a config may ask for: ten times the paper's
+# K=10; one tick's problem grows linearly with it (9 variables per
+# contact-stage) and a much longer one cannot be solved within a tick
+MAX_HORIZON = 100
+
 
 @dataclass
 class MpcConfig:
@@ -76,8 +81,8 @@ class MpcConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigurationError(f"horizon must be in [1, {MAX_HORIZON}], got {self.horizon}")
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         lb = np.asarray(self.footstep_bound_lower, dtype=float)
@@ -581,10 +586,6 @@ class ControlStep:
     contact_velocities: np.ndarray  # (n_c, 3)
     warm_start: np.ndarray  # shifted solution for the next period
     stats: SolverResult
-
-    @property
-    def input(self) -> ControlInput:
-        return ControlInput(self.xi, self.contact_velocities)
 
 
 def build_mpc_problem(

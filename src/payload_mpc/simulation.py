@@ -144,12 +144,9 @@ class SimLog:
     xi: np.ndarray  # (T, n_c, 6)
     payload_fz_total: np.ndarray  # (T,)
     costs: np.ndarray  # (T, 4) tracking, footsteps, payload, parameter_reg
-    solve_ms: np.ndarray  # (T,)
-    iterations: np.ndarray  # (T,)
-    status: list  # (T,) strings
     completed: bool = True
     failure_reason: str = ""
-    # per-controller-tick solver records (benchmark views)
+    # per-controller-tick solver records; a tick spans len(times) // len(status_per_tick) rows
     solve_ms_per_tick: np.ndarray = None
     iterations_per_tick: np.ndarray = None
     status_per_tick: list = None
@@ -199,10 +196,12 @@ class SimLog:
         return header
 
     def to_csv(self, path) -> None:
+        rows_per_tick = len(self.times) // max(len(self.status_per_tick), 1)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.csv_header())
             for t in range(len(self.times)):
+                tick = t // rows_per_tick
                 row = [f"{self.times[t]:.6f}"]
                 row += [f"{v:.9g}" for v in self.com[t]]
                 row += [f"{v:.9g}" for v in self.com_ref[t]]
@@ -215,7 +214,8 @@ class SimLog:
                     row += [f"{v:.9g}" for v in self.xi[t, i]]
                 row += [f"{self.payload_fz_total[t]:.9g}"]
                 row += [f"{v:.9g}" for v in self.costs[t]]
-                row += [f"{self.solve_ms[t]:.3f}", int(self.iterations[t]), self.status[t]]
+                row += [f"{self.solve_ms_per_tick[tick]:.3f}", int(self.iterations_per_tick[tick]),
+                        self.status_per_tick[tick]]
                 writer.writerow(row)
 
     def write_summary(self, path) -> None:
@@ -236,10 +236,10 @@ def _reference_window(schedule, com_refs, tick, horizon):
     )
 
 
-def _payload_at(spec: PayloadSpec, com: np.ndarray, t: float) -> PayloadDisturbance:
+def _payload_at(spec: PayloadSpec, com: np.ndarray, t: float, gravity: float) -> PayloadDisturbance:
     if spec.mass <= 0 or t < spec.onset_time - 1e-12:
         return PayloadDisturbance.zero()
-    return payload_from_mass(spec.mass, spec.left_offset, spec.right_offset).translated(com)
+    return payload_from_mass(spec.mass, spec.left_offset, spec.right_offset, gravity).translated(com)
 
 
 def _controller(name: str):
@@ -251,6 +251,18 @@ def _controller(name: str):
     if name == CONTROLLER_BASELINE:
         return build_constrained_mpc, baseline_receding_horizon_step
     return build_mpc_problem, receding_horizon_step
+
+
+def _timed_step(controller: str, instance: tuple, warm):
+    """Build one controller's problem for `instance` (the builder's arguments) and solve it.
+
+    Returns the problem, its `ControlStep` and the solve's wall time in ms.
+    """
+    build, stepper = _controller(controller)
+    problem = build(*instance)
+    start = time.perf_counter()
+    step = stepper(problem, warm)
+    return problem, step, 1000.0 * (time.perf_counter() - start)
 
 
 def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
@@ -273,6 +285,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
     n_c = schedule.n_contacts
     surfaces = [scenario.surface] * n_c
     orientations = np.tile(np.eye(3), (n_c, 1, 1))
+    gravity = scenario.constants.gravity_vector[2]
 
     weights = scenario.weights
     payload_blind = scenario.controller == CONTROLLER_PARAM_NO_PAYLOAD_TASK
@@ -296,9 +309,6 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         xi=np.zeros((total_plant_ticks, n_c, 6)),
         payload_fz_total=np.zeros(total_plant_ticks),
         costs=np.zeros((total_plant_ticks, 4)),
-        solve_ms=np.zeros(total_plant_ticks),
-        iterations=np.zeros(total_plant_ticks, dtype=int),
-        status=[""] * total_plant_ticks,
         solve_ms_per_tick=np.zeros(n_mpc_ticks),
         iterations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
         status_per_tick=[""] * n_mpc_ticks,
@@ -316,28 +326,19 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         t = tick * config.dt
         com_window, feet_window, gait_window = _reference_window(schedule, com_refs, tick, horizon)
         refs = HorizonReferences(com_window, feet_window, gait_window, orientations)
-        payload_true = _payload_at(scenario.payload, state.com_position, t)
+        payload_true = _payload_at(scenario.payload, state.com_position, t, gravity)
         estimate = PayloadDisturbance.zero() if payload_blind else payload_true
-        build, stepper = _controller(scenario.controller)
-        problem = build(state, refs, estimate, weights, config, scenario.constants, surfaces)
-        start = time.perf_counter()
+        instance = (state, refs, estimate, weights, config, scenario.constants, surfaces)
         try:
-            step = stepper(problem, warm)
+            problem, step, solve_ms = _timed_step(scenario.controller, instance, warm)
+            if shadow is not None:
+                _, shadow_step, shadow_ms = _timed_step(shadow, instance, shadow_warm)
         except SolverFailure as failure:
             return _truncate_log(log, row, tick, str(failure))
-        solve_ms = 1000.0 * (time.perf_counter() - start)
         warm = step.warm_start
         if shadow is not None:
-            build, stepper = _controller(shadow)
-            shadow_problem = build(state, refs, estimate, weights, config, scenario.constants, surfaces)
-            start = time.perf_counter()
-            try:
-                shadow_step = stepper(shadow_problem, shadow_warm)
-            except SolverFailure as failure:
-                return _truncate_log(log, row, tick, str(failure))
             log.shadow_per_tick.append(
-                TickTiming(tick, shadow, 1000.0 * (time.perf_counter() - start),
-                           shadow_step.stats.iterations, shadow_step.stats.status)
+                TickTiming(tick, shadow, shadow_ms, shadow_step.stats.iterations, shadow_step.stats.status)
             )
             shadow_warm = shadow_step.warm_start
         breakdown = problem.cost_breakdown(step.stats.z)
@@ -379,7 +380,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         )
         for sub in range(substeps):
             t_plant = t + sub * scenario.plant_dt
-            payload_plant = _payload_at(scenario.payload, state.com_position, t_plant)
+            payload_plant = _payload_at(scenario.payload, state.com_position, t_plant, gravity)
             alpha = sub / substeps
             log.times[row] = t_plant
             log.com[row] = state.com_position
@@ -397,9 +398,6 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             log.xi[row] = step.xi
             log.payload_fz_total[row] = payload_plant.total_force()[2]
             log.costs[row] = cost_row
-            log.solve_ms[row] = solve_ms
-            log.iterations[row] = step.stats.iterations
-            log.status[row] = step.stats.status
             state = euler_step(
                 state,
                 step.wrenches,

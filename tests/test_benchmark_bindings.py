@@ -6,16 +6,20 @@ and `perfbench/setup_probe.py` replaces the two step functions in
 module no longer looks up through its globals, stops the benchmark or makes
 it time nothing, while every other test passes.  This module imports the
 harness read-only and runs one short tick of each benchmark workload under
-both of its contexts.
+both of its contexts, and runs `perfbench/run.py` itself end to end: every
+gate, the exact seed-0 iteration and convergence counts included, must pass.
 """
 
 import dataclasses
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
 from workloads import make_scenario  # noqa: E402
@@ -63,3 +67,18 @@ def test_clock_stamps_every_evaluation_and_restores(name):
     evaluations = log.value_evaluations_per_tick[0] + log.gradient_evaluations_per_tick[0]
     assert exit - entry == evaluations + 1  # a stamp per value and gradient, then the step's exit
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
+
+
+# `--trace 1` runs every span and every gate; `--trace 0` runs the clock and
+# the setup probe's stepper replacement
+@pytest.mark.parametrize(
+    "name, trace", [("carry-walk", 1), ("flat-walk-baseline", 1), ("flat-walk-baseline", 0)]
+)
+def test_benchmark_run_passes_every_gate(tmp_path, name, trace):
+    # run from a scratch directory: the benchmark writes `.perfbench_out/` into its working directory
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", name, "--seconds", "0", "--trace", str(trace)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True

@@ -141,6 +141,8 @@ MISTYPED_CONFIGS = [
     # gait schedules past the same bound
     {"gait": {"number_of_steps": 1000000000000}},
     {"mpc": {"horizon": 1000000000000}},
+    # a horizon past mpc.MAX_HORIZON, inside the schedule bound
+    {"mpc": {"horizon": 99990}, "duration": 0.4},
 ]
 
 

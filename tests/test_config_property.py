@@ -3,11 +3,13 @@
 The documents start from a small valid walk and replace a few known keys
 with wrong types, wrong shapes, negative or zero values and extreme
 magnitudes, or drop the one required field (`robot.mass`).  The run length
-and the gait schedule's length are bounded (`simulation.MAX_PLANT_TICKS`), so
-`duration`, `plant_dt`, `gait.number_of_steps` and `mpc.horizon` are also
-drawn from extremes: a huge duration, a tiny valid plant step (1e-300
-divides any period), a duration shorter than one period (an empty run), and
-a step count or a horizon of 2**40 or 1e12.  The other fields that size the
+and the gait schedule's length are bounded (`simulation.MAX_PLANT_TICKS`), and
+so is the horizon (`mpc.MAX_HORIZON`), so `duration`, `plant_dt`,
+`gait.number_of_steps` and `mpc.horizon` are also drawn from extremes: a
+huge duration, a tiny valid plant step (1e-300 divides any period), a
+duration shorter than one period (an empty run), a step count or a horizon
+of 2**40 or 1e12, and a horizon just past its bound or far past it but
+within the schedule bound (101, 99990).  The other fields that size the
 run are drawn only from small valid values or plainly invalid ones: no range
 check bounds the support durations or the iteration budget.
 """
@@ -75,7 +77,7 @@ FIELDS = {
     ("payload", "left_offset"): vector(),
     ("payload", "right_offset"): vector(),
     ("payload", "onset_time"): number(),
-    ("mpc", "horizon"): field(1, 2, 3, 2**40, 10**12, invalid=(0, -1, -(2**40), 2.5)),
+    ("mpc", "horizon"): field(1, 2, 3, 101, 99990, 2**40, 10**12, invalid=(0, -1, -(2**40), 2.5)),
     ("mpc", "dt"): field(0.2, 0.1, invalid=(0, -0.2, HUGE, -HUGE)),
     ("mpc", "footstep_bound_lower"): vector(),
     ("mpc", "footstep_bound_upper"): vector(),

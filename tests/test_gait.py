@@ -123,6 +123,12 @@ def test_payload_from_mass_two_kilograms():
     assert payload.total_force()[2] == pytest.approx(-19.62)
 
 
+def test_payload_from_mass_weighs_the_load_with_the_given_gravity():
+    payload = payload_from_mass(1.5, gravity=3.71)
+    assert payload.total_force()[2] == pytest.approx(-1.5 * 3.71)
+    assert payload.left_wrench.force[2] == payload.right_wrench.force[2]
+
+
 def test_payload_from_mass_rejects_negative():
     with pytest.raises(ConfigurationError):
         payload_from_mass(-1.0)

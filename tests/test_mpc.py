@@ -7,6 +7,7 @@ from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError
 from payload_mpc.mpc import (
+    MAX_HORIZON,
     HorizonReferences,
     MpcConfig,
     build_mpc_problem,
@@ -53,6 +54,13 @@ def test_decision_vector_length():
 
 
 BUILDERS = {"param": build_mpc_problem, "baseline": build_constrained_mpc}
+
+
+def test_horizon_is_bounded():
+    assert MpcConfig(horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    for horizon in (0, MAX_HORIZON + 1, 99990):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            MpcConfig(horizon=horizon)
 
 
 @pytest.mark.parametrize("controller", BUILDERS)
@@ -331,7 +339,7 @@ def test_warm_start_benefit_over_walking_run():
             com_refs[window], schedule.footstep_refs[:, window, :],
             schedule.activity[:, window], orientations,
         )
-        payload = _payload_at(payload_spec, state.com_position, tick * config.dt)
+        payload = _payload_at(payload_spec, state.com_position, tick * config.dt, CONSTANTS.gravity_vector[2])
         prob = build_mpc_problem(state, refs, payload, Weights(), config, CONSTANTS, [SURFACE] * 2)
         step = receding_horizon_step(prob, warm)
         warm_iters.append(step.stats.iterations)

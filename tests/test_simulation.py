@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from payload_mpc.contact import stability_margins
+from payload_mpc.dynamics import RobotConstants
 from payload_mpc.errors import ConfigurationError
 from payload_mpc.gait import GaitParameters
 from payload_mpc.simulation import (
@@ -135,7 +136,8 @@ def test_param_no_td_ignores_payload_estimate():
 
 
 def test_csv_export_round_trip(tmp_path):
-    log = run_closed_loop(quick_scenario(duration=0.6, payload=PayloadSpec(mass=0.5)))
+    scenario = quick_scenario(duration=0.6, payload=PayloadSpec(mass=0.5))
+    log = run_closed_loop(scenario)
     path = tmp_path / "log.csv"
     log.to_csv(path)
     with open(path) as handle:
@@ -155,6 +157,21 @@ def test_csv_export_round_trip(tmp_path):
     assert float(rows[mid]["com_z"]) == pytest.approx(log.com[mid, 2], rel=1e-8)
     assert float(rows[mid]["d_fz_total"]) == pytest.approx(-0.5 * 9.81, rel=1e-8)
     assert rows[mid]["status"] in ("converged", "max-iterations", "line-search-failure")
+    # every plant row carries its controller tick's solver record
+    rows_per_tick = round(scenario.mpc.dt / scenario.plant_dt)
+    assert len(rows) == rows_per_tick * len(log.status_per_tick)
+    for k, row in enumerate(rows):
+        tick = k // rows_per_tick
+        assert row["solve_ms"] == f"{log.solve_ms_per_tick[tick]:.3f}"
+        assert int(row["iterations"]) == log.iterations_per_tick[tick]
+        assert row["status"] == log.status_per_tick[tick]
+
+
+def test_payload_is_weighed_with_the_configured_gravity():
+    mars = RobotConstants(mass=1.0, gravity_vector=[0.0, 0.0, 3.71, 0.0, 0.0, 0.0])
+    log = run_closed_loop(quick_scenario(duration=0.2, constants=mars, payload=PayloadSpec(mass=1.5)))
+    assert log.completed
+    np.testing.assert_allclose(log.payload_fz_total, -1.5 * 3.71, rtol=1e-12)
 
 
 def test_summary_contents(standing_log):

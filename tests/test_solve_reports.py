@@ -7,6 +7,7 @@ objective is not finite raises `NonFiniteStartError`, which is a
 exits 2 instead of printing a traceback.
 """
 
+import csv
 import dataclasses
 import json
 
@@ -21,7 +22,7 @@ from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import NonFiniteStartError, SolverFailure
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from payload_mpc.simulation import default_payload_scenario, run_closed_loop
+from payload_mpc.simulation import _truncate_log, default_payload_scenario, run_closed_loop
 from payload_mpc.solver import SolverOptions, solve
 
 SURFACE = ContactSurface(-0.2, 0.2, -0.075, 0.075)
@@ -144,6 +145,24 @@ def test_closed_loop_ends_on_a_non_finite_warm_start(monkeypatch):
     assert "not finite" in log.failure_reason
     assert len(log.status_per_tick) == 1  # the first tick solved from its own guess
     assert len(log.value_evaluations_per_tick) == 1
+
+
+def test_truncated_run_csv_rows_carry_their_ticks_solver_records(tmp_path, monkeypatch):
+    poison_the_warm_start(monkeypatch)
+    log = run_closed_loop(default_payload_scenario(duration=0.4))
+    assert log.completed is False
+    path = tmp_path / "sim_log.csv"
+    log.to_csv(path)
+    with open(path) as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(log.times) == 20  # the one solved tick's plant steps
+    for row in rows:
+        assert row["solve_ms"] == f"{log.solve_ms_per_tick[0]:.3f}"
+        assert int(row["iterations"]) == log.iterations_per_tick[0]
+        assert row["status"] == log.status_per_tick[0]
+    # a run that fails its first tick writes the header alone
+    _truncate_log(log, 0, 0, log.failure_reason).to_csv(path)
+    assert path.read_text().splitlines() == [",".join(log.csv_header())]
 
 
 def test_shadow_failure_ends_the_run(monkeypatch):
