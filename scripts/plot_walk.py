@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Plot a closed-loop CSV log: CoM tracking, footsteps and contact forces.
 
-Companion to `payload-mpc simulate` / `scripts/run_payload_walk.py`; matplotlib
-is only needed here, not by the library.
+Companion to `payload-mpc simulate`, which writes the log as `sim_log.csv`;
+matplotlib is only needed here, not by the library.
 
-Usage: python scripts/plot_walk.py out/payload_walk/walk_aware.csv
+Usage: python scripts/plot_walk.py out/walk/sim_log.csv
 """
 
 import argparse

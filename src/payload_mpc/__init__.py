@@ -20,8 +20,6 @@ from .costs import (
 from .dynamics import (
     GRAVITY,
     CentroidalState,
-    ContactConfiguration,
-    ContactPoint,
     PayloadDisturbance,
     RobotConstants,
     Wrench,

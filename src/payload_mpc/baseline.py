@@ -85,16 +85,16 @@ class BaselineProblem(ShootingProblem):
 
     # -- constraints ----------------------------------------------------------------
 
-    def stability_residuals(self, wrenches: np.ndarray, cop_factors: tuple | None = None) -> np.ndarray:
+    def stability_residuals(self, wrenches: np.ndarray, cop_factors: tuple) -> np.ndarray:
         """Smooth stability residuals for active contact stages, flattened.
 
         Per active contact stage: normal force, squared friction cone, CoP-y
         product, CoP-x product, squared torsion cone.  Inactive stages emit a
         constant satisfied residual so the constraint count stays fixed.
-        `cop_factors` are the `WrenchFactors.cop` of the wrenches, when known.
+        `cop_factors` are the `WrenchFactors.cop` of the wrenches.
         """
         s = self._surface_constants
-        a_y, b_y, a_x, b_x = self._input_factors(wrenches).cop if cop_factors is None else cop_factors
+        a_y, b_y, a_x, b_x = cop_factors
         fx, fy, fz, mz = wrenches[..., 0], wrenches[..., 1], wrenches[..., 2], wrenches[..., 5]
         res = np.empty((self.horizon, self.n_contacts, STABILITY_RESIDUALS_PER_CONTACT))
         res[..., 0] = fz - s.fz_min

@@ -155,12 +155,17 @@ def _scenario_from_config(data: dict) -> tuple:
 _DEFAULT_SURFACE = dataclasses.asdict(default_payload_scenario().surface)
 
 
+def _reject_constant(name: str):
+    """`json.load`'s hook for `NaN`, `Infinity` and `-Infinity`, which standard JSON does not have."""
+    raise ConfigurationError(f"config file has the non-finite number {name}")
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {"payload": {"mass": 1.5}}
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -17,11 +17,14 @@ import numpy as np
 from .contact import parametrize_batch, rotate_wrenches
 from .dynamics import RobotConstants
 from .errors import ConfigurationError, InfeasiblePhaseError
+from .shooting import PayloadArrays
 from .shooting import cross as _cross
 
 
 def _weight_matrix(value, n: int, name: str) -> np.ndarray:
     mat = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ConfigurationError(f"{name} must be finite")
     if mat.ndim == 0:
         mat = float(mat) * np.eye(n)
     elif mat.ndim == 1:
@@ -99,12 +102,11 @@ def split_states(states: np.ndarray, n_contacts: int):
     return com, momentum, feet
 
 
-def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarray | None = None) -> float:
+def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarray) -> float:
     """Angular-momentum damping plus CoM reference tracking, summed over stages.
 
     Linear momentum is deliberately left unpenalized; the CoM term shapes it
-    indirectly.  `com_err` is the CoM minus its reference, when the caller
-    keeps it.
+    indirectly.  `com_err` is the CoM minus its reference (K+1, 3).
     """
     n_c = refs.n_contacts
     com, momentum, _ = split_states(states, n_c)
@@ -112,20 +114,11 @@ def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarra
         raise ConfigurationError(
             f"trajectory has {com.shape[0]} stages, references expect {refs.horizon + 1}"
         )
-    if com_err is None:
-        com_err = com - refs.com_refs
     return _quad(momentum[:, 3:], weights.q_h) + _quad(com_err, weights.q_c)
 
 
-def footstep_cost(states: np.ndarray, refs, weights: Weights, feet_err: np.ndarray | None = None) -> float:
-    """Quadratic penalty on contact positions vs. their planned references.
-
-    `feet_err` is the feet minus their references (K+1, n_c, 3), when the
-    caller keeps it.
-    """
-    if feet_err is None:
-        _, _, feet = split_states(states, refs.n_contacts)
-        feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
+def footstep_cost(feet_err: np.ndarray, weights: Weights) -> float:
+    """Quadratic penalty on the feet minus their planned references (K+1, n_c, 3)."""
     return _quad(feet_err, weights.q_pc)
 
 
@@ -179,8 +172,6 @@ def payload_compensation_targets(
     products needed by the analytic gradient, among them the top block
     `z1 = c1 - r x c2` of the targets before the gravity share.
     """
-    from .shooting import PayloadArrays
-
     if not isinstance(payload, PayloadArrays):
         payload = PayloadArrays.from_hold(payload)
     activity = np.asarray(activity, dtype=float)

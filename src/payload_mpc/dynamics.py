@@ -119,55 +119,8 @@ class CentroidalState:
     def linear_momentum(self) -> np.ndarray:
         return self.momentum[:3]
 
-    @property
-    def angular_momentum(self) -> np.ndarray:
-        return self.momentum[3:]
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.com_position, self.momentum, self.contact_positions.ravel()])
-
-    @classmethod
-    def from_vector(cls, vec, n_contacts: int) -> "CentroidalState":
-        vec = np.asarray(vec, dtype=float).reshape(9 + 3 * n_contacts)
-        return cls(vec[:3], vec[3:9], vec[9:].reshape(n_contacts, 3))
-
-
-@dataclass(frozen=True)
-class ContactPoint:
-    """One potential contact: pose, activity flag and its surface geometry."""
-
-    position: np.ndarray
-    orientation: np.ndarray  # rotation matrix, contact frame -> inertial
-    active: int  # 1 = in contact (position frozen), 0 = swing
-    surface: object  # ContactSurface; duck-typed to keep this module surface-agnostic
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _vec(self.position, 3, "contact position"))
-        rot = np.asarray(self.orientation, dtype=float).reshape(3, 3)
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise ConfigurationError("contact orientation is not orthonormal")
-        if np.linalg.det(rot) < 0:
-            raise ConfigurationError("contact orientation must be right-handed (det +1)")
-        object.__setattr__(self, "orientation", rot)
-        if self.active not in (0, 1, True, False):
-            raise ConfigurationError(f"active flag must be 0 or 1, got {self.active}")
-        object.__setattr__(self, "active", int(self.active))
-
-
-@dataclass(frozen=True)
-class ContactConfiguration:
-    contacts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "contacts", tuple(self.contacts))
-
-    @property
-    def n_contacts(self) -> int:
-        return len(self.contacts)
-
-    @property
-    def activity(self) -> np.ndarray:
-        return np.array([c.active for c in self.contacts], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -200,7 +153,7 @@ class PayloadDisturbance:
 
 def centroidal_dynamics(
     state: CentroidalState,
-    contacts: ContactConfiguration,
+    active,
     wrenches,
     velocities,
     payload: PayloadDisturbance,
@@ -208,15 +161,16 @@ def centroidal_dynamics(
 ) -> CentroidalState:
     """Continuous-time state derivative.
 
-    CoM velocity is the linear momentum over the mass; the momentum rate sums
-    the active contact wrenches and the payload wrenches transported to the
-    CoM minus gravity; swing contacts move with their commanded velocity
-    while active contacts stay put.
+    `active` holds one 0/1 stance flag per contact.  CoM velocity is the
+    linear momentum over the mass; the momentum rate sums the active contact
+    wrenches and the payload wrenches transported to the CoM minus gravity;
+    swing contacts move with their commanded velocity while active contacts
+    stay put.
 
     Wrenches must already be expressed in the inertial frame about the contact
     points held in `state.contact_positions`.
     """
-    n_c = contacts.n_contacts
+    n_c = len(active)
     if len(wrenches) != n_c or len(velocities) != n_c or state.n_contacts != n_c:
         raise ConfigurationError(
             f"contact count mismatch: {n_c} contacts, {len(wrenches)} wrenches, "
@@ -224,8 +178,8 @@ def centroidal_dynamics(
         )
     com = state.com_position
     h_dot = -constants.mass * constants.gravity_vector
-    for contact, wrench, position in zip(contacts.contacts, wrenches, state.contact_positions):
-        if contact.active:
+    for flag, wrench, position in zip(active, wrenches, state.contact_positions):
+        if flag:
             h_dot = h_dot + np.concatenate(
                 [wrench.force, wrench.moment + np.cross(position - com, wrench.force)]
             )
@@ -237,9 +191,7 @@ def centroidal_dynamics(
             [grip_wrench.force, grip_wrench.moment + np.cross(grip_point - com, grip_wrench.force)]
         )
     com_dot = state.linear_momentum / constants.mass
-    feet_dot = np.array(
-        [(1.0 - c.active) * _vec(v, 3, "contact velocity") for c, v in zip(contacts.contacts, velocities)]
-    )
+    feet_dot = np.array([(1.0 - flag) * _vec(v, 3, "contact velocity") for flag, v in zip(active, velocities)])
     return CentroidalState(com_dot, h_dot, feet_dot)
 
 
@@ -248,21 +200,20 @@ def euler_step(
     wrenches,
     velocities,
     payload: PayloadDisturbance,
-    contacts: ContactConfiguration,
+    active,
     constants: RobotConstants,
     dt: float,
 ) -> CentroidalState:
-    """One explicit Euler step of the centroidal dynamics.
+    """One explicit Euler step of the centroidal dynamics; `active` as for `centroidal_dynamics`.
 
     Active contact positions are carried over unchanged (bitwise), matching
     the gated derivative exactly.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    deriv = centroidal_dynamics(state, contacts, wrenches, velocities, payload, constants)
-    active = contacts.activity[:, None].astype(bool)
+    deriv = centroidal_dynamics(state, active, wrenches, velocities, payload, constants)
     feet = np.where(
-        active,
+        np.asarray(active, dtype=bool)[:, None],
         state.contact_positions,
         state.contact_positions + dt * deriv.contact_positions,
     )

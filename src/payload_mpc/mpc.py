@@ -145,21 +145,16 @@ def hold_payload_over_horizon(estimate: PayloadDisturbance, n_steps: int):
     return (estimate,) * n_steps
 
 
-def footstep_bound_residuals(
-    states: np.ndarray, refs: HorizonReferences, config: MpcConfig, feet_err: np.ndarray | None = None
-) -> np.ndarray:
+def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, config: MpcConfig) -> np.ndarray:
     """Inequality residuals (positive = satisfied) of the footstep error bounds.
 
-    Errors are expressed in each contact frame.  Box mode emits lower and
-    upper residuals per axis (6 per contact-stage); norm mode emits a single
-    upper residual on the error norm (the printed lower bound is vacuous for
+    `feet_err` is the feet minus their references (K+1, n_c, 3).  Errors are
+    expressed in each contact frame.  Box mode emits lower and upper
+    residuals per axis (6 per contact-stage); norm mode emits a single upper
+    residual on the error norm (the printed lower bound is vacuous for
     non-negative bounds).  Stage 0 is the measured state and carries no
-    residuals.  `feet_err` is the feet minus their references (K+1, n_c, 3),
-    when the caller keeps it.
+    residuals.
     """
-    if feet_err is None:
-        _, _, feet = _costs.split_states(states, refs.n_contacts)
-        feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
     steps, n_c = feet_err.shape[0] - 1, feet_err.shape[1]
     err_world = feet_err[1:]  # (K, n_c, 3)
     err = np.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
@@ -267,10 +262,7 @@ class ShootingProblem:
             factors = self._input_factors(inputs)
             wrenches = self._wrenches_world(inputs, factors)
             forces = _shooting.stage_forces(wrenches, self._gates, self._payload)
-            states = _shooting.rollout(
-                self._x0, wrenches, vel, self.activity, self._payload, self.constants, self.config.dt,
-                self._gates, forces,
-            )
+            states = _shooting.rollout(self._x0, vel, self._payload, self.config.dt, self._gates, forces)
             com, _, feet = _costs.split_states(states, self.n_contacts)
             point = self._last_point = _shooting.ShootingPoint(
                 key, inputs, vel, wrenches, states, forces,
@@ -286,7 +278,7 @@ class ShootingProblem:
     def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
         parts = {
             "tracking": _costs.tracking_cost(point.states, self.refs, self.weights, point.com_err),
-            "footsteps": _costs.footstep_cost(point.states, self.refs, self.weights, point.feet_err),
+            "footsteps": _costs.footstep_cost(point.feet_err, self.weights),
         }
         parts.update(self._input_costs(point))
         return parts
@@ -304,7 +296,7 @@ class ShootingProblem:
         return float(self.cost_breakdown(z)["total"])
 
     def _residuals(self, point: _shooting.ShootingPoint) -> np.ndarray:
-        return footstep_bound_residuals(point.states, self.refs, self.config, point.feet_err)
+        return footstep_bound_residuals(point.feet_err, self.refs, self.config)
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
         return self._residuals(self._point(z))
@@ -336,10 +328,7 @@ class ShootingProblem:
         # footstep bound residuals, folded in through their stage states
         if s is not None:
             seeds += self._bound_state_seeds(point, s[:n_bounds])
-        wrench_adj, vel_adj = _shooting.rollout_adjoint(
-            states, point.wrenches, self.activity, self._payload, self.constants, self.config.dt, seeds,
-            self._gates, point.forces,
-        )
+        wrench_adj, vel_adj = _shooting.rollout_adjoint(states, self.config.dt, seeds, self._gates, point.forces)
         vel_grad = vel_adj + point.velocities @ self.weights.q_v
         return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
 
@@ -520,10 +509,9 @@ class HorizonProblem(ShootingProblem):
         """Payload task: pseudo-inverse state terms into `seeds`, the direct wrench gradient returned."""
         if not self.use_payload_task:
             return np.zeros((self.horizon, self.n_contacts, 6))
-        targets, cache = self._payload_targets(point)
+        _, cache = self._payload_targets(point)
         payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
-            targets, cache, point.wrenches, self.activity, self._payload, self.weights.q_d,
-            self._payload_residual(point),
+            self._payload_residual(point), cache, self.activity, self._payload, self.weights.q_d
         )
         seeds += payload_seeds
         return wrench_direct

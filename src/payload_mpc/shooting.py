@@ -101,9 +101,8 @@ class PayloadArrays:
 class StageGates:
     """What a problem's rollouts and adjoints derive from its contact activity alone.
 
-    A problem builds these once (`of`); `rollout` and `rollout_adjoint` build
-    their own when not given any, with the same operations, so the results
-    are the same bits either way.
+    A problem builds these once (`of`) and passes them to every `rollout` and
+    `rollout_adjoint` call.
     """
 
     stance: np.ndarray  # (K, n_c, 1) activity flags
@@ -159,24 +158,20 @@ class ShootingPoint:
 
 def rollout(
     x0: np.ndarray,
-    wrenches: np.ndarray,  # (K, n_c, 6) inertial frame, about the contact points
     velocities: np.ndarray,  # (K, n_c, 3)
-    activity: np.ndarray,  # (K, n_c) in {0, 1}
     payload: PayloadArrays,
-    constants: RobotConstants,
     dt: float,
-    gates: StageGates | None = None,
-    forces: tuple | None = None,
+    gates: StageGates,
+    forces: tuple,
 ) -> np.ndarray:
     """Forward Euler rollout; returns the (K+1, nx) state trajectory.
 
     `gates` are the `StageGates` of (activity, constants, dt) and `forces`
-    the `stage_forces` of the wrenches, when the caller keeps them.
+    the `stage_forces` of the inertial-frame wrenches (about the contact
+    points) under those gates.
     """
-    steps, n_c = activity.shape
-    if gates is None:
-        gates = StageGates.of(activity, constants, dt)
-    gated, total_force = stage_forces(wrenches, gates, payload) if forces is None else forces
+    steps, n_c = velocities.shape[:2]
+    gated, total_force = forces
     gated_f = gated[:, :, :3]
     mg = gates.mg
     # zeros: the angular block rides along in the first scan, then is
@@ -202,24 +197,18 @@ def rollout(
 
 def rollout_adjoint(
     states: np.ndarray,
-    wrenches: np.ndarray,
-    activity: np.ndarray,
-    payload: PayloadArrays,
-    constants: RobotConstants,
     dt: float,
     state_seeds: np.ndarray,  # (K+1, nx) stage-cost gradients w.r.t. the states
-    gates: StageGates | None = None,
-    forces: tuple | None = None,
+    gates: StageGates,
+    forces: tuple,
 ):
     """Backward sweep; returns (wrench gradients (K, n_c, 6), velocity gradients (K, n_c, 3)).
 
     Only the dynamics path is accumulated here; direct input-cost gradients
     are the caller's business.  `gates` and `forces` as for `rollout`.
     """
-    steps, n_c = activity.shape
-    if gates is None:
-        gates = StageGates.of(activity, constants, dt)
-    gated, total_force = stage_forces(wrenches, gates, payload) if forces is None else forces
+    gated, total_force = forces
+    steps, n_c = gated.shape[:2]
     gated_f = gated[:, :, :3]
     # interleaved scan buffer read backwards: s_K, s_{K-1}, t_{K-1}, ..., s_0,
     # t_0, so the costate of stage k ends up in row 2k
@@ -258,29 +247,24 @@ def _scan(rows: np.ndarray, start: int, stop) -> None:
 
 
 def payload_cost_state_seeds(
-    targets: np.ndarray,
+    residual: np.ndarray,
     cache: dict,
-    wrenches: np.ndarray,
     activity: np.ndarray,
     payload: PayloadArrays,
     q_d: np.ndarray,
-    residual: np.ndarray | None = None,
 ):
     """Gradients of the payload-attenuation cost.
 
-    `targets` and `cache` are the result of `costs.payload_compensation_targets`
-    at the same states, `residual` is `costs.payload_residual` of the
-    wrenches and targets when the caller keeps it.  Returns (state seeds
-    (K+1, nx), direct wrench gradients (K, n_c, 6)).  The state dependence
-    runs through the pseudo-inverse wrench targets; the reverse-mode algebra
-    differentiates the batched linear solves against the stacked transport
-    maps directly.
+    `residual` is `costs.payload_residual` of the wrenches and their targets,
+    `cache` the solve cache of `costs.payload_compensation_targets` at the
+    same states.  Returns (state seeds (K+1, nx), direct wrench gradients
+    (K, n_c, 6)).  The state dependence runs through the pseudo-inverse
+    wrench targets; the reverse-mode algebra differentiates the batched
+    linear solves against the stacked transport maps directly.
     """
     steps, n_c = activity.shape
     nx = 9 + 3 * n_c
     mask = activity[..., None]
-    if residual is None:
-        residual = (wrenches - targets) * mask
     v = (residual @ q_d) * mask  # (K, n_c, 6), rows v_i = Q_d rho_i
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages

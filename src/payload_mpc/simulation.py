@@ -23,14 +23,7 @@ import numpy as np
 from .baseline import baseline_receding_horizon_step, build_constrained_mpc
 from .contact import ContactSurface, stability_margins
 from .costs import Weights
-from .dynamics import (
-    CentroidalState,
-    ContactConfiguration,
-    ContactPoint,
-    PayloadDisturbance,
-    RobotConstants,
-    euler_step,
-)
+from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler_step
 from .errors import ConfigurationError, SolverFailure
 from .gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference, payload_from_mass
 from .mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
@@ -59,9 +52,10 @@ class PayloadSpec:
     onset_time: float = 0.0  # s
 
     def validate(self) -> None:
-        if self.mass < 0:
+        # `not x >= 0` also rejects nan
+        if not self.mass >= 0:
             raise ConfigurationError(f"payload mass must be >= 0, got {self.mass}")
-        if self.onset_time < 0:
+        if not self.onset_time >= 0:
             raise ConfigurationError(f"payload onset_time must be >= 0, got {self.onset_time}")
 
 
@@ -342,7 +336,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             )
             shadow_warm = shadow_step.warm_start
         breakdown = problem.cost_breakdown(step.stats.z)
-        active = schedule.activity[:, tick].astype(float)
+        active = schedule.activity[:, tick]
         # stability audit of the applied wrenches (parametrized controllers
         # satisfy it by construction; the baseline within solver tolerance)
         for i in range(n_c):
@@ -372,12 +366,6 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
                 breakdown.get("parameter_reg", breakdown.get("input_reg", 0.0)),
             ]
         )
-        contacts = ContactConfiguration(
-            tuple(
-                ContactPoint(state.contact_positions[i], orientations[i], int(active[i]), scenario.surface)
-                for i in range(n_c)
-            )
-        )
         for sub in range(substeps):
             t_plant = t + sub * scenario.plant_dt
             payload_plant = _payload_at(scenario.payload, state.com_position, t_plant, gravity)
@@ -393,7 +381,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             )
             log.momentum[row] = state.momentum
             log.feet[row] = state.contact_positions
-            log.feet_active[row] = schedule.activity[:, tick]
+            log.feet_active[row] = active
             log.wrenches[row] = wrench_rows
             log.xi[row] = step.xi
             log.payload_fz_total[row] = payload_plant.total_force()[2]
@@ -403,7 +391,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
                 step.wrenches,
                 step.contact_velocities,
                 payload_plant,
-                contacts,
+                active,
                 scenario.constants,
                 scenario.plant_dt,
             )

@@ -61,8 +61,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.kkt_tolerance <= 0:
-            raise ConfigurationError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
+        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
+            raise ConfigurationError(f"kkt_tolerance must be finite and positive, got {self.kkt_tolerance}")
 
 
 @dataclass

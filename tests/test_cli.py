@@ -143,6 +143,11 @@ MISTYPED_CONFIGS = [
     {"mpc": {"horizon": 1000000000000}},
     # a horizon past mpc.MAX_HORIZON, inside the schedule bound
     {"mpc": {"horizon": 99990}, "duration": 0.4},
+    # JSON's non-standard constants, which `json.dumps` writes for non-finite floats
+    {"weights": {"q_c": float("nan")}},
+    {"solver": {"kkt_tolerance": float("inf")}},
+    {"solver": {"kkt_tolerance": float("nan")}},
+    {"payload": {"mass": 1.5, "onset_time": float("nan")}},
 ]
 
 

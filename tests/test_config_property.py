@@ -1,8 +1,9 @@
 """Property: whatever configuration document `simulate` reads, it exits 0, 2 or 3, never with a traceback.
 
 The documents start from a small valid walk and replace a few known keys
-with wrong types, wrong shapes, negative or zero values and extreme
-magnitudes, or drop the one required field (`robot.mass`).  The run length
+with wrong types, wrong shapes, negative or zero values, extreme
+magnitudes and non-finite numbers (written as JSON's non-standard `NaN`,
+`Infinity` and `-Infinity`), or drop the one required field (`robot.mass`).  The run length
 and the gait schedule's length are bounded (`simulation.MAX_PLANT_TICKS`), and
 so is the horizon (`mpc.MAX_HORIZON`), so `duration`, `plant_dt`,
 `gait.number_of_steps` and `mpc.horizon` are also drawn from extremes: a
@@ -28,9 +29,10 @@ SMALL_WALK = {
     "solver": {"max_iterations": 20},
 }
 HUGE, TINY = 1e308, 1e-300
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN, Infinity and -Infinity
 WRONG_TYPE = st.sampled_from(["x", True, None, [], {}, [1, "a"], [[1, 2], [3]], {"a": 1}])
 # any number of the right type, with the signs and magnitudes of a bad document
-ANY_NUMBER = st.sampled_from([0, 0.0, -1, -1.0, HUGE, -HUGE, TINY, 0.5, 2, 7])
+ANY_NUMBER = st.sampled_from([0, 0.0, -1, -1.0, HUGE, -HUGE, TINY, 0.5, 2, 7, NAN, INF, -INF])
 
 
 def field(*valid, invalid=(0, -1, -HUGE)):

@@ -7,6 +7,7 @@ from payload_mpc.costs import (
     parameter_regularization_cost,
     payload_attenuation_cost,
     payload_compensation_targets,
+    split_states,
     tracking_cost,
 )
 from payload_mpc.contact import ContactSurface
@@ -30,6 +31,20 @@ def stack_state(com, momentum, feet):
     return CentroidalState(com, momentum, feet).as_vector()[None, :]
 
 
+def task_errors(states, refs):
+    """CoM and feet minus their references, as a problem's point memo keeps them."""
+    com, _, feet = split_states(states, refs.n_contacts)
+    return com - refs.com_refs, feet - refs.footstep_refs.transpose(1, 0, 2)
+
+
+def tracking(states, refs, weights):
+    return tracking_cost(states, refs, weights, task_errors(states, refs)[0])
+
+
+def footsteps(states, refs, weights):
+    return footstep_cost(task_errors(states, refs)[1], weights)
+
+
 def test_weights_defaults_match_documented_values():
     w = Weights()
     assert np.array_equal(w.q_h, 100.0 * np.eye(3))
@@ -46,6 +61,12 @@ def test_weights_reject_asymmetric():
         Weights(q_h=bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, [1.0, np.nan, 1.0]])
+def test_weights_reject_non_finite(value):
+    with pytest.raises(ConfigurationError, match="finite"):
+        Weights(q_c=value)
+
+
 def test_weights_reject_indefinite():
     with pytest.raises(ConfigurationError):
         Weights(q_c=np.diag([1.0, -1.0, 1.0]))
@@ -54,32 +75,32 @@ def test_weights_reject_indefinite():
 def test_tracking_cost_zero_on_reference():
     refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
     states = stack_state([0, 0, 0.53], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
-    assert tracking_cost(states, refs, Weights()) == 0.0
+    assert tracking(states, refs, Weights()) == 0.0
 
 
 def test_tracking_cost_com_height_error():
     refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
     states = stack_state([0, 0, 0.63], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
     # oracle: 0.5 * 1000 * 0.1^2
-    assert tracking_cost(states, refs, Weights()) == pytest.approx(5.0)
+    assert tracking(states, refs, Weights()) == pytest.approx(5.0)
 
 
 def test_tracking_cost_angular_momentum():
     refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
     states = stack_state([0, 0, 0.53], [0, 0, 0, 0.1, 0, 0], [[0, 0.1, 0], [0, -0.1, 0]])
     # oracle: 0.5 * 100 * 0.1^2; linear momentum is never penalized
-    assert tracking_cost(states, refs, Weights()) == pytest.approx(0.5)
+    assert tracking(states, refs, Weights()) == pytest.approx(0.5)
     linear_only = stack_state([0, 0, 0.53], [5, -3, 2, 0, 0, 0], [[0, 0.1, 0], [0, -0.1, 0]])
-    assert tracking_cost(linear_only, refs, Weights()) == 0.0
+    assert tracking(linear_only, refs, Weights()) == 0.0
 
 
 def test_footstep_cost_examples():
     refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
     exact = stack_state([0, 0, 0.53], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
-    assert footstep_cost(exact, refs, Weights()) == 0.0
+    assert footsteps(exact, refs, Weights()) == 0.0
     off = stack_state([0, 0, 0.53], np.zeros(6), [[0.01, 0.1, 0], [0, -0.1, 0]])
     # oracle: 0.5 * 200 * 0.01^2
-    assert footstep_cost(off, refs, Weights()) == pytest.approx(0.01)
+    assert footsteps(off, refs, Weights()) == pytest.approx(0.01)
 
 
 def test_footstep_cost_additive_over_axes():
@@ -88,8 +109,8 @@ def test_footstep_cost_additive_over_axes():
     b = stack_state([0, 0, 0], np.zeros(6), [[0, 0.03, 0]])
     both = stack_state([0, 0, 0], np.zeros(6), [[0.02, 0.03, 0]])
     w = Weights()
-    assert footstep_cost(both, refs, w) == pytest.approx(
-        footstep_cost(a, refs, w) + footstep_cost(b, refs, w)
+    assert footsteps(both, refs, w) == pytest.approx(
+        footsteps(a, refs, w) + footsteps(b, refs, w)
     )
 
 

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from payload_mpc.contact import ContactSurface
 from payload_mpc.dynamics import (
     CentroidalState,
-    ContactConfiguration,
-    ContactPoint,
     PayloadDisturbance,
     RobotConstants,
     Wrench,
@@ -19,15 +16,7 @@ from payload_mpc.dynamics import (
 )
 from payload_mpc.errors import ConfigurationError
 
-FOOT = ContactSurface(-0.1, 0.1, -0.05, 0.05)
-
 finite_vec = st.lists(st.floats(-50, 50), min_size=3, max_size=3).map(np.array)
-
-
-def make_contacts(positions, active):
-    return ContactConfiguration(
-        tuple(ContactPoint(p, np.eye(3), a, FOOT) for p, a in zip(positions, active))
-    )
 
 
 def test_skew_basis():
@@ -87,40 +76,40 @@ def constants():
 
 def test_free_fall_drift():
     state = CentroidalState([0, 0, 1.0], np.zeros(6), [[0.1, 0, 0], [-0.1, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [0, 0])
+    active = np.array([0, 0])
     vel = [np.array([0.3, 0, 0]), np.array([0, 0.5, 0])]
-    deriv = centroidal_dynamics(state, contacts, [Wrench.zero()] * 2, vel, PayloadDisturbance.zero(), constants())
+    deriv = centroidal_dynamics(state, active, [Wrench.zero()] * 2, vel, PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.momentum, [0, 0, -9.81, 0, 0, 0])
     assert np.allclose(deriv.contact_positions, vel)
 
 
 def test_static_equilibrium_single_support():
     state = CentroidalState([0, 0, 0.53], np.zeros(6), [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [1])
+    active = np.array([1])
     w = Wrench([0, 0, 9.81], [0, 0, 0])
-    deriv = centroidal_dynamics(state, contacts, [w], [np.zeros(3)], PayloadDisturbance.zero(), constants())
+    deriv = centroidal_dynamics(state, active, [w], [np.zeros(3)], PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.momentum, 0.0, atol=1e-12)
     assert np.allclose(deriv.contact_positions, 0.0)
 
 
 def test_com_velocity_is_linear_momentum_over_mass():
     state = CentroidalState([0, 0, 0], [1, 0, 0, 0, 0, 0], [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [0])
-    deriv = centroidal_dynamics(state, contacts, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), constants())
+    active = np.array([0])
+    deriv = centroidal_dynamics(state, active, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.com_position, [1, 0, 0])
 
 
 def test_length_mismatch_rejected():
     state = CentroidalState([0, 0, 0], np.zeros(6), [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [1])
+    active = np.array([1])
     with pytest.raises(ConfigurationError):
-        centroidal_dynamics(state, contacts, [Wrench.zero()] * 2, [np.zeros(3)], PayloadDisturbance.zero(), constants())
+        centroidal_dynamics(state, active, [Wrench.zero()] * 2, [np.zeros(3)], PayloadDisturbance.zero(), constants())
 
 
 def test_euler_free_fall_one_step():
     state = CentroidalState([0, 0, 1.0], np.zeros(6), [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [0])
-    nxt = euler_step(state, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), contacts, constants(), 0.2)
+    active = np.array([0])
+    nxt = euler_step(state, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
     # oracle: one hand integration step of -m g dt
     assert nxt.momentum[2] == pytest.approx(-1.962, abs=1e-12)
 
@@ -128,16 +117,16 @@ def test_euler_free_fall_one_step():
 def test_euler_active_contact_position_bitwise_frozen():
     feet = np.array([[0.123456789, -0.2, 1e-9]])
     state = CentroidalState([0, 0, 0.5], np.zeros(6), feet)
-    contacts = make_contacts(feet, [1])
-    nxt = euler_step(state, [Wrench.zero()], [np.array([5.0, -3.0, 2.0])], PayloadDisturbance.zero(), contacts, constants(), 0.2)
+    active = np.array([1])
+    nxt = euler_step(state, [Wrench.zero()], [np.array([5.0, -3.0, 2.0])], PayloadDisturbance.zero(), active, constants(), 0.2)
     assert np.array_equal(nxt.contact_positions, feet)
 
 
 def test_euler_static_equilibrium_is_fixed_point():
     state = CentroidalState([0, 0, 0.53], np.zeros(6), [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [1])
+    active = np.array([1])
     w = Wrench([0, 0, 9.81], [0, 0, 0])
-    nxt = euler_step(state, [w], [np.zeros(3)], PayloadDisturbance.zero(), contacts, constants(), 0.2)
+    nxt = euler_step(state, [w], [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
     assert np.allclose(nxt.as_vector(), state.as_vector(), atol=1e-12)
 
 
@@ -147,7 +136,7 @@ def _rich_setup():
         [0.1, -0.2, 0.3, 0.05, 0.02, -0.04],
         [[0.0, 0.1, 0.0], [0.05, -0.1, 0.01]],
     )
-    contacts = make_contacts(state.contact_positions, [1, 0])
+    active = np.array([1, 0])
     wrenches = [Wrench([0.4, -0.2, 6.0], [0.02, -0.05, 0.01]), Wrench([0.1, 0.2, 3.0], [0, 0, 0])]
     velocities = [np.zeros(3), np.array([0.25, 0.0, 0.05])]
     payload = PayloadDisturbance(
@@ -156,24 +145,24 @@ def _rich_setup():
         [0.27, 0.09, 0.4],
         [0.27, -0.11, 0.4],
     )
-    return state, contacts, wrenches, velocities, payload
+    return state, active, wrenches, velocities, payload
 
 
 def test_euler_consistency_with_true_flow():
     # single-step consistency: (euler(dt) - x)/dt approaches the exact flow's
     # difference quotient linearly in dt (oracle: 1000-substep integration)
-    state, contacts, wrenches, velocities, payload = _rich_setup()
+    state, active, wrenches, velocities, payload = _rich_setup()
     cst = constants()
 
     def fine_flow(dt, substeps=1000):
         s = state
         for _ in range(substeps):
-            s = euler_step(s, wrenches, velocities, payload, contacts, cst, dt / substeps)
+            s = euler_step(s, wrenches, velocities, payload, active, cst, dt / substeps)
         return s
 
     errors = []
     for dt in (1e-2, 1e-3, 1e-4):
-        coarse = euler_step(state, wrenches, velocities, payload, contacts, cst, dt)
+        coarse = euler_step(state, wrenches, velocities, payload, active, cst, dt)
         exact = fine_flow(dt)
         errors.append(np.linalg.norm((coarse.as_vector() - exact.as_vector()) / dt))
     assert errors[0] > errors[1] > errors[2]
@@ -183,13 +172,13 @@ def test_euler_consistency_with_true_flow():
 
 def test_free_fall_conservation_many_steps():
     state = CentroidalState([0, 0, 2.0], [0.3, -0.1, 0.0, 0.07, -0.02, 0.11], [[0, 0, 0]])
-    contacts = make_contacts(state.contact_positions, [0])
+    active = np.array([0])
     cst = constants()
     angular0 = state.momentum[3:].copy()
     dt = 0.2
     s = state
     for k in range(1, 51):
-        s = euler_step(s, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), contacts, cst, dt)
+        s = euler_step(s, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), active, cst, dt)
         assert np.array_equal(s.momentum[3:], angular0)  # exactly conserved
         expected = state.momentum[2] - cst.mass * 9.81 * k * dt
         assert s.momentum[2] == pytest.approx(expected, rel=1e-13)
@@ -198,20 +187,12 @@ def test_free_fall_conservation_many_steps():
 @given(finite_vec)
 @settings(max_examples=50)
 def test_gating_active_contact_velocity_is_ignored(v):
-    state, contacts, wrenches, velocities, payload = _rich_setup()
+    state, active, wrenches, velocities, payload = _rich_setup()
     cst = constants()
-    base = euler_step(state, wrenches, velocities, payload, contacts, cst, 0.2)
+    base = euler_step(state, wrenches, velocities, payload, active, cst, 0.2)
     modified = [v, velocities[1]]  # contact 0 is active
-    out = euler_step(state, wrenches, modified, payload, contacts, cst, 0.2)
+    out = euler_step(state, wrenches, modified, payload, active, cst, 0.2)
     assert np.array_equal(base.as_vector(), out.as_vector())
-
-
-def test_orientation_validation():
-    with pytest.raises(ConfigurationError):
-        ContactPoint([0, 0, 0], np.eye(3) + 1e-6, 1, FOOT)
-    flipped = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ConfigurationError):
-        ContactPoint([0, 0, 0], flipped, 1, FOOT)
 
 
 def test_state_validation():
@@ -225,9 +206,3 @@ def test_robot_constants_validation():
     with pytest.raises(ConfigurationError):
         RobotConstants(mass=0.0)
     assert np.allclose(gravity_vector(), [0, 0, 9.81, 0, 0, 0])
-
-
-def test_state_vector_round_trip():
-    state, *_ = _rich_setup()
-    again = CentroidalState.from_vector(state.as_vector(), 2)
-    assert np.array_equal(again.as_vector(), state.as_vector())

@@ -75,6 +75,13 @@ def reference_contact_map(xi, orientations, surfaces):
     return out
 
 
+def reference_adjoint(problem, states, wrenches, seeds):
+    """`shooting.rollout_adjoint` on gates and forces built afresh from the problem's activity."""
+    gates = shooting.StageGates.of(problem.activity, problem.constants, problem.config.dt)
+    forces = shooting.stage_forces(wrenches, gates, problem._payload)
+    return shooting.rollout_adjoint(states, problem.config.dt, seeds, gates, forces)
+
+
 def reference_mpc_gradient(problem, z, constraint_weights):
     """`HorizonProblem.gradient` with its former loop: one rotation and one Jacobian per contact."""
     point = problem._point(z)
@@ -90,14 +97,13 @@ def reference_mpc_gradient(problem, z, constraint_weights):
     wrench_direct = np.zeros((steps, n_c, 6))
     if problem.use_payload_task:
         targets, cache = problem._payload_targets(point)
+        residual = costs.payload_residual(wrenches, targets, problem.activity[..., None])
         payload_seeds, wrench_direct = shooting.payload_cost_state_seeds(
-            targets, cache, wrenches, problem.activity, problem._payload, weights.q_d
+            residual, cache, problem.activity, problem._payload, weights.q_d
         )
         seeds += payload_seeds
     seeds += problem._bound_state_seeds(point, constraint_weights)
-    wrench_adj, vel_adj = shooting.rollout_adjoint(
-        states, wrenches, problem.activity, problem._payload, problem.constants, problem.config.dt, seeds
-    )
+    wrench_adj, vel_adj = reference_adjoint(problem, states, wrenches, seeds)
     wrench_total = wrench_adj + wrench_direct
     xi_grad = np.empty_like(xi)
     for i in range(n_c):
@@ -186,9 +192,7 @@ def reference_baseline_gradient(problem, z, constraint_weights):
     wrench_direct += reference_stability_gradient(
         problem, wrenches, constraint_weights[problem.num_bound_constraints :]
     )
-    wrench_adj, vel_adj = shooting.rollout_adjoint(
-        states, point.wrenches, problem.activity, problem._payload, problem.constants, problem.config.dt, seeds
-    )
+    wrench_adj, vel_adj = reference_adjoint(problem, states, point.wrenches, seeds)
     wrench_grad = np.empty_like(wrenches)
     for i in range(n_c):
         rot = refs.contact_orientations[i]
@@ -311,7 +315,7 @@ def test_baseline_rotations_and_residuals_bitwise_equal_per_contact_loops(seed, 
     wrenches, _ = problem.decode(z)
     # contact frame -> inertial frame
     assert problem._wrenches_world(wrenches).tobytes() == reference_wrenches_world(problem, wrenches).tobytes()
-    residuals = problem.stability_residuals(wrenches)
+    residuals = problem.stability_residuals(wrenches, problem._input_factors(wrenches).cop)
     assert residuals.tobytes() == reference_stability_residuals(problem, wrenches).tobytes()
     # inertial-frame gradient -> contact frame, with the stability terms
     want = reference_baseline_gradient(problem, z, weights)

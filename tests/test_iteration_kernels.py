@@ -22,7 +22,15 @@ from payload_mpc.contact import (
     parametrize_batch,
 )
 from payload_mpc.dynamics import PayloadDisturbance, RobotConstants, Wrench
-from payload_mpc.shooting import PayloadArrays, cross, payload_cost_state_seeds, rollout, rollout_adjoint
+from payload_mpc.shooting import (
+    PayloadArrays,
+    StageGates,
+    cross,
+    payload_cost_state_seeds,
+    rollout,
+    rollout_adjoint,
+    stage_forces,
+)
 
 # -- the oracles ------------------------------------------------------------------
 
@@ -187,7 +195,8 @@ def shooting_instance(horizon, n_c, pattern, payload_scale, seed, zeros):
     x0 = draw_values(rng, 9 + 3 * n_c, 0.5, zeros)
     wrenches = draw_values(rng, (horizon, n_c, 6), 10.0, zeros)
     velocities = draw_values(rng, (horizon, n_c, 3), 0.3, zeros)
-    states = rollout(x0, wrenches, velocities, activity, payload, constants, dt)
+    gates = StageGates.of(activity, constants, dt)
+    states = rollout(x0, velocities, payload, dt, gates, stage_forces(wrenches, gates, payload))
     seeds = draw_values(rng, (horizon + 1, 9 + 3 * n_c), 1.0, zeros)
     q_d = np.diag(rng.uniform(0.0, 100.0, 6))
     return states, wrenches, activity, payload, constants, dt, seeds, q_d
@@ -209,7 +218,8 @@ shooting_instances = st.builds(
 def test_stacked_adjoint_bitwise_equals_unstacked(case):
     states, wrenches, activity, payload, constants, dt, seeds, _ = case
     expected = reference_adjoint(states, wrenches, activity, payload, constants, dt, seeds)
-    actual = rollout_adjoint(states, wrenches, activity, payload, constants, dt, seeds)
+    gates = StageGates.of(activity, constants, dt)
+    actual = rollout_adjoint(states, dt, seeds, gates, stage_forces(wrenches, gates, payload))
     for got, want in zip(actual, expected):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -221,7 +231,8 @@ def test_stacked_payload_seeds_bitwise_equal_unstacked(case):
     states, wrenches, activity, payload, constants, _, _, q_d = case
     targets, cache = costs.payload_compensation_targets(states, activity, payload, constants)
     expected = reference_payload_seeds(targets, cache, wrenches, activity, payload, q_d)
-    actual = payload_cost_state_seeds(targets, cache, wrenches, activity, payload, q_d)
+    residual = costs.payload_residual(wrenches, targets, activity[..., None])
+    actual = payload_cost_state_seeds(residual, cache, activity, payload, q_d)
     for got, want in zip(actual, expected):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -125,17 +125,22 @@ def test_bound_residual_count_and_satisfaction():
     assert (residuals > 0).all()  # static stance well inside the box
 
 
+def feet_err(states, refs):
+    """Feet minus their references (K+1, n_c, 3) of a stacked-state trajectory."""
+    return states[:, 9:].reshape(len(states), refs.n_contacts, 3) - refs.footstep_refs.transpose(1, 0, 2)
+
+
 def test_footstep_bound_examples():
     config = MpcConfig(horizon=1)
     refs = static_refs(horizon=1)
     state = np.concatenate([[0, 0, 0.53], np.zeros(6), FEET.ravel()])
     inside = np.vstack([state, state])
     inside[1, 9:12] = FEET[0] + [0.02, 0, 0]
-    res = footstep_bound_residuals(inside, refs, config)
+    res = footstep_bound_residuals(feet_err(inside, refs), refs, config)
     assert (res > 0).all()
     outside = np.vstack([state, state])
     outside[1, 9:12] = FEET[0] + [0.06, 0, 0]
-    res = footstep_bound_residuals(outside, refs, config)
+    res = footstep_bound_residuals(feet_err(outside, refs), refs, config)
     assert res.min() < 0  # +x upper bound violated
 
 
@@ -153,7 +158,7 @@ def test_footstep_bound_rotated_frame():
     state = np.concatenate([[0, 0, 0.53], np.zeros(6), FEET.ravel()])
     moved = np.vstack([state, state])
     moved[1, 9:12] = FEET[0] + [0.02, 0.0, 0.0]
-    res = footstep_bound_residuals(moved, refs, config).reshape(1, 2, 6)
+    res = footstep_bound_residuals(feet_err(moved, refs), refs, config).reshape(1, 2, 6)
     # contact frame error for contact 0: R' e = (0, -0.02, 0)
     assert res[0, 0, 1] == pytest.approx(-0.02 - (-0.01))  # lower residual on y: violated
     assert res[0, 0, 4] == pytest.approx(0.01 + 0.02)
@@ -321,7 +326,7 @@ def test_warm_start_benefit_over_walking_run():
     # than cold starts over a 50-tick walking run
     from payload_mpc.gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference
     from payload_mpc.simulation import _payload_at, PayloadSpec, default_run_solver_options
-    from payload_mpc.dynamics import ContactConfiguration, ContactPoint, euler_step
+    from payload_mpc.dynamics import euler_step
 
     config = MpcConfig(solver=default_run_solver_options())
     gait = GaitParameters(number_of_steps=5)
@@ -347,16 +352,9 @@ def test_warm_start_benefit_over_walking_run():
         cold_step = receding_horizon_step(cold, None)
         cold_iters.append(cold_step.stats.iterations)
         warm = step.warm_start
-        contacts = ContactConfiguration(
-            tuple(
-                ContactPoint(state.contact_positions[i], np.eye(3),
-                             int(schedule.activity[i, tick]), SURFACE)
-                for i in range(2)
-            )
-        )
         for _ in range(4):
             state = euler_step(
-                state, step.wrenches, step.contact_velocities, payload, contacts, CONSTANTS, 0.05
+                state, step.wrenches, step.contact_velocities, payload, schedule.activity[:, tick], CONSTANTS, 0.05
             )
     assert np.median(warm_iters) <= np.median(cold_iters)
 

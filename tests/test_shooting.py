@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from payload_mpc.dynamics import PayloadDisturbance, RobotConstants, Wrench
-from payload_mpc.shooting import PayloadArrays, cross, rollout, rollout_adjoint
+from payload_mpc.shooting import PayloadArrays, StageGates, cross, rollout, rollout_adjoint, stage_forces
 
 
 def reference_rollout(x0, wrenches, velocities, activity, payload, constants, dt):
@@ -63,6 +63,12 @@ def reference_adjoint(states, wrenches, activity, payload, constants, dt, state_
         new_lam[9:] += (dt * cross(gated_f[k], lam_hm[None, :])).ravel()
         lam = new_lam
     return wrench_grads, velocity_grads
+
+
+def gates_and_forces(wrenches, activity, payload, constants, dt):
+    """The `StageGates` and `stage_forces` that a problem passes to the scans."""
+    gates = StageGates.of(activity, constants, dt)
+    return gates, stage_forces(wrenches, gates, payload)
 
 
 PATTERNS = ("stance", "swing", "alternating", "random")
@@ -121,7 +127,8 @@ instances = st.builds(
 def test_rollout_bitwise_equals_stage_loop(case):
     x0, wrenches, velocities, activity, payload, constants, dt, _ = case
     expected = reference_rollout(x0, wrenches, velocities, activity, payload, constants, dt)
-    actual = rollout(x0, wrenches, velocities, activity, payload, constants, dt)
+    gates, forces = gates_and_forces(wrenches, activity, payload, constants, dt)
+    actual = rollout(x0, velocities, payload, dt, gates, forces)
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
 
@@ -132,7 +139,8 @@ def test_adjoint_bitwise_equals_stage_loop(case):
     x0, wrenches, velocities, activity, payload, constants, dt, seeds = case
     states = reference_rollout(x0, wrenches, velocities, activity, payload, constants, dt)
     expected = reference_adjoint(states, wrenches, activity, payload, constants, dt, seeds)
-    actual = rollout_adjoint(states, wrenches, activity, payload, constants, dt, seeds)
+    gates, forces = gates_and_forces(wrenches, activity, payload, constants, dt)
+    actual = rollout_adjoint(states, dt, seeds, gates, forces)
     for got, want in zip(actual, expected):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -140,7 +148,8 @@ def test_adjoint_bitwise_equals_stage_loop(case):
 
 def test_adjoint_leaves_seeds_untouched():
     x0, wrenches, velocities, activity, payload, constants, dt, seeds = instance(10, 2, "random", 1.0, 7, True)
-    states = rollout(x0, wrenches, velocities, activity, payload, constants, dt)
+    gates, forces = gates_and_forces(wrenches, activity, payload, constants, dt)
+    states = rollout(x0, velocities, payload, dt, gates, forces)
     before = seeds.copy()
-    rollout_adjoint(states, wrenches, activity, payload, constants, dt, seeds)
+    rollout_adjoint(states, dt, seeds, gates, forces)
     assert seeds.tobytes() == before.tobytes()

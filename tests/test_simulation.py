@@ -96,6 +96,12 @@ def test_scenario_validation():
         quick_scenario(payload=PayloadSpec(mass=-2.0)).validate()
 
 
+@pytest.mark.parametrize("spec", [PayloadSpec(mass=np.nan), PayloadSpec(mass=1.5, onset_time=np.nan)])
+def test_payload_spec_rejects_nan(spec):
+    with pytest.raises(ConfigurationError):
+        spec.validate()
+
+
 def test_run_size_is_bounded():
     # at the bound: 0.2 s periods of 2,000 plant ticks each, 50 periods
     quick_scenario(plant_dt=1e-4, duration=10.0).validate()

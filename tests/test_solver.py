@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from payload_mpc.errors import ConfigurationError
 from payload_mpc.solver import (
     NlpFunctions,
     SolverOptions,
@@ -55,6 +56,12 @@ def test_rosenbrock():
 
     result = solve(unconstrained(fun, grad, 2), np.array([-1.2, 1.0]), SolverOptions(max_iterations=500))
     assert np.allclose(result.z, [1.0, 1.0], atol=1e-4)
+
+
+@pytest.mark.parametrize("tolerance", [np.inf, np.nan, 0.0, -1.0])
+def test_kkt_tolerance_must_be_finite_and_positive(tolerance):
+    with pytest.raises(ConfigurationError):
+        SolverOptions(kkt_tolerance=tolerance)
 
 
 def test_non_finite_initial_objective_rejected():
