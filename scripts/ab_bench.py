@@ -1,30 +1,23 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two checkouts of payload-mpc.
+"""In-process per-tick A/B timing of two checkouts of payload-mpc.
 
 Imports `payload_mpc` and `perfbench/workloads.py` from a base checkout and
 from the checkout this script sits in, under distinct module names in one
-process with one BLAS thread.  It then runs passes of the benchmark slices
-(carry-walk and flat-walk-baseline, each at seeds 0 and 7) through each
-tree's `run_closed_loop`, alternating which tree goes first from pass to
-pass, so that both see the same host phases.  For every slice it records the
-min and median pass wall, the per-tick solve time (fastest over the passes),
-the iterations, the status counts and, where a tree reports them, the
-evaluation counters, together with the numpy and BLAS versions, the CPU count
-and the load average.  It exits 1 when the two trees' iteration, status or
-CoM logs differ, or when one tree's passes are not bitwise alike.
-
-With `--ticks`, the unit is one controller tick instead of a pass.  Each tree
-runs the slice once, keeping every tick's problem-builder arguments and warm
-start; then, round after round, every tick is rebuilt and solved by both
-trees in alternating order, and each tick's time is its fastest solve over
-the rounds.  Whole passes drift by up to 1.5x within minutes on a shared
-host; two solves of the same tick a few milliseconds apart see nearly the
-same host phase.  Every solve's iterate, objective, status and counters must
-be bitwise the same in both trees (exit 1 otherwise).
+process with one BLAS thread.  For each benchmark slice (carry-walk and
+flat-walk-baseline, each at seeds 0 and 7), each tree runs the slice once
+through its `run_closed_loop`, keeping every tick's problem-builder
+arguments and warm start; then, round after round, every tick is rebuilt and
+solved by both trees in alternating order, and each tick's time is its
+fastest solve over the rounds.  Whole passes drift by up to 1.5x within
+minutes on a shared host; two solves of the same tick a few milliseconds
+apart see nearly the same host phase.  For every slice it records the
+per-tick fastest solve, the iterations, the status counts and the
+evaluation counters, together with the numpy and BLAS versions, the CPU
+count and the load average.  Every solve's iterate, objective, status and
+counters must be bitwise the same in both trees (exit 1 otherwise).
 
     python3 scripts/ab_bench.py --base /path/to/base/checkout --base-label f252976 \\
-        --rounds 12 --out BENCH_label.json
-    python3 scripts/ab_bench.py --base /path/to/base/checkout --ticks --rounds 30
+        --rounds 30 --out BENCH_label.json
 """
 
 from __future__ import annotations
@@ -86,12 +79,6 @@ class Tree:
         self.run_closed_loop = self.simulation.run_closed_loop
         self.make_scenario = workloads.make_scenario
 
-    def run(self, workload: str, seed: int):
-        scenario = self.make_scenario(workload, seed, full=False)
-        start = time.perf_counter()
-        log = self.run_closed_loop(scenario)
-        return time.perf_counter() - start, log
-
     def capture(self, workload: str, seed: int) -> list:
         """(builder, its arguments, stepper, warm start) of every tick of one closed loop of the slice."""
         sim = self.simulation
@@ -143,39 +130,6 @@ def solve_tick(tick) -> tuple:
         result.warm_start.tobytes(),
     )
     return elapsed, fingerprint, stats
-
-
-def fingerprint(log) -> tuple:
-    return (
-        tuple(int(i) for i in log.iterations_per_tick),
-        tuple(log.status_per_tick),
-        np.ascontiguousarray(log.com).tobytes(),
-    )
-
-
-def counters(log) -> dict:
-    """Mean evaluation counters per tick, for a tree whose `SimLog` has them."""
-    out = {}
-    for name in ("value_evaluations", "gradient_evaluations", "backtracks"):
-        values = getattr(log, f"{name}_per_tick", None)
-        if values is not None:
-            out[f"mean_{name}"] = float(np.mean(values))
-    return out
-
-
-def summarize(walls: list, tick_ms: list, log) -> dict:
-    fastest = np.min(np.array(tick_ms), axis=0)
-    return {
-        "passes": len(walls),
-        "pass_s_min": float(np.min(walls)),
-        "pass_s_median": float(np.median(walls)),
-        "tick_solve_ms_fastest": [round(float(v), 3) for v in fastest],
-        "tick_solve_ms_p50": float(np.median(fastest)),
-        "iterations": [int(i) for i in log.iterations_per_tick],
-        "mean_iterations": float(np.mean(log.iterations_per_tick)),
-        "status_counts": dict(Counter(log.status_per_tick)),
-        **counters(log),
-    }
 
 
 def environment() -> dict:
@@ -248,8 +202,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="root of the base checkout")
     parser.add_argument("--base-label", default="base", help="name of the base tree in the output")
-    parser.add_argument("--rounds", type=int, default=10, help="timed passes (with --ticks: solves) per tree and slice")
-    parser.add_argument("--ticks", action="store_true", help="alternate per-tick solves instead of whole passes")
+    parser.add_argument("--rounds", type=int, default=10, help="timed solves of every tick per tree")
     parser.add_argument("--out", help="write the JSON record here")
     args = parser.parse_args()
     if args.rounds < 1:
@@ -257,70 +210,22 @@ def main() -> int:
 
     trees = (Tree("base", Path(args.base).resolve()), Tree("change", ROOT))
     env_start = environment()
-    if args.ticks:
-        records, identical = run_ticks(trees, args.rounds)
-    else:
-        records, identical = run_passes(trees, args.rounds)
+    records, identical = run_ticks(trees, args.rounds)
     if args.out:
         out = {
-            "script": "scripts/ab_bench.py" + (" --ticks" if args.ticks else ""),
+            "script": "scripts/ab_bench.py",
             "base": args.base_label,
             "rounds": args.rounds,
             "env_start": env_start,
             "env_end": environment(),
-            ("identical_results" if args.ticks else "identical_logs"): identical,
+            "identical_results": identical,
             "cases": records,
         }
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     if not identical:
-        what = "solve results" if args.ticks else "iteration, status or CoM logs"
-        print(f"FAIL: the trees' {what} differ", file=sys.stderr)
+        print("FAIL: the trees' solve results differ", file=sys.stderr)
         return 1
     return 0
-
-
-def run_passes(trees, rounds: int) -> tuple:
-    """Alternating whole passes of every case; returns (records, identical)."""
-    records, identical = [], True
-    for index, (workload, seed) in enumerate(CASES):
-        for tree in trees:  # warm-up pass, not timed
-            tree.run(workload, seed)
-        walls = {t.label: [] for t in trees}
-        ticks = {t.label: [] for t in trees}
-        prints = {t.label: set() for t in trees}
-        logs = {}
-        for round_ in range(rounds):
-            order = trees if (round_ + index) % 2 == 0 else trees[::-1]
-            for tree in order:
-                wall, log = tree.run(workload, seed)
-                walls[tree.label].append(wall)
-                ticks[tree.label].append(log.solve_ms_per_tick)
-                prints[tree.label].add(fingerprint(log))
-                logs[tree.label] = log
-        same = len(prints["base"]) == 1 and prints["base"] == prints["change"]
-        identical &= same
-        base, change = (summarize(walls[t.label], ticks[t.label], logs[t.label]) for t in trees)
-        ratios = np.array(walls["change"]) / np.array(walls["base"])
-        record = {
-            "workload": workload,
-            "seed": seed,
-            "identical_logs": same,
-            "base": base,
-            "change": change,
-            "pass_min_ratio": change["pass_s_min"] / base["pass_s_min"],
-            "paired_ratio_median": float(np.median(ratios)),
-            "change_faster_pairs": int((ratios < 1.0).sum()),
-            "tick_p50_ratio": change["tick_solve_ms_p50"] / base["tick_solve_ms_p50"],
-        }
-        records.append(record)
-        print(
-            f"{workload} seed={seed}: pass min {base['pass_s_min']:.3f} -> {change['pass_s_min']:.3f} s, "
-            f"tick p50 {base['tick_solve_ms_p50']:.1f} -> {change['tick_solve_ms_p50']:.1f} ms, "
-            f"paired ratio {record['paired_ratio_median']:.3f}, faster {record['change_faster_pairs']}/{rounds}, "
-            f"iterations {base['mean_iterations']:.1f} / {change['mean_iterations']:.1f}, identical={same}"
-        )
-        sys.stdout.flush()
-    return records, identical
 
 
 if __name__ == "__main__":

@@ -3,12 +3,10 @@
 from .contact import (
     ContactSurface,
     StabilityReport,
-    SurfaceOffsets,
     invert_parametrization,
     is_contact_stable,
     parametrization_jacobian,
     parametrize,
-    surface_offsets,
 )
 from .costs import (
     Weights,
@@ -52,7 +50,6 @@ from .mpc import (
     MpcConfig,
     build_mpc_problem,
     footstep_bound_residuals,
-    hold_payload_over_horizon,
     receding_horizon_step,
 )
 from .simulation import (

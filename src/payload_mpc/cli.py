@@ -228,6 +228,8 @@ def cmd_benchmark(args) -> int:
 def cmd_verify_param(args) -> int:
     if args.samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {args.samples}")
+    if args.seed < 0:  # the sampler's seed sequence takes non-negative integers only
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     surface = _surface_from_config(_load_config(args.config))
     rng = np.random.default_rng(args.seed)
     failures = 0

@@ -76,6 +76,9 @@ class ContactSurface:
     fz_min: float = 0.01
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"surface {f.name} must be finite, got {getattr(self, f.name)}")
         if not (self.x_min < self.x_max):
             raise ConfigurationError(f"surface x bounds invalid: x_min={self.x_min} >= x_max={self.x_max}")
         if not (self.y_min < self.y_max):
@@ -89,21 +92,6 @@ class ContactSurface:
 
 
 @dataclass(frozen=True)
-class SurfaceOffsets:
-    """Half-extents and center offsets of the rectangle as used by the parametrization.
-
-    Note the sign asymmetry: delta_x0 is the negated x-center, delta_y0 the
-    plain y-center.  That is what makes M_y = -CoP_x * F_z and
-    M_x = CoP_y * F_z land the center of pressure inside the rectangle.
-    """
-
-    delta_x: float
-    delta_x0: float
-    delta_y: float
-    delta_y0: float
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Outcome of the five stability conditions; positive margin = satisfied with slack."""
 
@@ -112,15 +100,6 @@ class StabilityReport:
 
     def __post_init__(self):
         object.__setattr__(self, "margins", np.asarray(self.margins, dtype=float).reshape(5))
-
-
-def surface_offsets(surface: ContactSurface) -> SurfaceOffsets:
-    return SurfaceOffsets(
-        delta_x=0.5 * (surface.x_max - surface.x_min),
-        delta_x0=-0.5 * (surface.x_max + surface.x_min),
-        delta_y=0.5 * (surface.y_max - surface.y_min),
-        delta_y0=0.5 * (surface.y_max + surface.y_min),
-    )
 
 
 @dataclass(frozen=True)
@@ -132,6 +111,12 @@ class SurfaceConstants:
     parameters or wrenches shaped (..., n_c, 6): one call then maps every
     contact with its own surface, and every entry is computed exactly as the
     one-surface call would compute it.  The problems build theirs once.
+
+    The deltas are the rectangle's half-extents and center offsets as the
+    parametrization uses them.  Note the sign asymmetry: delta_x0 is the
+    negated x-center, delta_y0 the plain y-center.  That is what makes
+    M_y = -CoP_x * F_z and M_x = CoP_y * F_z land the center of pressure
+    inside the rectangle.
     """
 
     x_min: float | np.ndarray
@@ -156,12 +141,14 @@ class SurfaceConstants:
         if isinstance(surfaces, cls):
             return surfaces
         if isinstance(surfaces, ContactSurface):
-            s, d = surfaces, surface_offsets(surfaces)
+            s = surfaces
+            delta_x, delta_x0 = 0.5 * (s.x_max - s.x_min), -0.5 * (s.x_max + s.x_min)
+            delta_y, delta_y0 = 0.5 * (s.y_max - s.y_min), 0.5 * (s.y_max + s.y_min)
             return cls(
                 s.x_min, s.x_max, s.y_min, s.y_max, s.mu_c, s.mu_z, s.fz_min,
-                d.delta_x, d.delta_x0, d.delta_y, d.delta_y0,
-                row_scale=np.array([s.mu_c, s.mu_c, 0.0, d.delta_y, d.delta_x, s.mu_z]),
-                row_offset=np.array([-0.0, -0.0, 1.0, d.delta_y0, d.delta_x0, -0.0]),
+                delta_x, delta_x0, delta_y, delta_y0,
+                row_scale=np.array([s.mu_c, s.mu_c, 0.0, delta_y, delta_x, s.mu_z]),
+                row_offset=np.array([-0.0, -0.0, 1.0, delta_y0, delta_x0, -0.0]),
             )
         singles = [cls.of(s) for s in surfaces]
         return cls(*(np.array([getattr(s, f.name) for s in singles]) for f in dataclasses.fields(cls)))
@@ -348,11 +335,11 @@ def _closed_form_seed(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
     clipped into the open unit interval so targets outside the image still
     produce a usable starting point.
     """
-    d = surface_offsets(surface)
+    s = SurfaceConstants.of(surface)
     fz = w[2]
     lim = 1.0 - 1e-12
-    a = w[0] / (surface.mu_c * fz)
-    b = w[1] / (surface.mu_c * fz)
+    a = w[0] / (s.mu_c * fz)
+    b = w[1] / (s.mu_c * fz)
     den = max(1.0 - (a * b) ** 2, 1e-12)
     t1 = np.sign(a) * np.sqrt(np.clip(a * a * (1.0 + b * b) / den, 0.0, lim))
     t2 = np.sign(b) * np.sqrt(np.clip(b * b * (1.0 + a * a) / den, 0.0, lim))
@@ -360,10 +347,10 @@ def _closed_form_seed(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
         [
             np.arctanh(t1),
             np.arctanh(t2),
-            np.log(max(fz - surface.fz_min, 1e-300)),
-            np.arctanh(np.clip((w[3] / fz - d.delta_y0) / d.delta_y, -lim, lim)),
-            np.arctanh(np.clip((w[4] / fz - d.delta_x0) / d.delta_x, -lim, lim)),
-            np.arctanh(np.clip(w[5] / (surface.mu_z * fz), -lim, lim)),
+            np.log(max(fz - s.fz_min, 1e-300)),
+            np.arctanh(np.clip((w[3] / fz - s.delta_y0) / s.delta_y, -lim, lim)),
+            np.arctanh(np.clip((w[4] / fz - s.delta_x0) / s.delta_x, -lim, lim)),
+            np.arctanh(np.clip(w[5] / (s.mu_z * fz), -lim, lim)),
         ]
     )
 

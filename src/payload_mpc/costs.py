@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import parametrize_batch, rotate_wrenches
-from .dynamics import RobotConstants
+from .dynamics import PayloadDisturbance, RobotConstants
 from .errors import ConfigurationError, InfeasiblePhaseError
 from .shooting import PayloadArrays
 from .shooting import cross as _cross
@@ -158,22 +158,19 @@ class TargetConstants:
 def payload_compensation_targets(
     states: np.ndarray,
     activity: np.ndarray,
-    payload,
+    payload: PayloadArrays,
     constants: RobotConstants,
     fixed: TargetConstants | None = None,
 ):
     """Per-stage, per-contact wrench targets cancelling the held payload.
 
-    `payload` is a `shooting.PayloadArrays` (or a sequence of
-    `PayloadDisturbance`, one per stage).  `fixed` is the problem's
-    `TargetConstants` for this activity and robot, built here when not given.
+    `fixed` is the problem's `TargetConstants` for this activity and robot,
+    built here when not given.
     Returns (targets (K, n_c, 6), solve cache) where targets are only
     meaningful where `activity` is 1.  The cache carries the stacked transport
     products needed by the analytic gradient, among them the top block
     `z1 = c1 - r x c2` of the targets before the gravity share.
     """
-    if not isinstance(payload, PayloadArrays):
-        payload = PayloadArrays.from_hold(payload)
     activity = np.asarray(activity, dtype=float)
     if fixed is None:
         fixed = TargetConstants.build(activity, constants)
@@ -221,7 +218,7 @@ def payload_attenuation_from_residual(residual: np.ndarray, weights: Weights) ->
 def payload_attenuation_cost(
     xi_traj: np.ndarray,
     states: np.ndarray,
-    payload_hold,
+    payload: PayloadDisturbance,
     gait: np.ndarray,
     orientations: np.ndarray,
     surfaces,
@@ -231,14 +228,14 @@ def payload_attenuation_cost(
     """Distance of the commanded wrenches from the payload-cancelling distribution.
 
     `xi_traj` is (K, n_c, 6); wrenches are mapped through the parametrization
-    and rotated into the inertial frame before comparison.  Only active
-    contacts contribute.
+    and rotated into the inertial frame before comparison.  The `payload`
+    estimate is held over every stage.  Only active contacts contribute.
     """
     xi_traj = np.asarray(xi_traj, dtype=float)
     steps, n_c = xi_traj.shape[:2]
     activity = np.asarray(gait, dtype=float)[:, :steps].T  # (K, n_c)
     wrenches = wrenches_from_parameters(xi_traj, orientations, surfaces)
-    targets, _ = payload_compensation_targets(states, activity, payload_hold, constants)
+    targets, _ = payload_compensation_targets(states, activity, PayloadArrays.of(payload), constants)
     return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
 
 

@@ -151,6 +151,19 @@ class PayloadDisturbance:
         )
 
 
+def _per_contact(x, n_c: int, width: int, name: str) -> np.ndarray:
+    """`x` as a finite (n_c, width) array, one row per contact."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"{name} must be an ({n_c}, {width}) array: {exc}") from exc
+    if arr.shape != (n_c, width):
+        raise ConfigurationError(f"{name} must be ({n_c}, {width}) for {n_c} contacts, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} must be finite")
+    return arr
+
+
 def centroidal_dynamics(
     state: CentroidalState,
     active,
@@ -161,28 +174,27 @@ def centroidal_dynamics(
 ) -> CentroidalState:
     """Continuous-time state derivative.
 
-    `active` holds one 0/1 stance flag per contact.  CoM velocity is the
-    linear momentum over the mass; the momentum rate sums the active contact
-    wrenches and the payload wrenches transported to the CoM minus gravity;
-    swing contacts move with their commanded velocity while active contacts
-    stay put.
+    `active` holds one 0/1 stance flag per contact, `wrenches` one row
+    (force, moment) per contact (n_c, 6) and `velocities` one commanded
+    velocity per contact (n_c, 3).  CoM velocity is the linear momentum over
+    the mass; the momentum rate sums the active contact wrenches and the
+    payload wrenches transported to the CoM minus gravity, contact by contact
+    in order; swing contacts move with their commanded velocity while active
+    contacts stay put.
 
     Wrenches must already be expressed in the inertial frame about the contact
     points held in `state.contact_positions`.
     """
     n_c = len(active)
-    if len(wrenches) != n_c or len(velocities) != n_c or state.n_contacts != n_c:
-        raise ConfigurationError(
-            f"contact count mismatch: {n_c} contacts, {len(wrenches)} wrenches, "
-            f"{len(velocities)} velocities, state has {state.n_contacts}"
-        )
+    if state.n_contacts != n_c:
+        raise ConfigurationError(f"contact count mismatch: {n_c} flags, state has {state.n_contacts}")
+    wrenches = _per_contact(wrenches, n_c, 6, "wrenches")
+    velocities = _per_contact(velocities, n_c, 3, "contact velocities")
     com = state.com_position
     h_dot = -constants.mass * constants.gravity_vector
     for flag, wrench, position in zip(active, wrenches, state.contact_positions):
         if flag:
-            h_dot = h_dot + np.concatenate(
-                [wrench.force, wrench.moment + np.cross(position - com, wrench.force)]
-            )
+            h_dot = h_dot + np.concatenate([wrench[:3], wrench[3:] + np.cross(position - com, wrench[:3])])
     for grip_wrench, grip_point in (
         (payload.left_wrench, payload.left_point),
         (payload.right_wrench, payload.right_point),
@@ -191,7 +203,7 @@ def centroidal_dynamics(
             [grip_wrench.force, grip_wrench.moment + np.cross(grip_point - com, grip_wrench.force)]
         )
     com_dot = state.linear_momentum / constants.mass
-    feet_dot = np.array([(1.0 - flag) * _vec(v, 3, "contact velocity") for flag, v in zip(active, velocities)])
+    feet_dot = (1.0 - np.asarray(active, dtype=float))[:, None] * velocities
     return CentroidalState(com_dot, h_dot, feet_dot)
 
 

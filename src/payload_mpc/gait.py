@@ -39,6 +39,9 @@ class GaitParameters:
     com_height: float = 0.53  # m
 
     def validate(self, dt: float) -> None:
+        for name in ("step_length", "step_width", "single_support_duration", "double_support_duration", "com_height"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"gait {name} must be finite, got {getattr(self, name)}")
         if self.number_of_steps < 0:
             raise ConfigurationError(f"number_of_steps must be >= 0, got {self.number_of_steps}")
         if self.com_height <= 0:

@@ -48,7 +48,6 @@ from .contact import (  # noqa: F401  (perfbench/spans.py wraps `mpc.parametriza
     parametrization_jacobian_batch,
     parametrization_vjp,
     rotate_wrenches,
-    surface_offsets,
     _unchecked_factors,
 )
 from .costs import Weights
@@ -90,6 +89,9 @@ class MpcConfig:
         if lb.size != 3 or ub.size != 3:
             raise ConfigurationError(f"footstep bounds must have 3 components, got shapes {lb.shape} and {ub.shape}")
         lb, ub = lb.reshape(3), ub.reshape(3)
+        for name, bound in (("footstep_bound_lower", lb), ("footstep_bound_upper", ub)):
+            if not np.isfinite(bound).all():
+                raise ConfigurationError(f"{name} must be finite, got {bound}")
         if np.any(lb > 0) or np.any(ub < 0):
             raise ConfigurationError("footstep bounds must satisfy lb <= 0 <= ub componentwise")
         self.footstep_bound_lower = lb
@@ -136,13 +138,6 @@ class HorizonReferences:
     @property
     def n_contacts(self) -> int:
         return self.footstep_refs.shape[0]
-
-
-def hold_payload_over_horizon(estimate: PayloadDisturbance, n_steps: int):
-    """Zero-order hold: the current payload estimate is assumed over every stage."""
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    return (estimate,) * n_steps
 
 
 def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, config: MpcConfig) -> np.ndarray:
@@ -214,8 +209,8 @@ class ShootingProblem:
         self._surface_constants = SurfaceConstants.of(self.surfaces)
         self.horizon = config.horizon
         self.n_contacts = refs.n_contacts
-        self.payload_hold = hold_payload_over_horizon(payload_estimate, self.horizon)
-        self._payload = _shooting.PayloadArrays.from_hold(self.payload_hold)
+        # zero-order hold: the one estimate acts at every stage of the horizon
+        self._payload = _shooting.PayloadArrays.of(payload_estimate)
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()
@@ -438,13 +433,9 @@ class ShootingProblem:
         return np.concatenate([blocks[1:], blocks[-1:]], axis=0).reshape(self.dim)
 
     def first_input(self, z: np.ndarray):
-        """Stage-0 command: inputs, inertial-frame wrenches, swing velocities."""
+        """Stage-0 command: inputs, inertial-frame wrenches (+0.0 rows for swing contacts), swing velocities."""
         inputs, vel = self.decode(z)
-        wrenches_world = self._wrenches_world(inputs[:1])[0]
-        wrenches = [
-            Wrench.from_array(wrenches_world[i]) if self.activity[0, i] else Wrench.zero()
-            for i in range(self.n_contacts)
-        ]
+        wrenches = np.where(self._gates.stance[0] != 0, self._wrenches_world(inputs[:1])[0], 0.0)
         return inputs[0].copy(), wrenches, vel[0].copy()
 
 
@@ -532,6 +523,7 @@ class HorizonProblem(ShootingProblem):
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())
         q_xi_d = np.diag(w.q_xi)
+        s = self._surface_constants
         for k in range(self.horizon):
             n_active = max(self.activity[k].sum(), 1.0)
             share = weight / n_active
@@ -539,15 +531,13 @@ class HorizonProblem(ShootingProblem):
             curv_moment = qd_m + momentum[k]
             for i in range(self.n_contacts):
                 gamma = self.activity[k, i]
-                d = surface_offsets(self.surfaces[i])
-                mu_c, mu_z = self.surfaces[i].mu_c, self.surfaces[i].mu_z
                 c = curvature[k, i]
-                c[0] = q_xi_d[0] + gamma * curv_force * (mu_c * share) ** 2
-                c[1] = q_xi_d[1] + gamma * curv_force * (mu_c * share) ** 2
+                c[0] = q_xi_d[0] + gamma * curv_force * (s.mu_c[i] * share) ** 2
+                c[1] = q_xi_d[1] + gamma * curv_force * (s.mu_c[i] * share) ** 2
                 c[2] = q_xi_d[2] + gamma * curv_force * share**2
-                c[3] = q_xi_d[3] + gamma * curv_moment * (d.delta_y * share) ** 2
-                c[4] = q_xi_d[4] + gamma * curv_moment * (d.delta_x * share) ** 2
-                c[5] = q_xi_d[5] + gamma * curv_moment * (mu_z * share) ** 2
+                c[3] = q_xi_d[3] + gamma * curv_moment * (s.delta_y[i] * share) ** 2
+                c[4] = q_xi_d[4] + gamma * curv_moment * (s.delta_x[i] * share) ** 2
+                c[5] = q_xi_d[5] + gamma * curv_moment * (s.mu_z[i] * share) ** 2
 
     def initial_warm_start(self) -> np.ndarray:
         """Static gravity-share guess: invert the per-contact share of the weight."""
@@ -570,7 +560,7 @@ class ControlStep:
     """Outcome of one receding-horizon update."""
 
     xi: np.ndarray  # (n_c, 6) stage-0 parameters, zeros for the baseline
-    wrenches: list  # inertial-frame Wrench per contact (zero for swing contacts)
+    wrenches: np.ndarray  # (n_c, 6) inertial frame, +0.0 rows for swing contacts
     contact_velocities: np.ndarray  # (n_c, 3)
     warm_start: np.ndarray  # shifted solution for the next period
     stats: SolverResult

@@ -48,11 +48,11 @@ per problem instead of once per rollout and adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import RobotConstants
+from .dynamics import PayloadDisturbance, RobotConstants
 
 
 # the six products of a cross product: a[_L] * b[_R] gives (a1 b2, a2 b0, a0 b1,
@@ -75,25 +75,30 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PayloadArrays:
-    """Held payload flattened to arrays over the horizon (K stages, 2 grips)."""
+    """A payload's two grips as arrays: (2, 3) for one estimate, or (K, 2, 3) for one per stage.
 
-    forces: np.ndarray  # (K, 2, 3)
-    moments: np.ndarray  # (K, 2, 3)
-    points: np.ndarray  # (K, 2, 3)
-    force_sum: np.ndarray  # (K, 3)
-    pivot_moment: np.ndarray  # (K, 3) sum of moments + points x forces (about the origin)
+    The problems hold one estimate over the whole horizon (`of`), whose
+    (2, 3) arrays and (3,) sums broadcast against every stage; every kernel
+    takes either shape.
+    """
+
+    forces: np.ndarray  # (..., 2, 3)
+    moments: np.ndarray  # (..., 2, 3)
+    points: np.ndarray  # (..., 2, 3)
+    force_sum: np.ndarray = field(init=False)  # (..., 3)
+    pivot_moment: np.ndarray = field(init=False)  # (..., 3) sum of moments + points x forces (about the origin)
+
+    def __post_init__(self):
+        object.__setattr__(self, "force_sum", self.forces.sum(axis=-2))
+        object.__setattr__(self, "pivot_moment", (self.moments + cross(self.points, self.forces)).sum(axis=-2))
 
     @classmethod
-    def from_hold(cls, payload_hold) -> "PayloadArrays":
-        forces = np.array([[p.left_wrench.force, p.right_wrench.force] for p in payload_hold])
-        moments = np.array([[p.left_wrench.moment, p.right_wrench.moment] for p in payload_hold])
-        points = np.array([[p.left_point, p.right_point] for p in payload_hold])
+    def of(cls, estimate: PayloadDisturbance) -> "PayloadArrays":
+        left, right = estimate.left_wrench, estimate.right_wrench
         return cls(
-            forces=forces,
-            moments=moments,
-            points=points,
-            force_sum=forces.sum(axis=1),
-            pivot_moment=(moments + cross(points, forces)).sum(axis=1),
+            forces=np.array([left.force, right.force]),
+            moments=np.array([left.moment, right.moment]),
+            points=np.array([estimate.left_point, estimate.right_point]),
         )
 
 
@@ -275,8 +280,11 @@ def payload_cost_state_seeds(
     c2 = c[:, None, 3:]
     h1, h2 = h[:, None, :3], h[:, None, 3:]
     z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
-    # every cross with h2 in one call: lever arms, z1, then the grip forces
-    by_h2 = cross(np.concatenate([r, z1, payload.forces], axis=1), h2)
+    # every cross with h2 in one call: lever arms, z1, then the grip forces,
+    # stacked in place (the assignment broadcasts a held payload's (2, 3) forces)
+    stacked = np.empty((steps, 2 * n_c + 2, 3))
+    stacked[:, :n_c], stacked[:, n_c : 2 * n_c], stacked[:, 2 * n_c :] = r, z1, payload.forces
+    by_h2 = cross(stacked, h2)
     zeta1 = h1 - by_h2[:, :n_c]
     by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], axis=1), c2)
     d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask

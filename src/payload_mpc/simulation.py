@@ -52,6 +52,9 @@ class PayloadSpec:
     onset_time: float = 0.0  # s
 
     def validate(self) -> None:
+        for name in ("mass", "left_offset", "right_offset", "onset_time"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"payload {name} must be finite, got {getattr(self, name)}")
         # `not x >= 0` also rejects nan
         if not self.mass >= 0:
             raise ConfigurationError(f"payload mass must be >= 0, got {self.mass}")
@@ -341,7 +344,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         # satisfy it by construction; the baseline within solver tolerance)
         for i in range(n_c):
             if active[i]:
-                margins = stability_margins(step.wrenches[i].as_array(), scenario.surface)
+                margins = stability_margins(step.wrenches[i], scenario.surface)
                 slack = -1e-12 if scenario.controller != CONTROLLER_BASELINE else -1e-5
                 if margins.min() < slack:
                     return _truncate_log(
@@ -357,7 +360,6 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         log.backtracks_per_tick[tick] = step.stats.backtracks
         log.outer_iterations_per_tick[tick] = step.stats.outer_iterations
         log.kkt_norm_per_tick[tick] = step.stats.kkt_norm
-        wrench_rows = np.array([w.as_array() for w in step.wrenches])
         cost_row = np.array(
             [
                 breakdown.get("tracking", 0.0),
@@ -382,7 +384,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             log.momentum[row] = state.momentum
             log.feet[row] = state.contact_positions
             log.feet_active[row] = active
-            log.wrenches[row] = wrench_rows
+            log.wrenches[row] = step.wrenches
             log.xi[row] = step.xi
             log.payload_fz_total[row] = payload_plant.total_force()[2]
             log.costs[row] = cost_row

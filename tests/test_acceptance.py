@@ -169,9 +169,8 @@ def test_criterion_4_static_equilibrium_with_payload():
         # force balance at the final tick
         state = CentroidalState(log.com[-1], log.momentum[-1], log.feet[-1])
         payload = payload_from_mass(scenario.payload.mass).translated(log.com[-1])
-        wrenches = [Wrench.from_array(log.wrenches[-1][i]) for i in range(log.n_contacts)]
         deriv = centroidal_dynamics(
-            state, log.feet_active[-1], wrenches, [np.zeros(3)] * 2, payload, scenario.constants
+            state, log.feet_active[-1], log.wrenches[-1], [np.zeros(3)] * 2, payload, scenario.constants
         )
         residual = np.linalg.norm(deriv.momentum)
         assert residual < 0.1, f"momentum rate residual {residual:.3f}"
@@ -323,7 +322,7 @@ def test_criterion_9_dynamics_invariants_and_determinism():
             [[0.0, 0.1, 0.0], [0.05, -0.1, 0.01]],
         )
         active = np.array([1, 0])  # stance flags
-        wrenches = [Wrench([0.4, -0.2, 6.0], [0.02, -0.05, 0.01]), Wrench.zero()]
+        wrenches = np.array([[0.4, -0.2, 6.0, 0.02, -0.05, 0.01], [0.0] * 6])
         velocities = [np.zeros(3), np.array([0.25, 0.0, 0.05])]
         payload = payload_from_mass(1.5).translated(state.com_position)
 
@@ -347,7 +346,7 @@ def test_criterion_9_dynamics_invariants_and_determinism():
         s = state
         for k in range(1, 41):
             s = euler_step(
-                s, [Wrench.zero()] * 2, velocities, PayloadDisturbance.zero(), free, constants, 0.2
+                s, np.zeros((2, 6)), velocities, PayloadDisturbance.zero(), free, constants, 0.2
             )
             assert np.array_equal(s.momentum[3:], state.momentum[3:])
             expected = state.momentum[2] - constants.mass * 9.81 * k * 0.2

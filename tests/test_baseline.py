@@ -52,7 +52,7 @@ def test_static_gravity_split():
     step = baseline_receding_horizon_step(prob)
     for wrench in step.wrenches:
         # symmetry + force balance oracle: half the weight each
-        assert wrench.force[2] == pytest.approx(9.81 / 2, rel=0.01)
+        assert wrench[2] == pytest.approx(9.81 / 2, rel=0.01)
 
 
 def test_solution_respects_stability_conditions():
@@ -68,7 +68,7 @@ def test_solution_respects_stability_conditions():
     assert step.stats.status == "converged"
     assert step.stats.constraint_violation <= CONSTRAINT_TOLERANCE
     for wrench in step.wrenches:
-        margins = is_contact_stable(wrench, SURFACE).margins
+        margins = is_contact_stable(Wrench.from_array(wrench), SURFACE).margins
         assert margins.min() > -1e-6
 
 
@@ -115,8 +115,7 @@ def test_static_behavior_agrees_with_parametrized():
     )
     base_step = baseline_receding_horizon_step(base)
     param_step = receding_horizon_step(param)
-    for bw, pw in zip(base_step.wrenches, param_step.wrenches):
-        assert np.abs(bw.as_array() - pw.as_array()).max() < 0.01
+    assert np.abs(base_step.wrenches - param_step.wrenches).max() < 0.01
 
     from payload_mpc.gait import GaitParameters
     from payload_mpc.simulation import Scenario, run_closed_loop, with_controller

@@ -111,6 +111,13 @@ def test_verify_param_zero_samples_rejected():
     assert main(["verify-param", "--samples", "0"]) == 3
 
 
+def test_verify_param_negative_seed_rejected(capsys):
+    # the sampler takes non-negative seeds only; exit 1 is for property failures
+    assert main(["verify-param", "--samples", "10", "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["configuration error: seed must be >= 0, got -1"]
+
+
 def test_simulate_rejects_invalid_solver_option(tmp_path, capsys):
     config = write_config(tmp_path, {"solver": {"max_iterations": 0}})
     code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])

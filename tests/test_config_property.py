@@ -17,6 +17,7 @@ check bounds the support durations or the iteration budget.
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -119,3 +120,25 @@ def test_any_config_document_exits_cleanly(tmp_path, capsys, document):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (code, document, err)
     assert "Traceback" not in err, (document, err)
+
+
+# numbers past the double range: `json.load` reads `1e400` as inf without
+# calling its `parse_constant` hook, and `json.dumps` cannot write one, so
+# these documents are raw text
+OVERFLOWING = [
+    ('"surface": {"x_min": -1e400}', "x_min"),
+    ('"surface": {"mu_c": 1e400}', "mu_c"),
+    ('"gait": {"step_length": 1e400}', "step_length"),
+    ('"mpc": {"footstep_bound_upper": [1e400, 0.05, 0.001]}', "footstep_bound_upper"),
+    ('"payload": {"mass": 1.5, "left_offset": [0.25, 1e400, 0.0]}', "left_offset"),
+]
+
+
+@pytest.mark.parametrize("section, name", OVERFLOWING)
+def test_overflowing_number_exits_3_naming_its_field(tmp_path, capsys, section, name):
+    config = tmp_path / "config.json"
+    config.write_text('{"duration": 0.4, ' + section + "}")
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert len(lines) == 1 and name in lines[0] and "must be finite" in lines[0], lines

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from payload_mpc.contact import (
     ContactSurface,
+    SurfaceConstants,
     invert_parametrization,
     is_contact_stable,
     parametrization_jacobian,
     parametrize,
     parametrize_batch,
     stability_margins,
-    surface_offsets,
 )
 from payload_mpc.dynamics import Wrench
 from payload_mpc.errors import ConfigurationError, InversionError, ParameterRangeError
@@ -36,19 +36,19 @@ def random_surface(rng):
 
 
 def test_offsets_symmetric():
-    d = surface_offsets(SYMMETRIC)
+    d = SurfaceConstants.of(SYMMETRIC)
     assert (d.delta_x, d.delta_x0, d.delta_y, d.delta_y0) == (0.1, 0.0, 0.05, 0.0)
 
 
 def test_offsets_shifted_x():
-    d = surface_offsets(ContactSurface(0.0, 0.2, -0.05, 0.05))
+    d = SurfaceConstants.of(ContactSurface(0.0, 0.2, -0.05, 0.05))
     # oracle: half-width (0.2-0)/2, negated center -(0.2+0)/2
     assert d.delta_x == pytest.approx(0.1)
     assert d.delta_x0 == pytest.approx(-0.1)
 
 
 def test_offsets_shifted_y_sign_asymmetry():
-    d = surface_offsets(ContactSurface(-0.1, 0.1, 0.0, 0.1))
+    d = SurfaceConstants.of(ContactSurface(-0.1, 0.1, 0.0, 0.1))
     assert d.delta_y == pytest.approx(0.05)
     assert d.delta_y0 == pytest.approx(+0.05)  # y center keeps its sign
 

@@ -13,7 +13,8 @@ from payload_mpc.costs import (
 from payload_mpc.contact import ContactSurface
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError, InfeasiblePhaseError
-from payload_mpc.mpc import HorizonReferences, hold_payload_over_horizon
+from payload_mpc.mpc import HorizonReferences
+from payload_mpc.shooting import PayloadArrays
 
 FOOT = ContactSurface(-0.1, 0.1, -0.05, 0.05)
 
@@ -129,7 +130,7 @@ def payload_cost_args(xi, state_vec, payload, gait):
     return dict(
         xi_traj=xi,
         states=state_vec,
-        payload_hold=hold_payload_over_horizon(payload, xi.shape[0]),
+        payload=payload,
         gait=gait,
         orientations=np.tile(np.eye(3), (n_c, 1, 1)),
         surfaces=[FOOT] * n_c,
@@ -173,7 +174,7 @@ def test_payload_target_with_disturbance_at_com():
     com = np.array([0.0, 0.0, 0.0])
     states = np.concatenate([com, np.zeros(6), com])[None, :]
     targets, _ = payload_compensation_targets(
-        states, np.array([[1.0]]), hold_payload_over_horizon(payload, 1), RobotConstants(mass=1.0)
+        states, np.array([[1.0]]), PayloadArrays.of(payload), RobotConstants(mass=1.0)
     )
     assert np.allclose(targets[0, 0], [0, 0, 24.525, 0, 0, 0], atol=1e-12)
 
@@ -189,22 +190,34 @@ def test_payload_cost_requires_active_contact():
 
 
 def test_hold_payload_over_horizon():
+    # one estimate's (2, 3) grip arrays act at every stage: its targets equal,
+    # bitwise, those of the same estimate stacked once per stage
     payload = PayloadDisturbance(
-        Wrench([0, 0, -14.715], [0, 0, 0]), Wrench.zero(), [0.25, 0.1, -0.1325], [0.25, -0.1, -0.1325]
+        Wrench([0, 0, -14.715], [0.1, 0, 0]), Wrench([0, 0.2, -1.0], [0, 0, 0.3]),
+        [0.25, 0.1, -0.1325], [0.25, -0.1, -0.1325],
     )
-    hold = hold_payload_over_horizon(payload, 10)
-    assert len(hold) == 10
-    assert all(h is payload for h in hold)
-    zero_hold = hold_payload_over_horizon(PayloadDisturbance.zero(), 3)
-    assert all(np.array_equal(h.total_force(), [0, 0, 0]) for h in zero_hold)
-    with pytest.raises(ConfigurationError):
-        hold_payload_over_horizon(payload, 0)
+    held = PayloadArrays.of(payload)
+    assert held.forces.shape == held.moments.shape == held.points.shape == (2, 3)
+    assert np.array_equal(held.force_sum, payload.total_force())
+    steps = 10
+    stacked = PayloadArrays(
+        *(np.broadcast_to(a, (steps, 2, 3)).copy() for a in (held.forces, held.moments, held.points))
+    )
+    rng = np.random.default_rng(3)
+    states = rng.normal(0.0, 0.2, (steps + 1, 15))
+    activity = np.ones((steps, 2))
+    robot = RobotConstants(mass=1.0)
+    got, _ = payload_compensation_targets(states, activity, held, robot)
+    want, _ = payload_compensation_targets(states, activity, stacked, robot)
+    assert got.tobytes() == want.tobytes()
+    zero = PayloadArrays.of(PayloadDisturbance.zero())
+    assert np.array_equal(zero.force_sum, [0, 0, 0]) and np.array_equal(zero.pivot_moment, [0, 0, 0])
 
 
 def test_hold_is_per_call():
     first = PayloadDisturbance(Wrench([0, 0, -1], [0, 0, 0]), Wrench.zero(), np.zeros(3), np.zeros(3))
     second = PayloadDisturbance(Wrench([0, 0, -2], [0, 0, 0]), Wrench.zero(), np.zeros(3), np.zeros(3))
-    hold1 = hold_payload_over_horizon(first, 4)
-    hold2 = hold_payload_over_horizon(second, 4)
-    assert all(h.left_wrench.force[2] == -1 for h in hold1)
-    assert all(h.left_wrench.force[2] == -2 for h in hold2)
+    hold1 = PayloadArrays.of(first)
+    hold2 = PayloadArrays.of(second)
+    assert hold1.forces[0, 2] == -1 and hold1.force_sum[2] == -1
+    assert hold2.forces[0, 2] == -2 and hold2.force_sum[2] == -2

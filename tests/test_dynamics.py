@@ -78,7 +78,7 @@ def test_free_fall_drift():
     state = CentroidalState([0, 0, 1.0], np.zeros(6), [[0.1, 0, 0], [-0.1, 0, 0]])
     active = np.array([0, 0])
     vel = [np.array([0.3, 0, 0]), np.array([0, 0.5, 0])]
-    deriv = centroidal_dynamics(state, active, [Wrench.zero()] * 2, vel, PayloadDisturbance.zero(), constants())
+    deriv = centroidal_dynamics(state, active, np.zeros((2, 6)), vel, PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.momentum, [0, 0, -9.81, 0, 0, 0])
     assert np.allclose(deriv.contact_positions, vel)
 
@@ -86,8 +86,8 @@ def test_free_fall_drift():
 def test_static_equilibrium_single_support():
     state = CentroidalState([0, 0, 0.53], np.zeros(6), [[0, 0, 0]])
     active = np.array([1])
-    w = Wrench([0, 0, 9.81], [0, 0, 0])
-    deriv = centroidal_dynamics(state, active, [w], [np.zeros(3)], PayloadDisturbance.zero(), constants())
+    w = np.array([[0, 0, 9.81, 0, 0, 0]])
+    deriv = centroidal_dynamics(state, active, w, [np.zeros(3)], PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.momentum, 0.0, atol=1e-12)
     assert np.allclose(deriv.contact_positions, 0.0)
 
@@ -95,7 +95,7 @@ def test_static_equilibrium_single_support():
 def test_com_velocity_is_linear_momentum_over_mass():
     state = CentroidalState([0, 0, 0], [1, 0, 0, 0, 0, 0], [[0, 0, 0]])
     active = np.array([0])
-    deriv = centroidal_dynamics(state, active, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), constants())
+    deriv = centroidal_dynamics(state, active, np.zeros((1, 6)), [np.zeros(3)], PayloadDisturbance.zero(), constants())
     assert np.allclose(deriv.com_position, [1, 0, 0])
 
 
@@ -103,13 +103,13 @@ def test_length_mismatch_rejected():
     state = CentroidalState([0, 0, 0], np.zeros(6), [[0, 0, 0]])
     active = np.array([1])
     with pytest.raises(ConfigurationError):
-        centroidal_dynamics(state, active, [Wrench.zero()] * 2, [np.zeros(3)], PayloadDisturbance.zero(), constants())
+        centroidal_dynamics(state, active, np.zeros((2, 6)), [np.zeros(3)], PayloadDisturbance.zero(), constants())
 
 
 def test_euler_free_fall_one_step():
     state = CentroidalState([0, 0, 1.0], np.zeros(6), [[0, 0, 0]])
     active = np.array([0])
-    nxt = euler_step(state, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
+    nxt = euler_step(state, np.zeros((1, 6)), [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
     # oracle: one hand integration step of -m g dt
     assert nxt.momentum[2] == pytest.approx(-1.962, abs=1e-12)
 
@@ -118,15 +118,15 @@ def test_euler_active_contact_position_bitwise_frozen():
     feet = np.array([[0.123456789, -0.2, 1e-9]])
     state = CentroidalState([0, 0, 0.5], np.zeros(6), feet)
     active = np.array([1])
-    nxt = euler_step(state, [Wrench.zero()], [np.array([5.0, -3.0, 2.0])], PayloadDisturbance.zero(), active, constants(), 0.2)
+    nxt = euler_step(state, np.zeros((1, 6)), [np.array([5.0, -3.0, 2.0])], PayloadDisturbance.zero(), active, constants(), 0.2)
     assert np.array_equal(nxt.contact_positions, feet)
 
 
 def test_euler_static_equilibrium_is_fixed_point():
     state = CentroidalState([0, 0, 0.53], np.zeros(6), [[0, 0, 0]])
     active = np.array([1])
-    w = Wrench([0, 0, 9.81], [0, 0, 0])
-    nxt = euler_step(state, [w], [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
+    w = np.array([[0, 0, 9.81, 0, 0, 0]])
+    nxt = euler_step(state, w, [np.zeros(3)], PayloadDisturbance.zero(), active, constants(), 0.2)
     assert np.allclose(nxt.as_vector(), state.as_vector(), atol=1e-12)
 
 
@@ -137,7 +137,7 @@ def _rich_setup():
         [[0.0, 0.1, 0.0], [0.05, -0.1, 0.01]],
     )
     active = np.array([1, 0])
-    wrenches = [Wrench([0.4, -0.2, 6.0], [0.02, -0.05, 0.01]), Wrench([0.1, 0.2, 3.0], [0, 0, 0])]
+    wrenches = np.array([[0.4, -0.2, 6.0, 0.02, -0.05, 0.01], [0.1, 0.2, 3.0, 0, 0, 0]])
     velocities = [np.zeros(3), np.array([0.25, 0.0, 0.05])]
     payload = PayloadDisturbance(
         Wrench([0, 0, -7.3575], [0, 0, 0]),
@@ -178,7 +178,7 @@ def test_free_fall_conservation_many_steps():
     dt = 0.2
     s = state
     for k in range(1, 51):
-        s = euler_step(s, [Wrench.zero()], [np.zeros(3)], PayloadDisturbance.zero(), active, cst, dt)
+        s = euler_step(s, np.zeros((1, 6)), [np.zeros(3)], PayloadDisturbance.zero(), active, cst, dt)
         assert np.array_equal(s.momentum[3:], angular0)  # exactly conserved
         expected = state.momentum[2] - cst.mass * 9.81 * k * dt
         assert s.momentum[2] == pytest.approx(expected, rel=1e-13)

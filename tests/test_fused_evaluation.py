@@ -344,7 +344,7 @@ def test_targets_with_problem_constants_equal_fresh_call(seed, n_c):
         states = problem.rollout(problem.initial_warm_start() + rng.normal(0, 0.3, problem.dim))
         want, want_cache = reference_targets(states, problem.activity, problem._payload, robot)
         got, got_cache = payload_compensation_targets(states, problem.activity, problem._payload, robot, fixed)
-        fresh, _ = payload_compensation_targets(states, problem.activity, problem.payload_hold, robot)
+        fresh, _ = payload_compensation_targets(states, problem.activity, problem._payload, robot)
         assert got.tobytes() == want.tobytes()
         assert fresh.tobytes() == want.tobytes()
         for key in want_cache:

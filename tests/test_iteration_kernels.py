@@ -21,7 +21,7 @@ from payload_mpc.contact import (
     parametrization_jacobian_batch,
     parametrize_batch,
 )
-from payload_mpc.dynamics import PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import RobotConstants
 from payload_mpc.shooting import (
     PayloadArrays,
     StageGates,
@@ -169,8 +169,11 @@ def draw_values(rng, shape, scale, zeros):
     return out
 
 
-def shooting_instance(horizon, n_c, pattern, payload_scale, seed, zeros):
-    """A random horizon with at least one active contact per stage and a 2-grip payload."""
+def shooting_instance(horizon, n_c, pattern, payload_scale, seed, zeros, held):
+    """A random horizon with at least one active contact per stage and a 2-grip payload.
+
+    The payload is one held estimate (2, 3), or with `held` false one per stage (K, 2, 3).
+    """
     rng = np.random.default_rng(seed)
     if pattern == "stance":
         activity = np.ones((horizon, n_c))
@@ -180,16 +183,12 @@ def shooting_instance(horizon, n_c, pattern, payload_scale, seed, zeros):
         activity = rng.integers(0, 2, (horizon, n_c)).astype(float)
     idle = activity.sum(axis=1) == 0
     activity[idle, rng.integers(0, n_c, idle.sum())] = 1.0
-    hold = [
-        PayloadDisturbance(
-            Wrench.from_array(draw_values(rng, 6, payload_scale, zeros)),
-            Wrench.from_array(draw_values(rng, 6, payload_scale, zeros)),
-            draw_values(rng, 3, 0.3, zeros),
-            draw_values(rng, 3, 0.3, zeros),
-        )
-        for _ in range(horizon)
-    ]
-    payload = PayloadArrays.from_hold(hold)
+    grips = (2, 3) if held else (horizon, 2, 3)
+    payload = PayloadArrays(
+        draw_values(rng, grips, payload_scale, zeros),
+        draw_values(rng, grips, payload_scale, zeros),
+        draw_values(rng, grips, 0.3, zeros),
+    )
     constants = RobotConstants(mass=float(rng.uniform(0.5, 40.0)))
     dt = float(rng.choice([0.2, 0.05, 0.137]))
     x0 = draw_values(rng, 9 + 3 * n_c, 0.5, zeros)
@@ -210,6 +209,7 @@ shooting_instances = st.builds(
     payload_scale=st.sampled_from([0.0, 1.0, 50.0]),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.booleans(),
+    held=st.booleans(),
 )
 
 

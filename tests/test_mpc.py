@@ -216,8 +216,8 @@ def test_receding_horizon_gravity_share():
     expected = parametrize(share, SURFACE).as_array()
     for wrench in step.wrenches:
         # force balance oracle: each foot carries about half the weight
-        assert wrench.force[2] == pytest.approx(9.81 / 2, rel=0.01)
-        assert np.allclose(wrench.as_array(), expected, atol=0.05)
+        assert wrench[2] == pytest.approx(9.81 / 2, rel=0.01)
+        assert np.allclose(wrench, expected, atol=0.05)
     assert np.allclose(step.contact_velocities, 0.0, atol=1e-4)
 
 
@@ -241,7 +241,7 @@ def test_payload_between_feet_force_balance():
     )
     prob = static_problem(payload=payload)
     step = receding_horizon_step(prob)
-    total = sum(w.force[2] for w in step.wrenches)
+    total = step.wrenches[:, 2].sum()
     # force balance oracle: momentum rate zero needs (m + 1.5) g total
     assert total == pytest.approx(2.5 * 9.81, rel=0.01)
 
@@ -262,13 +262,34 @@ def test_first_input_always_contact_stable():
     step = receding_horizon_step(prob)
     for i, wrench in enumerate(step.wrenches):
         if gait[i, 0]:
-            assert is_contact_stable(wrench, SURFACE).satisfied
+            assert is_contact_stable(Wrench.from_array(wrench), SURFACE).satisfied
+
+
+@pytest.mark.parametrize("controller", sorted(BUILDERS))
+def test_control_step_wrenches_are_stage0_world_rows_with_zero_swing_rows(controller):
+    rng = np.random.default_rng(4)
+    gait = np.ones((2, 11), dtype=int)
+    gait[1, 0:3] = 0  # contact 1 swings at stage 0
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    refs = static_refs(gait=gait)
+    refs.contact_orientations[1] = rot
+    state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
+    config = MpcConfig(solver=SolverOptions(max_iterations=1))
+    prob = BUILDERS[controller](state, refs, PayloadDisturbance.zero(), Weights(), config, CONSTANTS, [SURFACE] * 2)
+    step = receding_horizon_step(prob, rng.normal(0.0, 0.5, prob.dim))
+    inputs, _ = prob.decode(step.stats.z)
+    world = prob._wrenches_world(inputs[:1])[0]
+    assert isinstance(step.wrenches, np.ndarray) and step.wrenches.shape == (2, 6)
+    assert step.wrenches[0].tobytes() == world[0].tobytes()
+    # the swing row is masked, not zero already: a negative entry times a zero gate would be -0.0
+    assert np.signbit(world[1]).any()
+    assert step.wrenches[1].tobytes() == np.zeros(6).tobytes()  # +0.0, not -0.0
 
 
 def test_symmetric_stance_forces_match():
     prob = static_problem()
     step = receding_horizon_step(prob)
-    fz = [w.force[2] for w in step.wrenches]
+    fz = step.wrenches[:, 2]
     assert abs(fz[0] - fz[1]) / max(fz) < 0.01
 
 

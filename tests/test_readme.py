@@ -23,7 +23,7 @@ def test_library_example_runs(capsys):
     assert capsys.readouterr().out
     # its comment: about half the 1 kg robot's weight on each foot
     for wrench in namespace["step"].wrenches:
-        assert wrench.force[2] == pytest.approx(9.81 / 2, rel=0.1)
+        assert wrench[2] == pytest.approx(9.81 / 2, rel=0.1)
 
 
 def test_readme_names_exactly_the_scripts():

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from payload_mpc.dynamics import PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import RobotConstants
 from payload_mpc.shooting import PayloadArrays, StageGates, cross, rollout, rollout_adjoint, stage_forces
 
 
@@ -83,7 +83,7 @@ def draw(rng, shape, scale, zeros):
     return out
 
 
-def instance(horizon, n_c, pattern, payload_scale, seed, zeros):
+def instance(horizon, n_c, pattern, payload_scale, seed, zeros, held):
     rng = np.random.default_rng(seed)
     if pattern == "stance":
         activity = np.ones((horizon, n_c))
@@ -93,22 +93,19 @@ def instance(horizon, n_c, pattern, payload_scale, seed, zeros):
         activity = (np.add.outer(np.arange(horizon), np.arange(n_c)) % 2).astype(float)
     else:
         activity = rng.integers(0, 2, (horizon, n_c)).astype(float)
-    hold = [
-        PayloadDisturbance(
-            Wrench.from_array(draw(rng, 6, payload_scale, zeros)),
-            Wrench.from_array(draw(rng, 6, payload_scale, zeros)),
-            draw(rng, 3, 0.3, zeros),
-            draw(rng, 3, 0.3, zeros),
-        )
-        for _ in range(horizon)
-    ]
+    # one held estimate (2, 3) that broadcasts against every stage, or a
+    # different payload per stage (K, 2, 3)
+    grips = (2, 3) if held else (horizon, 2, 3)
+    payload = PayloadArrays(
+        draw(rng, grips, payload_scale, zeros), draw(rng, grips, payload_scale, zeros), draw(rng, grips, 0.3, zeros)
+    )
     constants = RobotConstants(mass=float(rng.uniform(0.5, 40.0)))
     dt = float(rng.choice([0.2, 0.05, 0.137]))
     x0 = draw(rng, 9 + 3 * n_c, 0.5, zeros)
     wrenches = draw(rng, (horizon, n_c, 6), 10.0, zeros)
     velocities = draw(rng, (horizon, n_c, 3), 0.3, zeros)
     seeds = draw(rng, (horizon + 1, 9 + 3 * n_c), 1.0, zeros)
-    return x0, wrenches, velocities, activity, PayloadArrays.from_hold(hold), constants, dt, seeds
+    return x0, wrenches, velocities, activity, payload, constants, dt, seeds
 
 
 instances = st.builds(
@@ -119,6 +116,7 @@ instances = st.builds(
     payload_scale=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.booleans(),
+    held=st.booleans(),
 )
 
 
@@ -147,7 +145,7 @@ def test_adjoint_bitwise_equals_stage_loop(case):
 
 
 def test_adjoint_leaves_seeds_untouched():
-    x0, wrenches, velocities, activity, payload, constants, dt, seeds = instance(10, 2, "random", 1.0, 7, True)
+    x0, wrenches, velocities, activity, payload, constants, dt, seeds = instance(10, 2, "random", 1.0, 7, True, False)
     gates, forces = gates_and_forces(wrenches, activity, payload, constants, dt)
     states = rollout(x0, velocities, payload, dt, gates, forces)
     before = seeds.copy()
