@@ -15,6 +15,11 @@ change meant to leave the arithmetic untouched is checked:
     python3 scripts/walk_digest.py                       # this checkout
     python3 /path/to/other/checkout/scripts/walk_digest.py
 
+`--seed` takes several seeds and runs them in one process, seed after seed,
+each seed's walks in order; the benchmark slices at seeds 0-24:
+
+    python3 scripts/walk_digest.py --slice --walk carry-walk --walk flat-walk-baseline --seed $(seq 0 24)
+
 The script imports `payload_mpc` from the checkout it sits in, whatever the
 working directory, and pins BLAS to one thread.
 """
@@ -77,31 +82,37 @@ def print_shared_trace(seed: int, full: bool) -> None:
     sys.stdout.flush()
 
 
+def print_walk(name: str, seed: int, full: bool) -> None:
+    """Digest of one closed-loop walk, and a short digest of each of its logs."""
+    log = run_closed_loop(make_scenario(name, seed, full=full))
+    parts = log_bytes(log)
+    total = hashlib.sha256()
+    for key in LOGS:
+        total.update(hashlib.sha256(parts[key]).digest())
+    statuses = log.status_per_tick
+    print(
+        f"{name} seed={seed} ticks={len(statuses)} "
+        f"mean_iterations={float(np.mean(log.iterations_per_tick)):.6f} "
+        f"non_converged={sum(s != 'converged' for s in statuses)} sha256={total.hexdigest()}"
+    )
+    for key in LOGS:
+        print(f"  {key:<10} {hashlib.sha256(parts[key]).hexdigest()[:16]}")
+    sys.stdout.flush()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--walk", choices=WALKS, action="append", help="walk to run (repeatable; default all)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0], help="seeds to run, in order (default 0)")
     parser.add_argument("--slice", action="store_true", help="run the benchmark slice instead of the whole walk")
     args = parser.parse_args()
 
-    for name in args.walk or WALKS:
-        if name == "flat-walk-shared":
-            print_shared_trace(args.seed, full=not args.slice)
-            continue
-        log = run_closed_loop(make_scenario(name, args.seed, full=not args.slice))
-        parts = log_bytes(log)
-        total = hashlib.sha256()
-        for key in LOGS:
-            total.update(hashlib.sha256(parts[key]).digest())
-        statuses = log.status_per_tick
-        print(
-            f"{name} seed={args.seed} ticks={len(statuses)} "
-            f"mean_iterations={float(np.mean(log.iterations_per_tick)):.6f} "
-            f"non_converged={sum(s != 'converged' for s in statuses)} sha256={total.hexdigest()}"
-        )
-        for key in LOGS:
-            print(f"  {key:<10} {hashlib.sha256(parts[key]).hexdigest()[:16]}")
-        sys.stdout.flush()
+    for seed in args.seed:
+        for name in args.walk or WALKS:
+            if name == "flat-walk-shared":
+                print_shared_trace(seed, full=not args.slice)
+            else:
+                print_walk(name, seed, full=not args.slice)
     return 0
 
 

@@ -23,6 +23,7 @@ from .contact import rotate_wrenches
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from .mpc import HorizonReferences, MpcConfig, ShootingProblem, receding_horizon_step
+from .shooting import einsum
 from .solver import solve  # noqa: F401  (perfbench/spans.py wraps `baseline.solve`)
 
 STABILITY_RESIDUALS_PER_CONTACT = 5
@@ -77,10 +78,10 @@ class BaselineProblem(ShootingProblem):
     def _input_costs(self, point) -> dict:
         wrenches, w = point.inputs, self.weights
         cost = _costs.velocity_regularization_cost(point.velocities, w)
-        cost += 0.5 * float(np.einsum("kli,ij,klj->", wrenches, w.q_wrench_reg, wrenches))
+        cost += 0.5 * float(einsum("kli,ij,klj->", wrenches, w.q_wrench_reg, wrenches))
         if self._both_stages.size:
             diff = point.factors.similarity
-            cost += 0.5 * float(np.einsum("ki,ij,kj->", diff, w.q_force_similarity, diff))
+            cost += 0.5 * float(einsum("ki,ij,kj->", diff, w.q_force_similarity, diff))
         return {"input_reg": cost}
 
     # -- constraints ----------------------------------------------------------------
@@ -112,7 +113,7 @@ class BaselineProblem(ShootingProblem):
         fz, mz = wrenches[..., 2], wrenches[..., 5]
         a_y, b_y, a_x, b_x = cop_factors
         sw1 = sw[..., 1]
-        g = np.zeros_like(wrenches)
+        g = np.zeros(wrenches.shape)
         g2 = g[..., 2]
         g2 += sw[..., 0]
         g[..., :2] += sw1[..., None] * (-2.0 * wrenches[..., :2])

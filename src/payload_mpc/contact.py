@@ -44,6 +44,7 @@ almost but not all of K) and raise `InversionError`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,21 @@ class ContactSurface:
             raise ConfigurationError(f"mu_z must be positive, got {self.mu_z}")
         if not (self.fz_min >= 0):
             raise ConfigurationError(f"fz_min must be non-negative, got {self.fz_min}")
+        # what `SurfaceConstants.of` and the baseline's cone gradients derive
+        # from finite fields can still overflow (Python floats overflow to inf)
+        x_min, x_max, y_min, y_max = float(self.x_min), float(self.x_max), float(self.y_min), float(self.y_max)
+        mu_c, mu_z = float(self.mu_c), float(self.mu_z)
+        derived = (
+            ("x_min, x_max", "half-extent 0.5 * (x_max - x_min)", 0.5 * (x_max - x_min)),
+            ("x_min, x_max", "center 0.5 * (x_max + x_min)", 0.5 * (x_max + x_min)),
+            ("y_min, y_max", "half-extent 0.5 * (y_max - y_min)", 0.5 * (y_max - y_min)),
+            ("y_min, y_max", "center 0.5 * (y_max + y_min)", 0.5 * (y_max + y_min)),
+            ("mu_c", "2 mu_c^2", 2.0 * mu_c * mu_c),
+            ("mu_z", "2 mu_z^2", 2.0 * mu_z * mu_z),
+        )
+        for fields, what, value in derived:
+            if not math.isfinite(value):
+                raise ConfigurationError(f"surface {fields}: {what} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from .dynamics import PayloadDisturbance, RobotConstants
 from .errors import ConfigurationError, InfeasiblePhaseError
 from .shooting import PayloadArrays
 from .shooting import cross as _cross
+from .shooting import einsum as _einsum
+from .shooting import linalg_solve as _linalg_solve
 
 
 def _weight_matrix(value, n: int, name: str) -> np.ndarray:
@@ -90,7 +92,7 @@ class Weights:
 def _quad(err: np.ndarray, weight: np.ndarray) -> float:
     # err rows are vectors; total 0.5 * sum_k err_k' W err_k
     flat = np.asarray(err, dtype=float).reshape(-1, weight.shape[0])
-    return 0.5 * float(np.einsum("ki,ij,kj->", flat, weight, flat))
+    return 0.5 * float(_einsum("ki,ij,kj->", flat, weight, flat))
 
 
 def split_states(states: np.ndarray, n_contacts: int):
@@ -184,17 +186,17 @@ def payload_compensation_targets(
     # M = sum_i gamma_i * A_i A_i' with A_i = [[I, 0], [S(r_i), I]]
     m_mat = np.empty((steps, 6, 6))
     m_mat[:, :3, :3] = fixed.eye_scaled
-    s_sum = np.einsum("ki,kiab->kab", activity, rx)
+    s_sum = _einsum("ki,kiab->kab", activity, rx)
     m_mat[:, :3, 3:] = -s_sum  # S' = -S
     m_mat[:, 3:, :3] = s_sum
-    m_mat[:, 3:, 3:] = np.einsum("ki,kiab,kicb->kac", activity, rx, rx) + fixed.eye_scaled
+    m_mat[:, 3:, 3:] = _einsum("ki,kiab,kicb->kac", activity, rx, rx) + fixed.eye_scaled
 
     # wrench of the payload about the current CoM, negated
     b = np.empty((steps, 6))
     b[:, :3] = -payload.force_sum
     b[:, 3:] = -(payload.pivot_moment - _cross(com, payload.force_sum))
 
-    c = np.linalg.solve(m_mat, b[..., None])[..., 0]  # (K, 6)
+    c = _linalg_solve(m_mat, b[..., None])[..., 0]  # (K, 6)
     # A_i' c = (c1 - r_i x c2, c2)
     z1 = c[:, None, :3] - _cross(r, c[:, None, 3:])
     targets = np.empty((steps, n_c, 6))
@@ -260,4 +262,4 @@ def _skew_batch(v: np.ndarray) -> np.ndarray:
     signed = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
     # `take`, not `signed[..., _SKEW]`: that result is not C-ordered, and the
     # einsums over these matrices sum in an order that follows the layout
-    return np.take(signed, _SKEW, axis=-1).reshape(v.shape + (3,))
+    return signed.take(_SKEW, axis=-1).reshape(v.shape + (3,))

@@ -27,9 +27,13 @@ def gravity_vector() -> np.ndarray:
     return np.array([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0])
 
 
-def _vec(x, n: int, name: str) -> np.ndarray:
+def _vec(x, n: int, name: str, exact: bool = False) -> np.ndarray:
+    """`x` as a finite (n,) float array; any n-element shape is reshaped unless `exact`."""
     try:
-        arr = np.asarray(x, dtype=float).reshape(n)
+        arr = np.asarray(x, dtype=float)
+        if exact and arr.shape != (n,):
+            raise ValueError(f"got shape {arr.shape}")
+        arr = arr.reshape(n)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"{name} must be a {n}-vector: {exc}") from exc
     if not np.all(np.isfinite(arr)):
@@ -90,7 +94,7 @@ class RobotConstants:
         # about 1e-154 kg; no legged robot weighs under a gram
         if not (np.isfinite(self.mass) and self.mass >= 1e-3):
             raise ConfigurationError(f"mass must be finite and at least 1e-3 kg, got {self.mass}")
-        object.__setattr__(self, "gravity_vector", _vec(self.gravity_vector, 6, "gravity_vector"))
+        object.__setattr__(self, "gravity_vector", _vec(self.gravity_vector, 6, "gravity_vector", exact=True))
 
 
 @dataclass(frozen=True)

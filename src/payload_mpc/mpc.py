@@ -152,7 +152,7 @@ def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, conf
     """
     steps, n_c = feet_err.shape[0] - 1, feet_err.shape[1]
     err_world = feet_err[1:]  # (K, n_c, 3)
-    err = np.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
+    err = _shooting.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
     if config.footstep_bound_mode == BOUND_MODE_BOX:
         lower = err - config.footstep_bound_lower
         upper = config.footstep_bound_upper - err
@@ -310,7 +310,7 @@ class ShootingProblem:
         point = self._point(z)
         states = point.states
         steps, n_c = self.horizon, self.n_contacts
-        seeds = np.zeros_like(states)
+        seeds = np.zeros(states.shape)
         # tracking task: CoM error and angular momentum
         seeds[:, 0:3] += point.com_err @ self.weights.q_c
         seeds[:, 6:9] += states[:, 6:9] @ self.weights.q_h
@@ -329,19 +329,19 @@ class ShootingProblem:
 
     def _bound_state_seeds(self, point: _shooting.ShootingPoint, s: np.ndarray) -> np.ndarray:
         steps, n_c = self.horizon, self.n_contacts
-        seeds = np.zeros_like(point.states)
+        seeds = np.zeros(point.states.shape)
         rots = self.refs.contact_orientations
         if self.config.footstep_bound_mode == BOUND_MODE_BOX:
             sw = s.reshape(steps, n_c, 6)
             # d(e - lb)/dp = R', d(ub - e)/dp = -R'
             delta = sw[..., :3] - sw[..., 3:]
-            seeds[1:, 9:] = np.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
+            seeds[1:, 9:] = _shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
         else:
             sw = s.reshape(steps, n_c)
-            err = np.einsum("iba,kib->kia", rots, point.feet_err[1:])
+            err = _shooting.einsum("iba,kib->kia", rots, point.feet_err[1:])
             norm = np.linalg.norm(err, axis=2, keepdims=True)
             unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
-            contrib = -sw[..., None] * np.einsum("iab,kib->kia", rots, unit)
+            contrib = -sw[..., None] * _shooting.einsum("iab,kib->kia", rots, unit)
             seeds[1:, 9:] = contrib.reshape(steps, n_c * 3)
         return seeds
 
@@ -358,7 +358,7 @@ class ShootingProblem:
                 # reject blown-up rollouts (line-search overshoot): far beyond
                 # any physical trajectory, and lever arms this large would make
                 # the payload-target solve numerically singular
-                if not np.abs(point.states).max() <= 1e6:  # also rejects nan and inf
+                if not np.maximum.reduce(np.abs(point.states), axis=None) <= 1e6:  # also rejects nan and inf
                     f, c = np.inf, np.zeros(self.num_constraints)
                 else:
                     f, c = float(sum(self._cost_parts(point).values())), self._residuals(point)
@@ -462,7 +462,10 @@ class HorizonProblem(ShootingProblem):
         The guard is stricter than the map's own range checks, so the
         factors come from the unchecked core: one check per point.
         """
-        if np.abs(xi[..., 2]).max() > _XI3_GUARD or not np.isfinite(xi).all():
+        if (
+            np.maximum.reduce(np.abs(xi[..., 2]), axis=None) > _XI3_GUARD
+            or not np.logical_and.reduce(np.isfinite(xi), axis=None)
+        ):
             raise ParameterRangeError(f"xi must be finite with |xi_3| <= {_XI3_GUARD}")
         return _unchecked_factors(xi, self._surface_constants)
 

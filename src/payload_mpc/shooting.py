@@ -28,7 +28,7 @@ too is bitwise equal to the backward loop; a block with no transport term
 is padded with `-0.0`, the one value whose addition changes no bit.
 
 `cross` is the one helper every layer leans on, so it skips `np.cross`'s
-bookkeeping: one gather of each operand into the six factor pairs, one
+bookkeeping: one `take` of each operand into the six factor pairs, one
 multiply and one subtraction, the same six products and three differences
 as the component formulas.  Cross products that share an operand are taken
 in one call on the stacked other operands: the gated forces and the lever
@@ -44,6 +44,13 @@ seeds share, the input factors, the payload targets and residual, and the
 evaluator's value.  `StageGates` holds what a problem derives from its
 activity flags alone (the dt-scaled stance and swing gates, m g), built once
 per problem instead of once per rollout and adjoint.
+
+An iteration's arrays are tiny, so a numpy function's Python wrapper can
+cost as much as its kernel.  The hot path therefore calls kernels: `einsum`
+and `linalg_solve` below, the reductions as `np.add.reduce`,
+`np.maximum.reduce` and `np.logical_and.reduce` rather than the `ndarray`
+methods that reach them through Python, and `ndarray.take` for gathers.
+Each gives its wrapper's result bitwise.
 """
 
 from __future__ import annotations
@@ -51,8 +58,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
+from numpy.linalg import _umath_linalg
 
 from .dynamics import PayloadDisturbance, RobotConstants
+
+# `np.einsum` without `optimize` hands its arguments straight to this kernel,
+# after a dispatcher and a generator that cost about as much as the einsum.
+# This module is the only one that imports numpy's private names (numpy 2.x
+# layout; tests/test_numpy_kernels.py fails if a numpy release changes them).
+einsum = c_einsum
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve` of float64 stacks a (..., M, M) and b (..., M, K), bitwise.
+
+    The same gufunc under the same error policy (a singular matrix raises
+    `np.linalg.LinAlgError`), without the wrapper's type and shape checks:
+    the callers pass float64 arrays of these shapes.
+    """
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 # the six products of a cross product: a[_L] * b[_R] gives (a1 b2, a2 b0, a0 b1,
@@ -65,11 +95,13 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the trailing axis of two arrays that broadcast.
 
     The same six multiplies and three subtractions as `np.cross`, as one
-    gather-multiply and one subtraction, without its axis bookkeeping.  The
-    result is not C-ordered (the gather puts the component axis outermost);
-    elementwise use does not care, an einsum or matmul over it might.
+    gather-multiply and one subtraction, without its axis bookkeeping.
+    `take` keeps the component axis last, so the products and the result
+    are C-ordered in the broadcast shape (a fancy-index gather would put
+    that axis outermost); an einsum or matmul over the result sums in an
+    order that follows this layout.
     """
-    p = a[..., _L] * b[..., _R]
+    p = a.take(_L, axis=-1) * b.take(_R, axis=-1)
     return p[..., :3] - p[..., 3:]
 
 
@@ -131,7 +163,7 @@ class StageGates:
 def stage_forces(wrenches: np.ndarray, gates: StageGates, payload: PayloadArrays):
     """The gated wrenches (K, n_c, 6) and each stage's total force (K, 3), payload included."""
     gated = wrenches * gates.stance
-    return gated, gated[:, :, :3].sum(axis=1) + payload.force_sum
+    return gated, np.add.reduce(gated[:, :, :3], axis=1) + payload.force_sum
 
 
 @dataclass
@@ -193,8 +225,8 @@ def rollout(
     # angular momentum: moments about the stage CoM, now known for every stage
     com = states[:-1, 0:3]
     feet = states[:-1, 9:].reshape(steps, n_c, 3)
-    base_moment = gated[:, :, 3:].sum(axis=1) + payload.pivot_moment
-    moment = base_moment + cross(feet, gated_f).sum(axis=1) - cross(com, total_force)
+    base_moment = np.add.reduce(gated[:, :, 3:], axis=1) + payload.pivot_moment
+    moment = base_moment + np.add.reduce(cross(feet, gated_f), axis=1) - cross(com, total_force)
     states[1:, 6:9] = dt * (moment - mg[3:])
     _scan(states, 6, 9)
     return states
@@ -274,9 +306,9 @@ def payload_cost_state_seeds(
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages
     w_vec = np.concatenate(
-        [v[:, :, :3].sum(axis=1), (v[:, :, 3:] + cross(r, v[:, :, :3])).sum(axis=1)], axis=1
+        [np.add.reduce(v[:, :, :3], axis=1), np.add.reduce(v[:, :, 3:] + cross(r, v[:, :, :3]), axis=1)], axis=1
     )
-    h = np.linalg.solve(m_mat, w_vec[..., None])[..., 0]  # (K, 6)
+    h = linalg_solve(m_mat, w_vec[..., None])[..., 0]  # (K, 6)
     c2 = c[:, None, 3:]
     h1, h2 = h[:, None, :3], h[:, None, 3:]
     z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
@@ -288,8 +320,8 @@ def payload_cost_state_seeds(
     zeta1 = h1 - by_h2[:, :n_c]
     by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], axis=1), c2)
     d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask
-    d_q = -by_h2[:, 2 * n_c :].sum(axis=1)  # (K, 3)
+    d_q = -np.add.reduce(by_h2[:, 2 * n_c :], axis=1)  # (K, 3)
     seeds = np.zeros((steps + 1, nx))
     seeds[:steps, 9:] = -d_r.reshape(steps, n_c * 3)
-    seeds[:steps, 0:3] = d_r.sum(axis=1) + d_q
+    seeds[:steps, 0:3] = np.add.reduce(d_r, axis=1) + d_q
     return seeds, v

@@ -52,6 +52,9 @@ class PayloadSpec:
     onset_time: float = 0.0  # s
 
     def validate(self) -> None:
+        for name in ("left_offset", "right_offset"):
+            if np.shape(getattr(self, name)) != (3,):
+                raise ConfigurationError(f"payload {name} must have shape (3,), got {np.shape(getattr(self, name))}")
         for name in ("mass", "left_offset", "right_offset", "onset_time"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"payload {name} must be finite, got {getattr(self, name)}")

@@ -185,7 +185,7 @@ def _minimize_lagrangian(problem, z, lam, rho, budget, tolerance, counters):
         counters.value += 1
         f, c = problem.value(point)
         shift = np.maximum(0.0, lam - rho * c)
-        return f + float((shift**2 - lam_sq).sum()) / two_rho, c, shift
+        return f + float(np.add.reduce(shift**2 - lam_sq)) / two_rho, c, shift
 
     def al_gradient(point, shift):
         counters.gradient += 1
@@ -256,7 +256,7 @@ def _minimize_lagrangian(problem, z, lam, rho, budget, tolerance, counters):
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return float(np.abs(v).max()) if v.size else 0.0
+    return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
 
 
 def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -> SolverResult:
