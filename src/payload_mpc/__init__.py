@@ -56,6 +56,7 @@ from .simulation import (
     PayloadSpec,
     Scenario,
     SimLog,
+    TickRecord,
     TimingReport,
     compare_timing,
     default_payload_scenario,

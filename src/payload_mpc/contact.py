@@ -55,7 +55,6 @@ from .errors import ConfigurationError, InversionError, ParameterRangeError
 # exp() overflows IEEE doubles just above 709; stay clear of it
 XI3_LIMIT = 700.0
 
-_INVERT_MAX_ITERATIONS = 100
 _INVERT_TOLERANCE = 1e-6
 
 
@@ -342,14 +341,14 @@ def is_contact_stable(w: Wrench, surface: ContactSurface) -> StabilityReport:
     return StabilityReport(satisfied=bool(np.all(margins > 0)), margins=margins)
 
 
-def _closed_form_seed(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
+def _closed_form_inverse(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
     """Algebraic inverse of the parametrization, exact on its image.
 
     Friction rows follow from t1 = a*sqrt(1+t2^2), t2 = b*sqrt(1+t1^2) with
     a, b the normalized tangential components; solving the pair gives
     t1^2 = a^2 (1+b^2) / (1 - a^2 b^2) and symmetrically for t2.  Ratios are
-    clipped into the open unit interval so targets outside the image still
-    produce a usable starting point.
+    clipped into the open unit interval, so a target outside the image still
+    gets a finite xi, which the caller's round trip then rejects.
     """
     s = SurfaceConstants.of(surface)
     fz = w[2]
@@ -363,7 +362,7 @@ def _closed_form_seed(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
         [
             np.arctanh(t1),
             np.arctanh(t2),
-            np.log(max(fz - s.fz_min, 1e-300)),
+            np.clip(np.log(max(fz - s.fz_min, 1e-300)), -XI3_LIMIT, XI3_LIMIT),
             np.arctanh(np.clip((w[3] / fz - s.delta_y0) / s.delta_y, -lim, lim)),
             np.arctanh(np.clip((w[4] / fz - s.delta_x0) / s.delta_x, -lim, lim)),
             np.arctanh(np.clip(w[5] / (s.mu_z * fz), -lim, lim)),
@@ -371,48 +370,21 @@ def _closed_form_seed(w: np.ndarray, surface: ContactSurface) -> np.ndarray:
     )
 
 
-def invert_parametrization(w_target: Wrench, surface: ContactSurface, xi_init=None) -> np.ndarray:
+def invert_parametrization(w_target: Wrench, surface: ContactSurface) -> np.ndarray:
     """Recover xi with parametrize(xi) ~= w_target for targets strictly inside K.
 
-    Starts from the closed-form seed (or `xi_init` when provided) and refines
-    with damped Gauss-Newton plus backtracking.  Raises `InversionError` when
-    the target is not strictly stable or lies outside the parametrized image.
+    The closed form is exact on the image, so xi is accepted when the map
+    takes it back to the target within `_INVERT_TOLERANCE` (relative to the
+    target's norm, at least 1).  Raises `InversionError` when the target is
+    not strictly stable or lies outside the parametrized image.
     """
     w = w_target.as_array()
     margins = stability_margins(w, surface)
     if not np.all(margins > 0):
         raise InversionError(f"target wrench is not strictly inside the stable set (margins {margins})")
-    scale = max(1.0, float(np.linalg.norm(w)))
-    xi = (
-        np.asarray(xi_init, dtype=float).reshape(6).copy()
-        if xi_init is not None
-        else _closed_form_seed(w, surface)
-    )
-    xi[2] = np.clip(xi[2], -XI3_LIMIT, XI3_LIMIT)
-    residual = parametrize_batch(xi, surface) - w
-    err = np.linalg.norm(residual)
-    for _ in range(_INVERT_MAX_ITERATIONS):
-        if err <= _INVERT_TOLERANCE * scale:
-            return xi
-        jac = parametrization_jacobian_batch(xi, surface)
-        jtj = jac.T @ jac
-        step = np.linalg.solve(jtj + 1e-12 * np.trace(jtj) * np.eye(6), jac.T @ residual)
-        alpha = 1.0
-        for _ in range(30):
-            candidate = xi - alpha * step
-            candidate[2] = np.clip(candidate[2], -XI3_LIMIT, XI3_LIMIT)
-            if not np.isfinite(candidate).all():  # an overflowed step: no descent this way
-                alpha *= 0.5
-                continue
-            new_residual = parametrize_batch(candidate, surface) - w
-            new_err = np.linalg.norm(new_residual)
-            if new_err < err:
-                xi, residual, err = candidate, new_residual, new_err
-                break
-            alpha *= 0.5
-        else:
-            break  # no descent possible
-    if err <= _INVERT_TOLERANCE * scale:
+    xi = _closed_form_inverse(w, surface)
+    err = np.linalg.norm(parametrize_batch(xi, surface) - w)
+    if err <= _INVERT_TOLERANCE * max(1.0, float(np.linalg.norm(w))):
         return xi
     raise InversionError(
         f"no parameter found for target {w} (residual {err:.3e}); "

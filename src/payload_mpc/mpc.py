@@ -36,6 +36,7 @@ The merit guard on the parameters is the only check of a point's xi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -527,6 +528,15 @@ class HorizonProblem(ShootingProblem):
         qd_m = float(np.diag(w.q_d)[3:].mean())
         q_xi_d = np.diag(w.q_xi)
         s = self._surface_constants
+        for i, surface in enumerate(self.surfaces):
+            # each factor below is squared times a weight share, at most the whole
+            # weight; Python floats overflow to inf without a warning
+            largest = float(max(s.mu_c[i], s.mu_z[i], s.delta_x[i], s.delta_y[i])) * abs(weight)
+            if not largest * largest < math.inf:
+                raise ConfigurationError(
+                    f"surface {surface} overflows the curvature metric: its largest factor times "
+                    f"the weight, {largest:.3g}, squares past the float range"
+                )
         for k in range(self.horizon):
             n_active = max(self.activity[k].sum(), 1.0)
             share = weight / n_active

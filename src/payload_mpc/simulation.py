@@ -7,7 +7,9 @@ dynamics at a finer step.  The payload's grip points track the simulated CoM
 (the load is carried), and the payload-blind controller variant simply
 receives a zero estimate while the plant keeps the disturbance.
 
-Logs are recorded per plant tick and exported to CSV with a fixed header.
+Logs are recorded per plant tick and exported to CSV with a fixed header;
+each controller solve leaves one `TickRecord` of its wall time and the
+solver's report.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -27,12 +30,14 @@ from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler
 from .errors import ConfigurationError, SolverFailure
 from .gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference, payload_from_mass
 from .mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from .solver import SolverOptions
+from .solver import SolverOptions, SolverResult
 
 CONTROLLER_PARAM = "param"
 CONTROLLER_BASELINE = "baseline"
 CONTROLLER_PARAM_NO_PAYLOAD_TASK = "param-no-td"
 CONTROLLERS = (CONTROLLER_PARAM, CONTROLLER_BASELINE, CONTROLLER_PARAM_NO_PAYLOAD_TASK)
+
+_logger = logging.getLogger(__name__)
 
 # the most plant ticks one run may log (about 0.5 kB each): far above the
 # 3,000 of the 30 s timing walk, and a bound on what a config can allocate
@@ -129,8 +134,31 @@ def default_payload_scenario(**overrides) -> Scenario:
 
 
 @dataclass
+class TickRecord:
+    """One controller solve of one tick: its wall time and the solver's scalar report."""
+
+    tick: int
+    controller: str
+    solve_ms: float
+    iterations: int
+    status: str
+    value_evaluations: int
+    gradient_evaluations: int
+    backtracks: int
+    outer_iterations: int
+    kkt_norm: float  # inf-norm of the solve's last merit gradient
+    constraint_violation: float  # inf-norm of the solve's unmet constraints
+
+    @classmethod
+    def of(cls, tick: int, controller: str, solve_ms: float, stats: SolverResult) -> "TickRecord":
+        return cls(tick, controller, solve_ms, stats.iterations, stats.status, stats.value_evaluations,
+                   stats.gradient_evaluations, stats.backtracks, stats.outer_iterations, stats.kkt_norm,
+                   stats.constraint_violation)
+
+
+@dataclass
 class SimLog:
-    """Per-plant-tick record of one closed-loop run."""
+    """Per-plant-tick arrays and per-controller-tick `TickRecord`s of one closed-loop run."""
 
     n_contacts: int
     times: np.ndarray
@@ -146,16 +174,21 @@ class SimLog:
     costs: np.ndarray  # (T, 4) tracking, footsteps, payload, parameter_reg
     completed: bool = True
     failure_reason: str = ""
-    # per-controller-tick solver records; a tick spans len(times) // len(status_per_tick) rows
-    solve_ms_per_tick: np.ndarray = None
-    iterations_per_tick: np.ndarray = None
-    status_per_tick: list = None
-    value_evaluations_per_tick: np.ndarray = None
-    gradient_evaluations_per_tick: np.ndarray = None
-    backtracks_per_tick: np.ndarray = None
-    outer_iterations_per_tick: np.ndarray = None
-    kkt_norm_per_tick: np.ndarray = None  # inf-norm of each solve's last merit gradient
-    shadow_per_tick: list = field(default_factory=list)  # TickTiming of the shadow controller's solves
+    # one TickRecord per completed controller tick; a tick spans len(times) // len(ticks) rows
+    ticks: list = field(default_factory=list)
+    shadow_per_tick: list = field(default_factory=list)  # TickRecord of the shadow controller's solves
+
+    @property
+    def iterations_per_tick(self) -> np.ndarray:
+        return np.array([r.iterations for r in self.ticks], dtype=int)
+
+    @property
+    def status_per_tick(self) -> list:
+        return [r.status for r in self.ticks]
+
+    @property
+    def solve_ms_per_tick(self) -> np.ndarray:
+        return np.array([r.solve_ms for r in self.ticks])
 
     def tracking_error(self) -> np.ndarray:
         return self.com - self.com_ref
@@ -163,6 +196,11 @@ class SimLog:
     def summary(self) -> dict:
         err = self.tracking_error()
         horizontal = np.linalg.norm(err[:, :2], axis=1)
+
+        def mean(name: str) -> float:
+            return float(np.mean([getattr(r, name) for r in self.ticks])) if self.ticks else 0.0
+
+        converged = [r.constraint_violation for r in self.ticks if r.status == "converged"]
         return {
             "completed": self.completed,
             "failure_reason": self.failure_reason,
@@ -171,13 +209,15 @@ class SimLog:
             "max_horizontal_error_m": float(horizontal.max()) if horizontal.size else 0.0,
             "mean_horizontal_error_m": float(horizontal.mean()) if horizontal.size else 0.0,
             "max_height_deviation_m": float(np.abs(err[:, 2]).max()) if err.size else 0.0,
-            "mean_solve_ms": _mean(self.solve_ms_per_tick),
-            "mean_iterations": _mean(self.iterations_per_tick),
-            "non_converged_ticks": sum(status != "converged" for status in self.status_per_tick or ()),
-            "mean_value_evaluations": _mean(self.value_evaluations_per_tick),
-            "mean_gradient_evaluations": _mean(self.gradient_evaluations_per_tick),
-            "mean_outer_iterations": _mean(self.outer_iterations_per_tick),
-            "mean_kkt_norm": _mean(self.kkt_norm_per_tick),
+            "mean_solve_ms": mean("solve_ms"),
+            "mean_iterations": mean("iterations"),
+            "non_converged_ticks": sum(r.status != "converged" for r in self.ticks),
+            "mean_value_evaluations": mean("value_evaluations"),
+            "mean_gradient_evaluations": mean("gradient_evaluations"),
+            "mean_backtracks": mean("backtracks"),
+            "mean_outer_iterations": mean("outer_iterations"),
+            "mean_kkt_norm": mean("kkt_norm"),
+            "max_converged_violation": float(max(converged, default=0.0)),
             "cost_totals": [float(v) for v in self.costs.sum(axis=0)] if self.costs.size else [],
         }
 
@@ -196,12 +236,11 @@ class SimLog:
         return header
 
     def to_csv(self, path) -> None:
-        rows_per_tick = len(self.times) // max(len(self.status_per_tick), 1)
+        rows_per_tick = len(self.times) // max(len(self.ticks), 1)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.csv_header())
             for t in range(len(self.times)):
-                tick = t // rows_per_tick
                 row = [f"{self.times[t]:.6f}"]
                 row += [f"{v:.9g}" for v in self.com[t]]
                 row += [f"{v:.9g}" for v in self.com_ref[t]]
@@ -214,17 +253,13 @@ class SimLog:
                     row += [f"{v:.9g}" for v in self.xi[t, i]]
                 row += [f"{self.payload_fz_total[t]:.9g}"]
                 row += [f"{v:.9g}" for v in self.costs[t]]
-                row += [f"{self.solve_ms_per_tick[tick]:.3f}", int(self.iterations_per_tick[tick]),
-                        self.status_per_tick[tick]]
+                record = self.ticks[t // rows_per_tick]
+                row += [f"{record.solve_ms:.3f}", record.iterations, record.status]
                 writer.writerow(row)
 
     def write_summary(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.summary(), handle, indent=2)
-
-
-def _mean(values) -> float:
-    return float(np.mean(values)) if values is not None and len(values) else 0.0
 
 
 def _reference_window(schedule, com_refs, tick, horizon):
@@ -271,7 +306,8 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
     With a `shadow` controller, every tick also solves that controller's
     problem, open loop and from its own warm start, on the driving tick's
     exact state, references, payload estimate and weights, and keeps its
-    timing in `SimLog.shadow_per_tick`.  The shadow never touches the plant.
+    `TickRecord` in `SimLog.shadow_per_tick`.  The shadow never touches the
+    plant.  Each record is also logged as one DEBUG line.
     """
     scenario.validate()
     if shadow is not None and shadow not in CONTROLLERS:
@@ -309,14 +345,6 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         xi=np.zeros((total_plant_ticks, n_c, 6)),
         payload_fz_total=np.zeros(total_plant_ticks),
         costs=np.zeros((total_plant_ticks, 4)),
-        solve_ms_per_tick=np.zeros(n_mpc_ticks),
-        iterations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
-        status_per_tick=[""] * n_mpc_ticks,
-        value_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
-        gradient_evaluations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
-        backtracks_per_tick=np.zeros(n_mpc_ticks, dtype=int),
-        outer_iterations_per_tick=np.zeros(n_mpc_ticks, dtype=int),
-        kkt_norm_per_tick=np.zeros(n_mpc_ticks),
     )
 
     warm = None
@@ -334,13 +362,8 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             if shadow is not None:
                 _, shadow_step, shadow_ms = _timed_step(shadow, instance, shadow_warm)
         except SolverFailure as failure:
-            return _truncate_log(log, row, tick, str(failure))
+            return _truncate_log(log, row, str(failure))
         warm = step.warm_start
-        if shadow is not None:
-            log.shadow_per_tick.append(
-                TickTiming(tick, shadow, shadow_ms, shadow_step.stats.iterations, shadow_step.stats.status)
-            )
-            shadow_warm = shadow_step.warm_start
         breakdown = problem.cost_breakdown(step.stats.z)
         active = schedule.activity[:, tick]
         # stability audit of the applied wrenches (parametrized controllers
@@ -351,18 +374,16 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
                 slack = -1e-12 if scenario.controller != CONTROLLER_BASELINE else -1e-5
                 if margins.min() < slack:
                     return _truncate_log(
-                        log, row, tick,
+                        log, row,
                         f"applied wrench violates contact stability at t={t:.2f}s "
                         f"(contact {i}, margins {margins})",
                     )
-        log.solve_ms_per_tick[tick] = solve_ms
-        log.iterations_per_tick[tick] = step.stats.iterations
-        log.status_per_tick[tick] = step.stats.status
-        log.value_evaluations_per_tick[tick] = step.stats.value_evaluations
-        log.gradient_evaluations_per_tick[tick] = step.stats.gradient_evaluations
-        log.backtracks_per_tick[tick] = step.stats.backtracks
-        log.outer_iterations_per_tick[tick] = step.stats.outer_iterations
-        log.kkt_norm_per_tick[tick] = step.stats.kkt_norm
+        log.ticks.append(TickRecord.of(tick, scenario.controller, solve_ms, step.stats))
+        _logger.debug("%s", log.ticks[-1])
+        if shadow is not None:
+            log.shadow_per_tick.append(TickRecord.of(tick, shadow, shadow_ms, shadow_step.stats))
+            _logger.debug("%s", log.shadow_per_tick[-1])
+            shadow_warm = shadow_step.warm_start
         cost_row = np.array(
             [
                 breakdown.get("tracking", 0.0),
@@ -404,32 +425,23 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
     return log
 
 
-def _truncate_log(log: SimLog, rows: int, ticks: int, reason: str) -> SimLog:
-    """The log of a run that ended early: `*_per_tick` fields cut to `ticks`, the others to `rows`."""
-    cut = {}
-    for f in dataclasses.fields(log):
-        value = getattr(log, f.name)
-        if isinstance(value, (np.ndarray, list)):
-            cut[f.name] = value[: ticks if f.name.endswith("_per_tick") else rows]
+def _truncate_log(log: SimLog, rows: int, reason: str) -> SimLog:
+    """The log of a run that ended early: its plant-tick arrays cut to `rows`.
+
+    The tick records need no cut: a tick's records are appended only once it
+    has passed its solves and its audit.
+    """
+    cut = {name: value[:rows] for name, value in vars(log).items() if isinstance(value, np.ndarray)}
     return dataclasses.replace(log, completed=False, failure_reason=reason, **cut)
 
 
 @dataclass
-class TickTiming:
-    tick: int
-    controller: str
-    solve_ms: float
-    iterations: int
-    status: str
-
-
-@dataclass
 class TimingReport:
-    """Per-tick solve records for both controllers plus summary statistics."""
+    """The closed loops' `TickRecord`s for both controllers plus summary statistics."""
 
     rows: list = field(default_factory=list)
 
-    def append(self, row: TickTiming) -> None:
+    def append(self, row: TickRecord) -> None:
         self.rows.append(row)
 
     def controllers(self):
@@ -462,18 +474,6 @@ class TimingReport:
                 writer.writerow([r.tick, r.controller, f"{r.solve_ms:.3f}", r.iterations, r.status])
 
 
-def _tick_timings(log: SimLog, controller: str) -> list:
-    """The driving controller's rows of one completed run."""
-    if not log.completed:
-        raise SolverFailure(log.failure_reason)
-    return [
-        TickTiming(tick, controller, ms, iters, status)
-        for tick, (ms, iters, status) in enumerate(
-            zip(log.solve_ms_per_tick, log.iterations_per_tick, log.status_per_tick)
-        )
-    ]
-
-
 def compare_timing(scenario: Scenario, runs: int = 1, shared_trace: bool = False) -> TimingReport:
     """Run the parametrized and constrained controllers on the same scenario.
 
@@ -487,13 +487,15 @@ def compare_timing(scenario: Scenario, runs: int = 1, shared_trace: bool = False
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     report = TimingReport()
+    if shared_trace:
+        loops = [(CONTROLLER_PARAM, CONTROLLER_BASELINE)]
+    else:
+        loops = [(CONTROLLER_PARAM, None), (CONTROLLER_BASELINE, None)]
     for _ in range(runs):
-        if shared_trace:
-            log = run_closed_loop(with_controller(scenario, CONTROLLER_PARAM), shadow=CONTROLLER_BASELINE)
-            for pair in zip(_tick_timings(log, CONTROLLER_PARAM), log.shadow_per_tick):
-                report.rows.extend(pair)
-        else:
-            for controller in (CONTROLLER_PARAM, CONTROLLER_BASELINE):
-                log = run_closed_loop(with_controller(scenario, controller))
-                report.rows.extend(_tick_timings(log, controller))
+        for controller, shadow in loops:
+            log = run_closed_loop(with_controller(scenario, controller), shadow=shadow)
+            if not log.completed:
+                raise SolverFailure(log.failure_reason)
+            # a stable sort by tick puts each driving record before its shadow's
+            report.rows.extend(sorted(log.ticks + log.shadow_per_tick, key=lambda r: r.tick))
     return report

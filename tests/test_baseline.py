@@ -7,7 +7,7 @@ from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from payload_mpc.simulation import Scenario, TickTiming, TimingReport, compare_timing, default_run_solver_options
+from payload_mpc.simulation import Scenario, TickRecord, TimingReport, compare_timing, default_run_solver_options
 from payload_mpc.gait import GaitParameters
 from payload_mpc.solver import CONSTRAINT_TOLERANCE, SolverOptions, finite_difference_gradient
 
@@ -126,16 +126,21 @@ def test_static_behavior_agrees_with_parametrized():
     assert np.abs(param_log.com - base_log.com).max() < 5e-3
 
 
+def record(tick, controller, solve_ms, iterations, status):
+    """A timing row with zero evaluation counters, which the report does not read."""
+    return TickRecord(tick, controller, solve_ms, iterations, status, 0, 0, 0, 0, 0.0, 0.0)
+
+
 def test_timing_report_identical_controller_ratio():
     report = TimingReport()
     rng = np.random.default_rng(0)
     for tick in range(20):
         ms = float(rng.uniform(50, 60))
-        report.append(TickTiming(tick, "param", ms, 10, "converged"))
-        report.append(TickTiming(tick, "baseline", ms, 10, "converged"))
+        report.append(record(tick, "param", ms, 10, "converged"))
+        report.append(record(tick, "baseline", ms, 10, "converged"))
     summary = report.summary()
     assert summary["param"]["mean_solve_ms"] == pytest.approx(summary["baseline"]["mean_solve_ms"])
-    report.append(TickTiming(20, "baseline", 500.0, 200, "max-iterations"))
+    report.append(record(20, "baseline", 500.0, 200, "max-iterations"))
     summary = report.summary()
     assert summary["baseline"]["non_converged"] == 1
     assert summary["baseline"]["non_converged_share"] == pytest.approx(1 / 21)
@@ -146,7 +151,7 @@ def test_timing_report_identical_controller_ratio():
 
 def test_timing_report_no_converged_tick():
     report = TimingReport()
-    report.append(TickTiming(0, "baseline", 500.0, 200, "max-iterations"))
+    report.append(record(0, "baseline", 500.0, 200, "max-iterations"))
     summary = report.summary()["baseline"]
     assert np.isnan(summary["mean_converged_solve_ms"])
     assert summary["non_converged_share"] == 1.0
@@ -154,7 +159,7 @@ def test_timing_report_no_converged_tick():
 
 def test_timing_report_csv(tmp_path):
     report = TimingReport()
-    report.append(TickTiming(0, "param", 12.5, 7, "converged"))
+    report.append(record(0, "param", 12.5, 7, "converged"))
     path = tmp_path / "timing.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -64,7 +64,7 @@ def test_clock_stamps_every_evaluation_and_restores(name):
     assert log.completed
     assert len(clock.steps) == 1  # one controller step
     entry, exit = clock.steps[0]
-    evaluations = log.value_evaluations_per_tick[0] + log.gradient_evaluations_per_tick[0]
+    evaluations = log.ticks[0].value_evaluations + log.ticks[0].gradient_evaluations
     assert exit - entry == evaluations + 1  # a stamp per value and gradient, then the step's exit
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
 

@@ -158,6 +158,8 @@ MISTYPED_CONFIGS = [
     # finite surface numbers whose half-extent or squared friction overflows
     {"surface": {"x_min": -1e308, "x_max": 1e308}, "duration": 0.4},
     {"surface": {"mu_c": 1e308}, "duration": 0.4},
+    # a finite half-extent whose square, times the weight, overflows the curvature metric
+    {"surface": {"x_min": -1e307, "x_max": 1e307}, "duration": 0.4},
     # vectors of the right element count in the wrong shape
     {"payload": {"mass": 1.5, "left_offset": [[0.25], [0.1], [-0.1]]}, "duration": 0.4},
     {"robot": {"mass": 33.0, "gravity_vector": [[0], [0], [-9.81], [0], [0], [0]]}, "duration": 0.4},

@@ -513,11 +513,11 @@ def test_outer_iterations_and_kkt_norm_agree_with_the_run(seed, dim, m, budget):
 def test_sim_log_keeps_outer_iterations_and_kkt_norms():
     log = run_closed_loop(default_payload_scenario(duration=0.6))
     options = default_payload_scenario().mpc.solver
-    assert len(log.outer_iterations_per_tick) == len(log.kkt_norm_per_tick) == len(log.status_per_tick)
-    assert np.all((log.outer_iterations_per_tick >= 1) & (log.outer_iterations_per_tick <= MAX_OUTER_ITERATIONS))
-    for status, kkt in zip(log.status_per_tick, log.kkt_norm_per_tick):
-        if status == CONVERGED:
-            assert kkt <= options.kkt_tolerance
+    assert [r.tick for r in log.ticks] == [0, 1, 2]
+    assert all(1 <= r.outer_iterations <= MAX_OUTER_ITERATIONS for r in log.ticks)
+    for r in log.ticks:
+        if r.status == CONVERGED:
+            assert r.kkt_norm <= options.kkt_tolerance
     summary = log.summary()
-    assert summary["mean_outer_iterations"] == float(np.mean(log.outer_iterations_per_tick))
-    assert summary["mean_kkt_norm"] == float(np.mean(log.kkt_norm_per_tick))
+    assert summary["mean_outer_iterations"] == float(np.mean([r.outer_iterations for r in log.ticks]))
+    assert summary["mean_kkt_norm"] == float(np.mean([r.kkt_norm for r in log.ticks]))

@@ -242,10 +242,3 @@ def test_invert_round_trip_random_interior():
         target = w.as_array()
         assert np.linalg.norm(reconstructed - target) <= 1e-6 * max(1.0, np.linalg.norm(target))
 
-
-def test_invert_honors_initial_guess():
-    w = parametrize([0.5, -0.3, 1.0, 0.2, -0.1, 0.4], SYMMETRIC)
-    xi = invert_parametrization(w, SYMMETRIC, xi_init=np.zeros(6))
-    assert np.linalg.norm(parametrize(xi, SYMMETRIC).as_array() - w.as_array()) < 1e-6 * max(
-        1.0, np.linalg.norm(w.as_array())
-    )

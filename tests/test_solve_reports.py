@@ -1,10 +1,10 @@
 """What a solve reports: its evaluation counters, and a start it cannot use.
 
 `SolverResult` counts the evaluator's value and gradient calls and the
-line-search backtracks, and `SimLog` keeps them per tick.  A warm start whose
-objective is not finite raises `NonFiniteStartError`, which is a
-`SolverFailure`, so a closed loop ends the run with the reason and the CLI
-exits 2 instead of printing a traceback.
+line-search backtracks, and `SimLog` keeps its scalars in one `TickRecord`
+per tick.  A warm start whose objective is not finite raises
+`NonFiniteStartError`, which is a `SolverFailure`, so a closed loop ends the
+run with the reason and the CLI exits 2 instead of printing a traceback.
 """
 
 import csv
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from payload_mpc import mpc
+from payload_mpc import mpc, simulation
 from payload_mpc.baseline import BaselineProblem, baseline_receding_horizon_step, build_constrained_mpc
 from payload_mpc.cli import main
 from payload_mpc.contact import ContactSurface
@@ -22,7 +22,7 @@ from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import NonFiniteStartError, SolverFailure
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from payload_mpc.simulation import _truncate_log, default_payload_scenario, run_closed_loop
+from payload_mpc.simulation import TickRecord, _truncate_log, default_payload_scenario, run_closed_loop
 from payload_mpc.solver import SolverOptions, solve
 
 SURFACE = ContactSurface(-0.2, 0.2, -0.075, 0.075)
@@ -88,18 +88,78 @@ def test_counters_match_a_counting_evaluator(controller, max_iterations):
 
 def test_sim_log_keeps_counters_per_tick(tmp_path):
     log = run_closed_loop(default_payload_scenario(duration=0.6))
-    ticks = len(log.status_per_tick)
-    for name in ("value_evaluations", "gradient_evaluations", "backtracks"):
-        assert len(getattr(log, f"{name}_per_tick")) == ticks
-    assert np.all(log.gradient_evaluations_per_tick <= log.value_evaluations_per_tick)
+    assert [r.tick for r in log.ticks] == [0, 1, 2]
+    assert all(r.gradient_evaluations <= r.value_evaluations for r in log.ticks)
     summary = log.summary()
-    assert summary["mean_value_evaluations"] == float(np.mean(log.value_evaluations_per_tick))
-    assert summary["mean_gradient_evaluations"] == float(np.mean(log.gradient_evaluations_per_tick))
+    assert summary["mean_value_evaluations"] == float(np.mean([r.value_evaluations for r in log.ticks]))
+    assert summary["mean_gradient_evaluations"] == float(np.mean([r.gradient_evaluations for r in log.ticks]))
     assert summary["mean_value_evaluations"] > summary["mean_iterations"]
     log.to_csv(tmp_path / "sim_log.csv")
     header = (tmp_path / "sim_log.csv").read_text().splitlines()[0]
     assert header == ",".join(log.csv_header())
     assert "evaluations" not in header
+
+
+RECORD_FIELDS = [f.name for f in dataclasses.fields(TickRecord)]
+
+
+@pytest.fixture(scope="module")
+def shadowed_carry(tmp_path_factory):
+    """A 0.6 s carry run with a baseline shadow, each controller's `SolverResult`s and its summary.json."""
+    solves = {"param": [], "baseline": []}
+
+    def capture(controller, stepper):
+        def step(problem, warm):
+            result = stepper(problem, warm)
+            solves[controller].append(result.stats)
+            return result
+        return step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "receding_horizon_step", capture("param", simulation.receding_horizon_step))
+        patch.setattr(
+            simulation, "baseline_receding_horizon_step",
+            capture("baseline", simulation.baseline_receding_horizon_step),
+        )
+        log = run_closed_loop(default_payload_scenario(duration=0.6), shadow="baseline")
+    path = tmp_path_factory.mktemp("summary") / "summary.json"
+    log.write_summary(path)
+    return log, solves, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_tick_records_copy_their_solves(shadowed_carry, name):
+    log, solves, _ = shadowed_carry
+    assert log.completed
+    for records, controller in ((log.ticks, "param"), (log.shadow_per_tick, "baseline")):
+        assert len(records) == len(solves[controller]) == 3
+        for tick, (record, stats) in enumerate(zip(records, solves[controller])):
+            value = getattr(record, name)
+            if name == "tick":
+                assert value == tick
+            elif name == "controller":
+                assert value == controller
+            elif name == "solve_ms":  # timed around the stepper, inside which the solve times itself
+                assert value >= 1000.0 * stats.wall_time
+            else:
+                assert value == getattr(stats, name)
+
+
+def test_summary_reads_the_tick_records(shadowed_carry):
+    log, _, summary = shadowed_carry
+    for key, name in (
+        ("mean_solve_ms", "solve_ms"),
+        ("mean_iterations", "iterations"),
+        ("mean_value_evaluations", "value_evaluations"),
+        ("mean_gradient_evaluations", "gradient_evaluations"),
+        ("mean_backtracks", "backtracks"),
+        ("mean_outer_iterations", "outer_iterations"),
+        ("mean_kkt_norm", "kkt_norm"),
+    ):
+        assert summary[key] == float(np.mean([getattr(r, name) for r in log.ticks])), key
+    violations = [r.constraint_violation for r in log.ticks if r.status == "converged"]
+    assert summary["max_converged_violation"] == float(max(violations, default=0.0))
+    assert summary["non_converged_ticks"] == sum(r.status != "converged" for r in log.ticks)
 
 
 # -- a warm start with no finite objective ----------------------------------------
@@ -144,7 +204,7 @@ def test_closed_loop_ends_on_a_non_finite_warm_start(monkeypatch):
     assert log.completed is False
     assert "not finite" in log.failure_reason
     assert len(log.status_per_tick) == 1  # the first tick solved from its own guess
-    assert len(log.value_evaluations_per_tick) == 1
+    assert [r.tick for r in log.ticks] == [0]
 
 
 def test_truncated_run_csv_rows_carry_their_ticks_solver_records(tmp_path, monkeypatch):
@@ -161,7 +221,7 @@ def test_truncated_run_csv_rows_carry_their_ticks_solver_records(tmp_path, monke
         assert int(row["iterations"]) == log.iterations_per_tick[0]
         assert row["status"] == log.status_per_tick[0]
     # a run that fails its first tick writes the header alone
-    _truncate_log(log, 0, 0, log.failure_reason).to_csv(path)
+    _truncate_log(log, 0, log.failure_reason).to_csv(path)
     assert path.read_text().splitlines() == [",".join(log.csv_header())]
 
 
