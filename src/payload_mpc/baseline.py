@@ -62,7 +62,7 @@ class BaselineProblem(ShootingProblem):
     evaluator = ShootingProblem.evaluator
 
     def _wrenches_world(self, wrenches: np.ndarray, factors=None) -> np.ndarray:
-        return rotate_wrenches(wrenches, self.refs.contact_orientations.transpose(0, 2, 1))
+        return rotate_wrenches(wrenches, self._to_world)
 
     def _input_factors(self, wrenches: np.ndarray) -> WrenchFactors:
         s = self._surface_constants
@@ -161,18 +161,15 @@ class BaselineProblem(ShootingProblem):
         wrench_grad += wrench_direct
         return wrench_grad
 
-    def _input_curvature(self, curvature: np.ndarray, momentum: list, com: list) -> None:
-        """Wrench curvature: the regularizers and the tracking tasks."""
-        q_wreg = np.diag(self.weights.q_wrench_reg)
+    def _input_curvature(self, momentum: np.ndarray, com: np.ndarray) -> np.ndarray:
+        """Wrench curvature (K, n_c, 6): the regularizers and the tracking tasks."""
         q_sim = np.diag(self.weights.q_force_similarity)
-        for k in range(self.horizon):
-            curv_force = momentum[k] + com[k]
-            similarity = q_sim if self._both_active[k] else 0.0 * q_sim
-            for i in range(self.n_contacts):
-                gamma = self.activity[k, i]
-                c = curvature[k, i]
-                c[:3] = q_wreg[:3] + similarity[:3] + gamma * curv_force
-                c[3:6] = q_wreg[3:] + similarity[3:] + gamma * momentum[k]
+        similarity = np.where(self._both_active[:, None], q_sim, 0.0 * q_sim)
+        tasks = np.empty((self.horizon, 6))
+        tasks[:, :3] = (momentum + com)[:, None]
+        tasks[:, 3:] = momentum[:, None]
+        regularizers = np.diag(self.weights.q_wrench_reg) + similarity
+        return regularizers[:, None, :] + self.activity[..., None] * tasks[:, None, :]
 
     # -- warm start -----------------------------------------------------------------
 

@@ -23,7 +23,7 @@ tends to a pure normal force of magnitude 1 + fz_min through the rectangle
 center.
 
 The map and its Jacobian share one set of factors (tanh(xi), exp(xi3), F_z,
-the two square roots and the row prefactors
+the two square roots, stacked, and the row prefactors
 ft = (mu_c t1, mu_c t2, 1, delta_y t4 + delta_y0, delta_x t5 + delta_x0, mu_z t6)),
 computed once per xi by `parametrization_factors` together with the finite
 and overflow checks; an optimizer that evaluates the map at a point and later
@@ -176,8 +176,7 @@ class ParametrizationFactors:
     t: np.ndarray  # (..., 6) tanh(xi)
     e3: np.ndarray  # (...,) exp(xi3)
     fz: np.ndarray  # (...,) normal force exp(xi3) + fz_min
-    r1: np.ndarray  # (...,) sqrt(1 + tanh(xi1)^2)
-    r2: np.ndarray  # (...,) sqrt(1 + tanh(xi2)^2)
+    roots: np.ndarray  # (..., 2) sqrt(1 + tanh(xi2)^2), sqrt(1 + tanh(xi1)^2): the divisors of rows 0 and 1
     ft: np.ndarray  # (..., 6) row prefactors of F_z in the map (of exp(xi3) in its Jacobian)
 
 
@@ -201,8 +200,7 @@ def _unchecked_factors(xi: np.ndarray, c: SurfaceConstants) -> ParametrizationFa
         t=t,
         e3=e3,
         fz=e3 + c.fz_min,
-        r1=np.sqrt(1.0 + t[..., 0] ** 2),
-        r2=np.sqrt(1.0 + t[..., 1] ** 2),
+        roots=np.sqrt(1.0 + t[..., 1::-1] ** 2),
         ft=c.row_scale * t + c.row_offset,
     )
 
@@ -217,8 +215,7 @@ def parametrize_batch(xi: np.ndarray, surface, factors: ParametrizationFactors |
     if factors is None:
         factors = parametrization_factors(xi, surface)
     out = factors.ft * factors.fz[..., None]
-    out[..., 0] /= factors.r2
-    out[..., 1] /= factors.r1
+    out[..., :2] /= factors.roots
     return out
 
 
@@ -237,34 +234,31 @@ def parametrization_jacobian_batch(
     """
     if factors is None:
         factors = parametrization_factors(xi, surface)
-    diag, column, j01, j10 = _jacobian_entries(factors, SurfaceConstants.of(surface))
+    diag, column, coupling = _jacobian_entries(factors, SurfaceConstants.of(surface))
     jac = np.zeros(diag.shape + (6,))
     jac.reshape(diag.shape[:-1] + (36,))[..., ::7] = diag
     jac[..., :, 2] = column  # overwrites the diagonal's xi3 entry
-    jac[..., 0, 1] = j01
-    jac[..., 1, 0] = j10
+    jac[..., 0, 1] = coupling[..., 0]
+    jac[..., 1, 0] = coupling[..., 1]
     return jac
 
 
 def _jacobian_entries(factors: ParametrizationFactors, c: SurfaceConstants):
-    """The Jacobian's 13 structural nonzeros: (diagonal, xi3 column, J[0, 1], J[1, 0]).
+    """The Jacobian's 13 structural nonzeros: (diagonal, xi3 column, (J[0, 1], J[1, 0])).
 
     The diagonal's xi3 entry is not one of them: the column replaces it.
     """
-    t, e3, fz, r1, r2, ft = factors.t, factors.e3, factors.fz, factors.r1, factors.r2, factors.ft
+    t, e3, fz, roots, ft = factors.t, factors.e3, factors.fz, factors.roots, factors.ft
     s = 1.0 - t**2  # sech^2
     # diagonal: row_scale * sech^2 * F_z
     diag = c.row_scale * s * fz[..., None]
-    diag[..., 0] /= r2
-    diag[..., 1] /= r1
+    diag[..., :2] /= roots
     # the xi3 column: the map's rows with exp(xi3) in place of F_z
     column = ft * e3[..., None]
-    column[..., 0] /= r2
-    column[..., 1] /= r1
+    column[..., :2] /= roots
     # the friction rows' coupling through the other square root
-    j01 = -ft[..., 0] * fz * t[..., 1] * s[..., 1] / r2**3
-    j10 = -ft[..., 1] * fz * t[..., 0] * s[..., 0] / r1**3
-    return diag, column, j01, j10
+    coupling = -ft[..., :2] * fz[..., None] * t[..., 1::-1] * s[..., 1::-1] / roots**3
+    return diag, column, coupling
 
 
 def parametrization_vjp(v: np.ndarray, surface, factors: ParametrizationFactors) -> np.ndarray:
@@ -275,15 +269,14 @@ def parametrization_vjp(v: np.ndarray, surface, factors: ParametrizationFactors)
     and a structural zero adds a zero, which changes no nonzero sum.  So
     J'v is the diagonal products, plus the coupling product in the two
     friction entries (a two-term sum, whose order cannot matter), with the
-    xi3 entry the column's six products summed in order (`cumsum`, which
-    differs from that sum only in the sign of an all-zero prefix), and the
-    final `+ 0.0` gives the einsum's +0.0 for a sum of zeros.
+    xi3 entry the column's six products summed in order (a running sum,
+    which differs from that sum only in the sign of an all-zero prefix), and
+    the final `+ 0.0` gives the einsum's +0.0 for a sum of zeros.
     """
-    diag, column, j01, j10 = _jacobian_entries(factors, SurfaceConstants.of(surface))
+    diag, column, coupling = _jacobian_entries(factors, SurfaceConstants.of(surface))
     out = diag * v
-    out[..., 0] += j10 * v[..., 1]
-    out[..., 1] += j01 * v[..., 0]
-    out[..., 2] = (column * v).cumsum(axis=-1)[..., 5]
+    out[..., :2] += coupling[..., ::-1] * v[..., 1::-1]
+    out[..., 2] = np.add.accumulate(column * v, -1)[..., 5]
     out += 0.0
     return out
 

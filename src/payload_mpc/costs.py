@@ -95,28 +95,17 @@ def _quad(err: np.ndarray, weight: np.ndarray) -> float:
     return 0.5 * float(_einsum("ki,ij,kj->", flat, weight, flat))
 
 
-def split_states(states: np.ndarray, n_contacts: int):
-    """Views into a (K, 9 + 3*n_c) stacked-state array: com, momentum, feet."""
-    states = np.asarray(states, dtype=float)
-    com = states[..., 0:3]
-    momentum = states[..., 3:9]
-    feet = states[..., 9:].reshape(states.shape[:-1] + (n_contacts, 3))
-    return com, momentum, feet
-
-
 def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarray) -> float:
     """Angular-momentum damping plus CoM reference tracking, summed over stages.
 
     Linear momentum is deliberately left unpenalized; the CoM term shapes it
-    indirectly.  `com_err` is the CoM minus its reference (K+1, 3).
+    indirectly.  `states` is the (K+1, nx) trajectory and `com_err` its CoM
+    minus the reference (K+1, 3).
     """
-    n_c = refs.n_contacts
-    com, momentum, _ = split_states(states, n_c)
-    if com.shape[0] != refs.horizon + 1:
-        raise ConfigurationError(
-            f"trajectory has {com.shape[0]} stages, references expect {refs.horizon + 1}"
-        )
-    return _quad(momentum[:, 3:], weights.q_h) + _quad(com_err, weights.q_c)
+    stages = refs.com_refs.shape[0]
+    if states.shape[0] != stages:
+        raise ConfigurationError(f"trajectory has {states.shape[0]} stages, references expect {stages}")
+    return _quad(states[:, 6:9], weights.q_h) + _quad(com_err, weights.q_c)
 
 
 def footstep_cost(feet_err: np.ndarray, weights: Weights) -> float:
@@ -166,8 +155,9 @@ def payload_compensation_targets(
 ):
     """Per-stage, per-contact wrench targets cancelling the held payload.
 
-    `fixed` is the problem's `TargetConstants` for this activity and robot,
-    built here when not given.
+    `states` holds the stacked states of at least the K stages (K+1, nx)
+    and `fixed` is the problem's `TargetConstants` for this activity and
+    robot, built here when not given.
     Returns (targets (K, n_c, 6), solve cache) where targets are only
     meaningful where `activity` is 1.  The cache carries the stacked transport
     products needed by the analytic gradient, among them the top block
@@ -177,9 +167,8 @@ def payload_compensation_targets(
     if fixed is None:
         fixed = TargetConstants.build(activity, constants)
     steps, n_c = activity.shape
-    com, _, feet = split_states(states, n_c)
-    com = com[:steps]
-    feet = feet[:steps]
+    com = states[:steps, 0:3]
+    feet = states[:steps, 9:].reshape(steps, n_c, 3)
 
     r = feet - com[:, None, :]  # (K, n_c, 3) contact lever arms
     rx = _skew_batch(r)  # (K, n_c, 3, 3)
@@ -237,18 +226,18 @@ def payload_attenuation_cost(
     steps, n_c = xi_traj.shape[:2]
     activity = np.asarray(gait, dtype=float)[:, :steps].T  # (K, n_c)
     wrenches = wrenches_from_parameters(xi_traj, orientations, surfaces)
+    states = np.asarray(states, dtype=float)
     targets, _ = payload_compensation_targets(states, activity, PayloadArrays.of(payload), constants)
     return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
 
 
-def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces, factors=None) -> np.ndarray:
+def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces) -> np.ndarray:
     """Map parameters (K, n_c, 6) to inertial-frame wrenches via the parametrization.
 
     One contact-map call covers every contact: `surfaces` holds one surface
-    per contact, or is their stacked `contact.SurfaceConstants`.  `factors`
-    are the `contact.ParametrizationFactors` of `xi_traj`, when known.
+    per contact, or is their stacked `contact.SurfaceConstants`.
     """
-    local = parametrize_batch(xi_traj, surfaces, factors)
+    local = parametrize_batch(xi_traj, surfaces)
     return rotate_wrenches(local, np.asarray(orientations, dtype=float).transpose(0, 2, 1))
 
 
@@ -262,4 +251,4 @@ def _skew_batch(v: np.ndarray) -> np.ndarray:
     signed = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
     # `take`, not `signed[..., _SKEW]`: that result is not C-ordered, and the
     # einsums over these matrices sum in an order that follows the layout
-    return signed.take(_SKEW, axis=-1).reshape(v.shape + (3,))
+    return signed.take(_SKEW, -1).reshape(v.shape + (3,))

@@ -155,9 +155,10 @@ def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, conf
     err_world = feet_err[1:]  # (K, n_c, 3)
     err = _shooting.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
     if config.footstep_bound_mode == BOUND_MODE_BOX:
-        lower = err - config.footstep_bound_lower
-        upper = config.footstep_bound_upper - err
-        return np.concatenate([lower, upper], axis=2).reshape(steps * n_c * 6)
+        out = np.empty((steps, n_c, 6))
+        np.subtract(err, config.footstep_bound_lower, out[..., :3])
+        np.subtract(config.footstep_bound_upper, err, out[..., 3:])
+        return out.reshape(steps * n_c * 6)
     norm = np.linalg.norm(err, axis=2)
     return (config.footstep_bound_upper[0] - norm).reshape(steps * n_c)
 
@@ -216,10 +217,13 @@ class ShootingProblem:
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()
         self._last_point = None
-        # tick constants: the activity gates of every rollout and adjoint, and
-        # the footstep references in the feet's (K+1, n_c, 3) layout
+        # tick constants: the activity gates of every rollout and adjoint, the
+        # footstep references in the feet's (K+1, n_c, 3) layout, and the
+        # transposed orientations that rotate contact-frame wrenches into the
+        # inertial frame
         self._gates = _shooting.StageGates.of(self.activity, constants, config.dt)
         self._feet_refs = refs.footstep_refs.transpose(1, 0, 2)
+        self._to_world = refs.contact_orientations.transpose(0, 2, 1)
 
     # -- decision vector layout ------------------------------------------------
 
@@ -259,10 +263,10 @@ class ShootingProblem:
             wrenches = self._wrenches_world(inputs, factors)
             forces = _shooting.stage_forces(wrenches, self._gates, self._payload)
             states = _shooting.rollout(self._x0, vel, self._payload, self.config.dt, self._gates, forces)
-            com, _, feet = _costs.split_states(states, self.n_contacts)
+            feet = states[:, 9:].reshape(self._feet_refs.shape)
             point = self._last_point = _shooting.ShootingPoint(
                 key, inputs, vel, wrenches, states, forces,
-                com_err=com - self.refs.com_refs, feet_err=feet - self._feet_refs, factors=factors,
+                com_err=states[:, 0:3] - self.refs.com_refs, feet_err=feet - self._feet_refs, factors=factors,
             )
         return point
 
@@ -323,28 +327,27 @@ class ShootingProblem:
         wrench_direct = self._input_seeds(point, seeds, None if s is None else s[n_bounds:])
         # footstep bound residuals, folded in through their stage states
         if s is not None:
-            seeds += self._bound_state_seeds(point, s[:n_bounds])
+            self._bound_state_seeds(point, s[:n_bounds], seeds)
         wrench_adj, vel_adj = _shooting.rollout_adjoint(states, self.config.dt, seeds, self._gates, point.forces)
         vel_grad = vel_adj + point.velocities @ self.weights.q_v
         return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
 
-    def _bound_state_seeds(self, point: _shooting.ShootingPoint, s: np.ndarray) -> np.ndarray:
+    def _bound_state_seeds(self, point: _shooting.ShootingPoint, s: np.ndarray, seeds: np.ndarray) -> None:
+        """Add the footstep bounds' state gradients, weighted by `s`, into the gradient's `seeds` in place."""
         steps, n_c = self.horizon, self.n_contacts
-        seeds = np.zeros(point.states.shape)
         rots = self.refs.contact_orientations
         if self.config.footstep_bound_mode == BOUND_MODE_BOX:
             sw = s.reshape(steps, n_c, 6)
             # d(e - lb)/dp = R', d(ub - e)/dp = -R'
             delta = sw[..., :3] - sw[..., 3:]
-            seeds[1:, 9:] = _shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
+            seeds[1:, 9:] += _shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
         else:
             sw = s.reshape(steps, n_c)
             err = _shooting.einsum("iba,kib->kia", rots, point.feet_err[1:])
             norm = np.linalg.norm(err, axis=2, keepdims=True)
             unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
             contrib = -sw[..., None] * _shooting.einsum("iab,kib->kia", rots, unit)
-            seeds[1:, 9:] = contrib.reshape(steps, n_c * 3)
-        return seeds
+            seeds[1:, 9:] += contrib.reshape(steps, n_c * 3)
 
     # -- solver plumbing ---------------------------------------------------------
 
@@ -359,7 +362,7 @@ class ShootingProblem:
                 # reject blown-up rollouts (line-search overshoot): far beyond
                 # any physical trajectory, and lever arms this large would make
                 # the payload-target solve numerically singular
-                if not np.maximum.reduce(np.abs(point.states), axis=None) <= 1e6:  # also rejects nan and inf
+                if not np.maximum.reduce(np.abs(point.states), None) <= 1e6:  # also rejects nan and inf
                     f, c = np.inf, np.zeros(self.num_constraints)
                 else:
                     f, c = float(sum(self._cost_parts(point).values())), self._residuals(point)
@@ -393,28 +396,25 @@ class ShootingProblem:
         q_h_m = float(np.diag(w.q_h).mean())
         q_c_max = float(np.diag(w.q_c).max())
         q_pc_m = float(np.diag(w.q_pc).mean())
-        q_v_d = np.diag(w.q_v)
         # cost per unit squared stage force or moment from momentum and CoM
         # tracking, mapped through the one-step impulse response of the
         # rollout (a stage force acts for a single period)
-        momentum = [q_h_m * dt * dt * (steps - k) for k in range(steps)]
-        com = [q_c_max * dt**4 * (steps - k) ** 3 / (3.0 * mass * mass) for k in range(steps)]
-        curvature = np.empty((steps, n_c, 9))
-        self._input_curvature(curvature, momentum, com)
-        for k in range(steps):
-            remaining = steps - k
-            for i in range(n_c):
-                gamma = self.activity[k, i]
-                # swing velocity: footstep tracking over the remaining stages
-                # plus, once the foot lands inside the horizon, the lever-arm
-                # coupling of its frozen position into the accumulated angular
-                # momentum (hence the cubic stage count)
-                landed_after = int(self.activity[k + 1 :, i].sum()) if gamma < 0.5 else 0
-                lever = q_h_m * dt**4 * weight**2 * landed_after**3 / 3.0
-                curvature[k, i, 6:] = q_v_d + (1.0 - gamma) * (q_pc_m * dt * dt * remaining + lever)
+        remaining = np.arange(steps, 0, -1)  # stages left from each stage on
+        momentum = q_h_m * dt * dt * remaining
+        com = q_c_max * dt**4 * remaining**3 / (3.0 * mass * mass)
+        # swing velocity: footstep tracking over the remaining stages plus,
+        # once the foot lands inside the horizon, the lever-arm coupling of its
+        # frozen position into the accumulated angular momentum (hence the
+        # cubic count of the stance stages after a swing stage)
+        gamma = self.activity
+        landed_after = np.zeros((steps, n_c), dtype=int)
+        landed_after[:-1] = np.add.accumulate(gamma[:0:-1].astype(int), 0)[::-1]
+        landed_after[gamma >= 0.5] = 0
+        lever = q_h_m * dt**4 * weight**2 * landed_after**3 / 3.0
+        swing = (1.0 - gamma) * ((q_pc_m * dt * dt * remaining)[:, None] + lever)
         metric = np.empty((steps, n_c * 9))
-        metric[:, : n_c * 6] = (1.0 / curvature[:, :, :6]).reshape(steps, n_c * 6)
-        metric[:, n_c * 6 :] = (1.0 / curvature[:, :, 6:]).reshape(steps, n_c * 3)
+        metric[:, : n_c * 6] = (1.0 / self._input_curvature(momentum, com)).reshape(steps, n_c * 6)
+        metric[:, n_c * 6 :] = (1.0 / (np.diag(w.q_v) + swing[..., None])).reshape(steps, n_c * 3)
         return metric.reshape(self.dim)
 
     # -- warm starts ---------------------------------------------------------------
@@ -464,16 +464,14 @@ class HorizonProblem(ShootingProblem):
         factors come from the unchecked core: one check per point.
         """
         if (
-            np.maximum.reduce(np.abs(xi[..., 2]), axis=None) > _XI3_GUARD
-            or not np.logical_and.reduce(np.isfinite(xi), axis=None)
+            np.maximum.reduce(np.abs(xi[..., 2]), None) > _XI3_GUARD
+            or not np.logical_and.reduce(np.isfinite(xi), None)
         ):
             raise ParameterRangeError(f"xi must be finite with |xi_3| <= {_XI3_GUARD}")
         return _unchecked_factors(xi, self._surface_constants)
 
     def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
-        return _costs.wrenches_from_parameters(
-            xi, self.refs.contact_orientations, self._surface_constants, factors
-        )
+        return rotate_wrenches(_costs.parametrize_batch(xi, self._surface_constants, factors), self._to_world)
 
     def _payload_targets(self, point: _shooting.ShootingPoint):
         if point.payload_targets is None:
@@ -505,11 +503,9 @@ class HorizonProblem(ShootingProblem):
         if not self.use_payload_task:
             return np.zeros((self.horizon, self.n_contacts, 6))
         _, cache = self._payload_targets(point)
-        payload_seeds, wrench_direct = _shooting.payload_cost_state_seeds(
-            self._payload_residual(point), cache, self.activity, self._payload, self.weights.q_d
+        return _shooting.payload_cost_state_seeds(
+            self._payload_residual(point), cache, self.activity, self._payload, self.weights.q_d, seeds
         )
-        seeds += payload_seeds
-        return wrench_direct
 
     def _input_gradient(self, point: _shooting.ShootingPoint, wrench_adj, wrench_direct) -> np.ndarray:
         # chain through the contact rotations and the parametrization Jacobian,
@@ -520,13 +516,18 @@ class HorizonProblem(ShootingProblem):
         xi_grad += xi @ self.weights.q_xi
         return xi_grad
 
-    def _input_curvature(self, curvature: np.ndarray, momentum: list, com: list) -> None:
-        """Parameter curvature: the payload task and the tracking tasks through the contact map."""
+    def _input_curvature(self, momentum: np.ndarray, com: np.ndarray) -> np.ndarray:
+        """Parameter curvature (K, n_c, 6): the payload task and the tracking tasks through the contact map.
+
+        `momentum` and `com` are the (K,) tracking curvatures per unit stage
+        force.  Each row's surface factor times the stage's weight share is
+        squared with `np.float_power`, the C library's `pow` that a scalar
+        `** 2` calls (an array's `** 2` multiplies, which rounds differently).
+        """
         weight = float(self._gates.mg[2])
         w = self.weights
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())
-        q_xi_d = np.diag(w.q_xi)
         s = self._surface_constants
         for i, surface in enumerate(self.surfaces):
             # each factor below is squared times a weight share, at most the whole
@@ -537,20 +538,15 @@ class HorizonProblem(ShootingProblem):
                     f"surface {surface} overflows the curvature metric: its largest factor times "
                     f"the weight, {largest:.3g}, squares past the float range"
                 )
-        for k in range(self.horizon):
-            n_active = max(self.activity[k].sum(), 1.0)
-            share = weight / n_active
-            curv_force = qd_f + momentum[k] + com[k]
-            curv_moment = qd_m + momentum[k]
-            for i in range(self.n_contacts):
-                gamma = self.activity[k, i]
-                c = curvature[k, i]
-                c[0] = q_xi_d[0] + gamma * curv_force * (s.mu_c[i] * share) ** 2
-                c[1] = q_xi_d[1] + gamma * curv_force * (s.mu_c[i] * share) ** 2
-                c[2] = q_xi_d[2] + gamma * curv_force * share**2
-                c[3] = q_xi_d[3] + gamma * curv_moment * (s.delta_y[i] * share) ** 2
-                c[4] = q_xi_d[4] + gamma * curv_moment * (s.delta_x[i] * share) ** 2
-                c[5] = q_xi_d[5] + gamma * curv_moment * (s.mu_z[i] * share) ** 2
+        share = weight / np.maximum(np.add.reduce(self.activity, 1), 1.0)
+        # the rows' factors: mu_c, mu_c, 1 (the normal force), delta_y, delta_x, mu_z
+        factor = s.row_scale.copy()
+        factor[:, 2] = 1.0
+        tasks = np.empty((self.horizon, 6))
+        tasks[:, :3] = (qd_f + momentum + com)[:, None]
+        tasks[:, 3:] = (qd_m + momentum)[:, None]
+        squared = np.float_power(factor * share[:, None, None], 2)
+        return np.diag(w.q_xi) + self.activity[..., None] * tasks[:, None, :] * squared
 
     def initial_warm_start(self) -> np.ndarray:
         """Static gravity-share guess: invert the per-contact share of the weight."""

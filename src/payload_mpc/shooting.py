@@ -11,11 +11,11 @@ This is the optimizer's hot path, and it has no Python loop over stages.
 The forward recursion is a chain of running sums: the feet move only by
 gated swing velocities, linear momentum by the net force, the CoM by the
 linear momentum, and the angular momentum by moments that need only those
-three.  So the rollout takes three in-place cumsums over the stage axis,
-with every increment computed for all stages at once: one over the momentum
-and feet columns together (the angular block rides along as zeros), then the
-CoM, then the angular momentum, whose increments overwrite the zeros before
-its own scan.  Columns never mix in a scan, and accumulation is strictly
+three.  So the rollout takes three in-place running sums over the stage
+axis, with every increment computed for all stages at once: one over the
+momentum and feet columns together (the angular block rides along as zeros),
+then the CoM, then the angular momentum, whose increments overwrite the
+zeros before its own scan.  Columns never mix in a scan, and accumulation is strictly
 sequential (`x0 + d0`, then `+ d1`, ...), so the result is bitwise equal to
 the stage-by-stage recursion, not merely close to it.
 
@@ -27,15 +27,16 @@ performs exactly those additions in exactly that association, so this scan
 too is bitwise equal to the backward loop; a block with no transport term
 is padded with `-0.0`, the one value whose addition changes no bit.
 
-`cross` is the one helper every layer leans on, so it skips `np.cross`'s
-bookkeeping: one `take` of each operand into the six factor pairs, one
-multiply and one subtraction, the same six products and three differences
-as the component formulas.  Cross products that share an operand are taken
-in one call on the stacked other operands: the gated forces and the lever
-arms with the angular costate in the adjoint, the lever arms, the target top
-blocks and the grip forces with `h2` in the payload seeds.  Every such
-product is elementwise, so stacking changes no bit; an evaluated point and
-its gradient make nine cross calls.
+`cross` (from `dynamics`, where the plant uses it too) is the one helper
+every layer leans on, so it skips `np.cross`'s bookkeeping: one `take` of
+each operand into the six factor pairs, one multiply and one subtraction,
+the same six products and three differences as the component formulas.
+Cross products that share an operand are taken in one call on the stacked
+other operands: the gated forces and the lever arms with the angular
+costate in the adjoint, the lever arms, the target top blocks and the grip
+forces with `h2` in the payload seeds.  Every such product is elementwise,
+so stacking changes no bit; an evaluated point and its gradient make nine
+cross calls.
 
 A `ShootingPoint` keeps everything one decision vector needs more than once:
 its inputs, world wrenches and states, the gated forces that the rollout and
@@ -47,10 +48,13 @@ per problem instead of once per rollout and adjoint.
 
 An iteration's arrays are tiny, so a numpy function's Python wrapper can
 cost as much as its kernel.  The hot path therefore calls kernels: `einsum`
-and `linalg_solve` below, the reductions as `np.add.reduce`,
-`np.maximum.reduce` and `np.logical_and.reduce` rather than the `ndarray`
-methods that reach them through Python, and `ndarray.take` for gathers.
-Each gives its wrapper's result bitwise.
+and `linalg_solve` below, the scans as `np.add.accumulate(block, 0, None,
+block)` in place, the reductions as `np.add.reduce`, `np.maximum.reduce`
+and `np.logical_and.reduce` rather than the `ndarray` methods that reach
+them through Python, and `ndarray.take` for gathers, each with its axis
+positional.  Each gives its wrapper's result bitwise.  The gradient's state
+seeds go into one buffer: every seed term, the payload task's and the
+footstep bounds' included, is added into it in place.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
-from .dynamics import PayloadDisturbance, RobotConstants
+from .dynamics import PayloadDisturbance, RobotConstants, cross
 
 # `np.einsum` without `optimize` hands its arguments straight to this kernel,
 # after a dispatcher and a generator that cost about as much as the einsum.
@@ -83,26 +87,6 @@ def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the callers pass float64 arrays of these shapes.
     """
     return _umath_linalg.solve(a, b, signature="dd->d")
-
-
-# the six products of a cross product: a[_L] * b[_R] gives (a1 b2, a2 b0, a0 b1,
-# a2 b1, a0 b2, a1 b0), and the first three minus the last three are the result
-_L = np.array([1, 2, 0, 2, 0, 1])
-_R = np.array([2, 0, 1, 1, 2, 0])
-
-
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the trailing axis of two arrays that broadcast.
-
-    The same six multiplies and three subtractions as `np.cross`, as one
-    gather-multiply and one subtraction, without its axis bookkeeping.
-    `take` keeps the component axis last, so the products and the result
-    are C-ordered in the broadcast shape (a fancy-index gather would put
-    that axis outermost); an einsum or matmul over the result sums in an
-    order that follows this layout.
-    """
-    p = a.take(_L, axis=-1) * b.take(_R, axis=-1)
-    return p[..., :3] - p[..., 3:]
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ class StageGates:
 def stage_forces(wrenches: np.ndarray, gates: StageGates, payload: PayloadArrays):
     """The gated wrenches (K, n_c, 6) and each stage's total force (K, 3), payload included."""
     gated = wrenches * gates.stance
-    return gated, np.add.reduce(gated[:, :, :3], axis=1) + payload.force_sum
+    return gated, np.add.reduce(gated[:, :, :3], 1) + payload.force_sum
 
 
 @dataclass
@@ -218,17 +202,20 @@ def rollout(
     # linear momentum and feet: increments known up front, one scan for both
     states[1:, 3:6] = dt * (total_force - mg[:3])
     states[1:, 9:] = (gates.swing_dt * velocities).reshape(steps, n_c * 3)
-    _scan(states, 3, None)
+    block = states[:, 3:]
+    np.add.accumulate(block, 0, None, block)
     # CoM: driven by the momentum just accumulated
     states[1:, 0:3] = gates.dt_over_mass * states[:-1, 3:6]
-    _scan(states, 0, 3)
+    block = states[:, 0:3]
+    np.add.accumulate(block, 0, None, block)
     # angular momentum: moments about the stage CoM, now known for every stage
     com = states[:-1, 0:3]
     feet = states[:-1, 9:].reshape(steps, n_c, 3)
-    base_moment = np.add.reduce(gated[:, :, 3:], axis=1) + payload.pivot_moment
-    moment = base_moment + np.add.reduce(cross(feet, gated_f), axis=1) - cross(com, total_force)
+    base_moment = np.add.reduce(gated[:, :, 3:], 1) + payload.pivot_moment
+    moment = base_moment + np.add.reduce(cross(feet, gated_f), 1) - cross(com, total_force)
     states[1:, 6:9] = dt * (moment - mg[3:])
-    _scan(states, 6, 9)
+    block = states[:, 6:9]
+    np.add.accumulate(block, 0, None, block)
     return states
 
 
@@ -258,15 +245,19 @@ def rollout_adjoint(
     lam_hm = lam[1:, 6:9]  # angular-momentum costate of the next stage
     r = states[:-1, 9:].reshape(steps, n_c, 3) - states[:-1, None, 0:3]  # lever arms
     terms[:, 6:9] = -0.0  # the additive identity for every sign of zero
-    _scan(backward, 6, 9)
+    block = backward[:, 6:9]
+    np.add.accumulate(block, 0, None, block)
     terms[:, 0:3] = dt * cross(lam_hm, total_force)
     # the gated forces and the lever arms meet the same costate: one cross for both
-    f_r_cross = cross(np.concatenate([gated_f, r], axis=1), lam_hm[:, None, :])
+    f_r_cross = cross(np.concatenate([gated_f, r], 1), lam_hm[:, None, :])
     terms[:, 9:] = (dt * f_r_cross[:, :n_c]).reshape(steps, n_c * 3)
-    _scan(backward, 0, 3)
-    _scan(backward, 9, None)
+    block = backward[:, 0:3]
+    np.add.accumulate(block, 0, None, block)
+    block = backward[:, 9:]
+    np.add.accumulate(block, 0, None, block)
     terms[:, 3:6] = gates.dt_over_mass * lam[1:, 0:3]
-    _scan(backward, 3, 6)
+    block = backward[:, 3:6]
+    np.add.accumulate(block, 0, None, block)
     # input gradients: transported wrench hits the momentum, velocity moves swing feet
     lam_next = lam[1:]
     gd = gates.stance_dt
@@ -277,36 +268,34 @@ def rollout_adjoint(
     return wrench_grads, velocity_grads
 
 
-def _scan(rows: np.ndarray, start: int, stop) -> None:
-    """Running sum down the rows of one column block, in place and in row order."""
-    block = rows[:, start:stop]
-    block.cumsum(axis=0, out=block)
-
-
 def payload_cost_state_seeds(
     residual: np.ndarray,
     cache: dict,
     activity: np.ndarray,
     payload: PayloadArrays,
     q_d: np.ndarray,
-):
+    seeds: np.ndarray,
+) -> np.ndarray:
     """Gradients of the payload-attenuation cost.
 
     `residual` is `costs.payload_residual` of the wrenches and their targets,
     `cache` the solve cache of `costs.payload_compensation_targets` at the
-    same states.  Returns (state seeds (K+1, nx), direct wrench gradients
-    (K, n_c, 6)).  The state dependence runs through the pseudo-inverse
-    wrench targets; the reverse-mode algebra differentiates the batched
-    linear solves against the stacked transport maps directly.
+    same states.  The state gradients are added into `seeds` (K+1, nx) in
+    place; the direct wrench gradients (K, n_c, 6) are returned.  The state
+    dependence runs through the pseudo-inverse wrench targets; the
+    reverse-mode algebra differentiates the batched linear solves against
+    the stacked transport maps directly.  Adding in place gives bitwise what
+    adding a zero buffer of these terms would while `seeds` holds no -0.0
+    (x + 0.0 == x for every other x); a buffer that starts at +0.0 and is
+    only added to never does.
     """
     steps, n_c = activity.shape
-    nx = 9 + 3 * n_c
     mask = activity[..., None]
     v = (residual @ q_d) * mask  # (K, n_c, 6), rows v_i = Q_d rho_i
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages
     w_vec = np.concatenate(
-        [np.add.reduce(v[:, :, :3], axis=1), np.add.reduce(v[:, :, 3:] + cross(r, v[:, :, :3]), axis=1)], axis=1
+        [np.add.reduce(v[:, :, :3], 1), np.add.reduce(v[:, :, 3:] + cross(r, v[:, :, :3]), 1)], 1
     )
     h = linalg_solve(m_mat, w_vec[..., None])[..., 0]  # (K, 6)
     c2 = c[:, None, 3:]
@@ -318,10 +307,9 @@ def payload_cost_state_seeds(
     stacked[:, :n_c], stacked[:, n_c : 2 * n_c], stacked[:, 2 * n_c :] = r, z1, payload.forces
     by_h2 = cross(stacked, h2)
     zeta1 = h1 - by_h2[:, :n_c]
-    by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], axis=1), c2)
+    by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], 1), c2)
     d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask
-    d_q = -np.add.reduce(by_h2[:, 2 * n_c :], axis=1)  # (K, 3)
-    seeds = np.zeros((steps + 1, nx))
-    seeds[:steps, 9:] = -d_r.reshape(steps, n_c * 3)
-    seeds[:steps, 0:3] = np.add.reduce(d_r, axis=1) + d_q
-    return seeds, v
+    d_q = -np.add.reduce(by_h2[:, 2 * n_c :], 1)  # (K, 3)
+    seeds[:steps, 9:] -= d_r.reshape(steps, n_c * 3)
+    seeds[:steps, 0:3] += np.add.reduce(d_r, 1) + d_q
+    return v

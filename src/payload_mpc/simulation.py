@@ -148,12 +148,14 @@ class TickRecord:
     outer_iterations: int
     kkt_norm: float  # inf-norm of the solve's last merit gradient
     constraint_violation: float  # inf-norm of the solve's unmet constraints
+    over_period: bool  # solve_ms > 1000 * the controller period: the command comes late
 
     @classmethod
-    def of(cls, tick: int, controller: str, solve_ms: float, stats: SolverResult) -> "TickRecord":
+    def of(cls, tick: int, controller: str, solve_ms: float, stats: SolverResult, period: float) -> "TickRecord":
+        """The record of one solve; `period` is the controller period in seconds."""
         return cls(tick, controller, solve_ms, stats.iterations, stats.status, stats.value_evaluations,
                    stats.gradient_evaluations, stats.backtracks, stats.outer_iterations, stats.kkt_norm,
-                   stats.constraint_violation)
+                   stats.constraint_violation, solve_ms > 1000.0 * period)
 
 
 @dataclass
@@ -212,6 +214,7 @@ class SimLog:
             "mean_solve_ms": mean("solve_ms"),
             "mean_iterations": mean("iterations"),
             "non_converged_ticks": sum(r.status != "converged" for r in self.ticks),
+            "ticks_over_period": sum(r.over_period for r in self.ticks),
             "mean_value_evaluations": mean("value_evaluations"),
             "mean_gradient_evaluations": mean("gradient_evaluations"),
             "mean_backtracks": mean("backtracks"),
@@ -271,10 +274,11 @@ def _reference_window(schedule, com_refs, tick, horizon):
     )
 
 
-def _payload_at(spec: PayloadSpec, com: np.ndarray, t: float, gravity: float) -> PayloadDisturbance:
-    if spec.mass <= 0 or t < spec.onset_time - 1e-12:
+def _payload_at(hold: PayloadDisturbance | None, onset_time: float, com: np.ndarray, t: float) -> PayloadDisturbance:
+    """The payload acting at time t: the CoM-relative `hold` moved to `com`, zero before onset or without one."""
+    if hold is None or t < onset_time - 1e-12:
         return PayloadDisturbance.zero()
-    return payload_from_mass(spec.mass, spec.left_offset, spec.right_offset, gravity).translated(com)
+    return hold.translated(com)
 
 
 def _controller(name: str):
@@ -321,7 +325,9 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
     n_c = schedule.n_contacts
     surfaces = [scenario.surface] * n_c
     orientations = np.tile(np.eye(3), (n_c, 1, 1))
+    spec = scenario.payload
     gravity = scenario.constants.gravity_vector[2]
+    hold = payload_from_mass(spec.mass, spec.left_offset, spec.right_offset, gravity) if spec.mass > 0 else None
 
     weights = scenario.weights
     payload_blind = scenario.controller == CONTROLLER_PARAM_NO_PAYLOAD_TASK
@@ -354,7 +360,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         t = tick * config.dt
         com_window, feet_window, gait_window = _reference_window(schedule, com_refs, tick, horizon)
         refs = HorizonReferences(com_window, feet_window, gait_window, orientations)
-        payload_true = _payload_at(scenario.payload, state.com_position, t, gravity)
+        payload_true = _payload_at(hold, spec.onset_time, state.com_position, t)
         estimate = PayloadDisturbance.zero() if payload_blind else payload_true
         instance = (state, refs, estimate, weights, config, scenario.constants, surfaces)
         try:
@@ -378,10 +384,10 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
                         f"applied wrench violates contact stability at t={t:.2f}s "
                         f"(contact {i}, margins {margins})",
                     )
-        log.ticks.append(TickRecord.of(tick, scenario.controller, solve_ms, step.stats))
+        log.ticks.append(TickRecord.of(tick, scenario.controller, solve_ms, step.stats, config.dt))
         _logger.debug("%s", log.ticks[-1])
         if shadow is not None:
-            log.shadow_per_tick.append(TickRecord.of(tick, shadow, shadow_ms, shadow_step.stats))
+            log.shadow_per_tick.append(TickRecord.of(tick, shadow, shadow_ms, shadow_step.stats, config.dt))
             _logger.debug("%s", log.shadow_per_tick[-1])
             shadow_warm = shadow_step.warm_start
         cost_row = np.array(
@@ -394,7 +400,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
         )
         for sub in range(substeps):
             t_plant = t + sub * scenario.plant_dt
-            payload_plant = _payload_at(scenario.payload, state.com_position, t_plant, gravity)
+            payload_plant = _payload_at(hold, spec.onset_time, state.com_position, t_plant)
             alpha = sub / substeps
             log.times[row] = t_plant
             log.com[row] = state.com_position
@@ -463,6 +469,7 @@ class TimingReport:
                 "non_converged": int((~converged).sum()),
                 "mean_converged_solve_ms": float(times[converged].mean()) if converged.any() else float("nan"),
                 "non_converged_share": float((~converged).mean()),
+                "ticks_over_period": sum(r.over_period for r in rows),
             }
         return out
 

@@ -127,8 +127,8 @@ def test_static_behavior_agrees_with_parametrized():
 
 
 def record(tick, controller, solve_ms, iterations, status):
-    """A timing row with zero evaluation counters, which the report does not read."""
-    return TickRecord(tick, controller, solve_ms, iterations, status, 0, 0, 0, 0, 0.0, 0.0)
+    """A timing row with zero evaluation counters, which the report does not read, at a 200 ms period."""
+    return TickRecord(tick, controller, solve_ms, iterations, status, 0, 0, 0, 0, 0.0, 0.0, solve_ms > 200.0)
 
 
 def test_timing_report_identical_controller_ratio():
@@ -147,6 +147,7 @@ def test_timing_report_identical_controller_ratio():
     assert summary["baseline"]["mean_converged_solve_ms"] == pytest.approx(summary["param"]["mean_solve_ms"])
     assert summary["param"]["non_converged_share"] == 0.0
     assert summary["param"]["mean_converged_solve_ms"] == summary["param"]["mean_solve_ms"]
+    assert (summary["param"]["ticks_over_period"], summary["baseline"]["ticks_over_period"]) == (0, 1)
 
 
 def test_timing_report_no_converged_tick():

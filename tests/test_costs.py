@@ -7,7 +7,6 @@ from payload_mpc.costs import (
     parameter_regularization_cost,
     payload_attenuation_cost,
     payload_compensation_targets,
-    split_states,
     tracking_cost,
 )
 from payload_mpc.contact import ContactSurface
@@ -34,8 +33,8 @@ def stack_state(com, momentum, feet):
 
 def task_errors(states, refs):
     """CoM and feet minus their references, as a problem's point memo keeps them."""
-    com, _, feet = split_states(states, refs.n_contacts)
-    return com - refs.com_refs, feet - refs.footstep_refs.transpose(1, 0, 2)
+    feet = states[:, 9:].reshape(states.shape[0], refs.n_contacts, 3)
+    return states[:, 0:3] - refs.com_refs, feet - refs.footstep_refs.transpose(1, 0, 2)
 
 
 def tracking(states, refs, weights):

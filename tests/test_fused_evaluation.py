@@ -4,15 +4,17 @@ Both problems now evaluate every contact at once: the contact map and its
 Jacobian take the surface constants stacked along the contact axis, the
 parametrized problem keeps the map's tanh/exp factors for its gradient, the
 frame rotations are one stacked matmul, and the payload targets reuse
-per-problem constants.  The per-contact loops they replaced are kept here as
-the oracle, and every test demands bitwise equality (`tobytes()`), not a
-tolerance.  The random surfaces differ per contact: no scenario exercises
-per-contact constants.
+per-problem constants.  The gradients add the payload and footstep-bound
+state seeds into one buffer, and the curvature metric is array expressions.
+The per-contact loops, the separate seed buffers and the metric's loops
+they replaced are kept here as the oracle, and every test demands bitwise
+equality (`tobytes()`), not a tolerance.  The random surfaces differ per
+contact: no scenario exercises per-contact constants.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
@@ -75,6 +77,56 @@ def reference_contact_map(xi, orientations, surfaces):
     return out
 
 
+def split_states(states, n_c):
+    """Views of the CoM, the momentum and the feet (K+1, n_c, 3) of stacked states."""
+    return states[:, 0:3], states[:, 3:9], states[:, 9:].reshape(states.shape[0], n_c, 3)
+
+
+def reference_payload_seeds(residual, cache, activity, payload, q_d):
+    """`shooting.payload_cost_state_seeds` as it was: the state seeds in a zero buffer of their own."""
+    steps, n_c = activity.shape
+    mask = activity[..., None]
+    v = (residual @ q_d) * mask
+    m_mat, c, r = cache["m"], cache["c"], cache["r"]
+    w_vec = np.concatenate(
+        [np.add.reduce(v[:, :, :3], axis=1), np.add.reduce(v[:, :, 3:] + shooting.cross(r, v[:, :, :3]), axis=1)],
+        axis=1,
+    )
+    h = shooting.linalg_solve(m_mat, w_vec[..., None])[..., 0]
+    c2 = c[:, None, 3:]
+    h1, h2 = h[:, None, :3], h[:, None, 3:]
+    stacked = np.empty((steps, 2 * n_c + 2, 3))
+    stacked[:, :n_c], stacked[:, n_c : 2 * n_c], stacked[:, 2 * n_c :] = r, cache["z1"], payload.forces
+    by_h2 = shooting.cross(stacked, h2)
+    zeta1 = h1 - by_h2[:, :n_c]
+    by_c2 = shooting.cross(np.concatenate([zeta1, v[:, :, :3]], axis=1), c2)
+    d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask
+    d_q = -np.add.reduce(by_h2[:, 2 * n_c :], axis=1)
+    seeds = np.zeros((steps + 1, 9 + 3 * n_c))
+    seeds[:steps, 9:] = -d_r.reshape(steps, n_c * 3)
+    seeds[:steps, 0:3] = np.add.reduce(d_r, axis=1) + d_q
+    return seeds, v
+
+
+def reference_bound_seeds(problem, point, s):
+    """`ShootingProblem._bound_state_seeds` as it was: a zero buffer of its own."""
+    steps, n_c = problem.horizon, problem.n_contacts
+    seeds = np.zeros(point.states.shape)
+    rots = problem.refs.contact_orientations
+    if problem.config.footstep_bound_mode == "box":
+        sw = s.reshape(steps, n_c, 6)
+        delta = sw[..., :3] - sw[..., 3:]
+        seeds[1:, 9:] = shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
+    else:
+        sw = s.reshape(steps, n_c)
+        err = shooting.einsum("iba,kib->kia", rots, point.feet_err[1:])
+        norm = np.linalg.norm(err, axis=2, keepdims=True)
+        unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
+        contrib = -sw[..., None] * shooting.einsum("iab,kib->kia", rots, unit)
+        seeds[1:, 9:] = contrib.reshape(steps, n_c * 3)
+    return seeds
+
+
 def reference_adjoint(problem, states, wrenches, seeds):
     """`shooting.rollout_adjoint` on gates and forces built afresh from the problem's activity."""
     gates = shooting.StageGates.of(problem.activity, problem.constants, problem.config.dt)
@@ -89,7 +141,7 @@ def reference_mpc_gradient(problem, z, constraint_weights):
     steps, n_c = problem.horizon, problem.n_contacts
     weights, refs = problem.weights, problem.refs
     seeds = np.zeros((steps + 1, states.shape[1]))
-    com, momentum, feet = costs.split_states(states, n_c)
+    com, momentum, feet = split_states(states, n_c)
     seeds[:, 0:3] += (com - refs.com_refs) @ weights.q_c
     seeds[:, 6:9] += momentum[:, 3:] @ weights.q_h
     feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
@@ -98,11 +150,11 @@ def reference_mpc_gradient(problem, z, constraint_weights):
     if problem.use_payload_task:
         targets, cache = problem._payload_targets(point)
         residual = costs.payload_residual(wrenches, targets, problem.activity[..., None])
-        payload_seeds, wrench_direct = shooting.payload_cost_state_seeds(
+        payload_seeds, wrench_direct = reference_payload_seeds(
             residual, cache, problem.activity, problem._payload, weights.q_d
         )
         seeds += payload_seeds
-    seeds += problem._bound_state_seeds(point, constraint_weights)
+    seeds += reference_bound_seeds(problem, point, constraint_weights)
     wrench_adj, vel_adj = reference_adjoint(problem, states, wrenches, seeds)
     wrench_total = wrench_adj + wrench_direct
     xi_grad = np.empty_like(xi)
@@ -176,7 +228,7 @@ def reference_baseline_gradient(problem, z, constraint_weights):
     steps, n_c = problem.horizon, problem.n_contacts
     weights, refs = problem.weights, problem.refs
     seeds = np.zeros_like(states)
-    com, momentum, feet = costs.split_states(states, n_c)
+    com, momentum, feet = split_states(states, n_c)
     seeds[:, 0:3] += (com - refs.com_refs) @ weights.q_c
     seeds[:, 6:9] += momentum[:, 3:] @ weights.q_h
     feet_err = feet - refs.footstep_refs.transpose(1, 0, 2)
@@ -188,7 +240,7 @@ def reference_baseline_gradient(problem, z, constraint_weights):
         diff = (wrenches[both, 0, :] - wrenches[both, 1, :]) @ weights.q_force_similarity
         wrench_direct[both, 0, :] += diff
         wrench_direct[both, 1, :] -= diff
-    seeds += problem._bound_state_seeds(point, constraint_weights[: problem.num_bound_constraints])
+    seeds += reference_bound_seeds(problem, point, constraint_weights[: problem.num_bound_constraints])
     wrench_direct += reference_stability_gradient(
         problem, wrenches, constraint_weights[problem.num_bound_constraints :]
     )
@@ -205,7 +257,7 @@ def reference_baseline_gradient(problem, z, constraint_weights):
 def reference_targets(states, activity, payload, constants):
     """`costs.payload_compensation_targets` as it was, every part computed per call."""
     steps, n_c = activity.shape
-    com, _, feet = costs.split_states(states, n_c)
+    com, _, feet = split_states(states, n_c)
     com = com[:steps]
     feet = feet[:steps]
     n_active = activity.sum(axis=1)
@@ -227,6 +279,70 @@ def reference_targets(states, activity, payload, constants):
     targets[..., 3:] = c[:, None, 3:]
     gravity_share = (constants.mass / n_active)[:, None, None] * constants.gravity_vector[None, None, :]
     return targets + gravity_share, {"m": m_mat, "c": c, "r": r}
+
+
+def reference_input_curvature(problem, curvature, momentum, com):
+    """Both problems' `_input_curvature` as they were: one Python loop over stages and contacts."""
+    w = problem.weights
+    if problem.parametrized:
+        weight = float(problem._gates.mg[2])
+        qd_f = float(np.diag(w.q_d)[:3].mean())
+        qd_m = float(np.diag(w.q_d)[3:].mean())
+        q_xi_d = np.diag(w.q_xi)
+        s = problem._surface_constants
+        for k in range(problem.horizon):
+            n_active = max(problem.activity[k].sum(), 1.0)
+            share = weight / n_active
+            curv_force = qd_f + momentum[k] + com[k]
+            curv_moment = qd_m + momentum[k]
+            for i in range(problem.n_contacts):
+                gamma = problem.activity[k, i]
+                c = curvature[k, i]
+                c[0] = q_xi_d[0] + gamma * curv_force * (s.mu_c[i] * share) ** 2
+                c[1] = q_xi_d[1] + gamma * curv_force * (s.mu_c[i] * share) ** 2
+                c[2] = q_xi_d[2] + gamma * curv_force * share**2
+                c[3] = q_xi_d[3] + gamma * curv_moment * (s.delta_y[i] * share) ** 2
+                c[4] = q_xi_d[4] + gamma * curv_moment * (s.delta_x[i] * share) ** 2
+                c[5] = q_xi_d[5] + gamma * curv_moment * (s.mu_z[i] * share) ** 2
+        return
+    q_wreg = np.diag(w.q_wrench_reg)
+    q_sim = np.diag(w.q_force_similarity)
+    for k in range(problem.horizon):
+        curv_force = momentum[k] + com[k]
+        similarity = q_sim if problem._both_active[k] else 0.0 * q_sim
+        for i in range(problem.n_contacts):
+            gamma = problem.activity[k, i]
+            c = curvature[k, i]
+            c[:3] = q_wreg[:3] + similarity[:3] + gamma * curv_force
+            c[3:6] = q_wreg[3:] + similarity[3:] + gamma * momentum[k]
+
+
+def reference_metric(problem):
+    """`ShootingProblem.curvature_metric` as it was: Python floats and loops over stages and contacts."""
+    steps, n_c = problem.horizon, problem.n_contacts
+    dt = problem.config.dt
+    mass = problem.constants.mass
+    weight = float(problem._gates.mg[2])
+    w = problem.weights
+    q_h_m = float(np.diag(w.q_h).mean())
+    q_c_max = float(np.diag(w.q_c).max())
+    q_pc_m = float(np.diag(w.q_pc).mean())
+    q_v_d = np.diag(w.q_v)
+    momentum = [q_h_m * dt * dt * (steps - k) for k in range(steps)]
+    com = [q_c_max * dt**4 * (steps - k) ** 3 / (3.0 * mass * mass) for k in range(steps)]
+    curvature = np.empty((steps, n_c, 9))
+    reference_input_curvature(problem, curvature, momentum, com)
+    for k in range(steps):
+        remaining = steps - k
+        for i in range(n_c):
+            gamma = problem.activity[k, i]
+            landed_after = int(problem.activity[k + 1 :, i].sum()) if gamma < 0.5 else 0
+            lever = q_h_m * dt**4 * weight**2 * landed_after**3 / 3.0
+            curvature[k, i, 6:] = q_v_d + (1.0 - gamma) * (q_pc_m * dt * dt * remaining + lever)
+    metric = np.empty((steps, n_c * 9))
+    metric[:, : n_c * 6] = (1.0 / curvature[:, :, :6]).reshape(steps, n_c * 6)
+    metric[:, n_c * 6 :] = (1.0 / curvature[:, :, 6:]).reshape(steps, n_c * 3)
+    return metric.reshape(problem.dim)
 
 
 # -- problems with a different surface and frame per contact ---------------------
@@ -276,8 +392,9 @@ def test_contact_map_bitwise_equals_per_contact_map(seed, steps, n_c, scale):
     assert wrenches_from_parameters(xi, rotations, surfaces).tobytes() == want.tobytes()
     # a problem's stacked record and kept factors give the same map
     stacked = SurfaceConstants.of(surfaces)
-    factors = parametrization_factors(xi, stacked)
-    assert wrenches_from_parameters(xi, rotations, stacked, factors).tobytes() == want.tobytes()
+    assert wrenches_from_parameters(xi, rotations, stacked).tobytes() == want.tobytes()
+    kept = parametrize_batch(xi, stacked, parametrization_factors(xi, stacked))
+    assert kept.tobytes() == parametrize_batch(xi, stacked).tobytes()
     # and so does the map of the first stage alone
     assert wrenches_from_parameters(xi[:1], rotations, surfaces).tobytes() == want[:1].tobytes()
 
@@ -331,6 +448,48 @@ def test_cross_bitwise_equals_numpy_cross(shapes, seed):
     got = shooting.cross(a, b)
     assert got.shape == shapes.result_shape + (3,)
     assert got.tobytes() == np.cross(a, b).tobytes()
+
+
+def metric_problem(builder, seed, horizon, n_c, zero_q_d):
+    """A problem with a random gait, surfaces, weights, mass and period (the metric reads nothing else)."""
+    rng = np.random.default_rng(seed)
+    feet = np.column_stack([np.zeros(n_c), np.linspace(0.1, -0.1, n_c), np.zeros(n_c)])
+    refs = HorizonReferences(
+        np.tile([0.0, 0.0, 0.5], (horizon + 1, 1)),
+        np.tile(feet[:, None, :], (1, horizon + 1, 1)),
+        rng.integers(0, 2, (n_c, horizon + 1)),
+        random_rotations(rng, n_c),
+    )
+
+    def diag(n, low, high):
+        return np.diag(rng.uniform(low, high, n))
+
+    weights = Weights(
+        q_h=diag(3, 1.0, 200.0), q_c=diag(3, 1.0, 2000.0), q_pc=diag(3, 1.0, 400.0),
+        q_d=np.zeros((6, 6)) if zero_q_d else diag(6, 1.0, 200.0), q_xi=diag(6, 0.1, 20.0),
+        q_v=diag(3, 1e-3, 1.0), q_force_similarity=diag(6, 1.0, 200.0), q_wrench_reg=diag(6, 1e-4, 1e-2),
+    )
+    config = MpcConfig(horizon=horizon, dt=float(rng.choice([0.05, 0.137, 0.2])))
+    constants = RobotConstants(mass=float(rng.uniform(0.5, 40.0)))
+    state = CentroidalState([0.0, 0.0, 0.5], np.zeros(6), feet)
+    return builder(state, refs, PayloadDisturbance.zero(), weights, config, constants, random_surfaces(rng, n_c))
+
+
+@given(
+    seed=seeds,
+    horizon=st.integers(1, 12),
+    n_c=st.integers(1, 3),
+    zero_q_d=st.booleans(),
+    builder=st.sampled_from([build_mpc_problem, build_constrained_mpc]),
+)
+# on these instances an array's `** 2`, which multiplies, rounds a square
+# differently from the loops' scalar `** 2`, which calls the C library's `pow`
+@example(seed=151, horizon=10, n_c=2, zero_q_d=False, builder=build_mpc_problem)
+@example(seed=91, horizon=10, n_c=3, zero_q_d=False, builder=build_mpc_problem)
+@settings(max_examples=300, deadline=None)
+def test_curvature_metric_bitwise_equals_loops(seed, horizon, n_c, zero_q_d, builder):
+    problem = metric_problem(builder, seed, horizon, n_c, zero_q_d)
+    assert problem.curvature_metric().tobytes() == reference_metric(problem).tobytes()
 
 
 @given(seed=seeds, n_c=st.integers(1, 3))

@@ -1,11 +1,13 @@
 """The per-iteration kernels against the formulas they replaced.
 
 `shooting.cross` is a gather, one multiply and one subtraction; the adjoint
-and the payload seeds stack the cross products that share an operand; the
-contact map and its Jacobian build their rows from the shared prefactors
-`ft`.  Each computes the same products in the same order as the code it
-replaced, which is kept here as the oracle, so every test demands bitwise
-equality (`tobytes()`), not a tolerance.
+and the payload seeds stack the cross products that share an operand, and
+the payload seeds add into the gradient's seed buffer; the contact map and
+its Jacobian build their rows from the shared prefactors `ft`; the plant
+crosses with the package's `cross`, not `np.cross`.  Each
+computes the same products in the same order as the code it replaced, which
+is kept here as the oracle, so every test demands bitwise equality
+(`tobytes()`), not a tolerance.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from payload_mpc.contact import (
     parametrization_jacobian_batch,
     parametrize_batch,
 )
-from payload_mpc.dynamics import RobotConstants
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench, euler_step
 from payload_mpc.shooting import (
     PayloadArrays,
     StageGates,
@@ -100,11 +102,17 @@ def reference_payload_seeds(targets, cache, wrenches, activity, payload, q_d):
     return seeds, v
 
 
+def reference_roots(t):
+    """The friction rows' square roots, one array each: r1 = sqrt(1 + t1^2), r2 = sqrt(1 + t2^2)."""
+    return np.sqrt(1.0 + t[..., 0] ** 2), np.sqrt(1.0 + t[..., 1] ** 2)
+
+
 def reference_map(factors, c):
     t, fz = factors.t, factors.fz
+    r1, r2 = reference_roots(t)
     out = np.empty(t.shape)
-    out[..., 0] = c.mu_c * t[..., 0] * fz / factors.r2
-    out[..., 1] = c.mu_c * t[..., 1] * fz / factors.r1
+    out[..., 0] = c.mu_c * t[..., 0] * fz / r2
+    out[..., 1] = c.mu_c * t[..., 1] * fz / r1
     out[..., 2] = fz
     out[..., 3] = (c.delta_y * t[..., 3] + c.delta_y0) * fz
     out[..., 4] = (c.delta_x * t[..., 4] + c.delta_x0) * fz
@@ -113,7 +121,8 @@ def reference_map(factors, c):
 
 
 def reference_jacobian(factors, c):
-    t, e3, fz, r1, r2 = factors.t, factors.e3, factors.fz, factors.r1, factors.r2
+    t, e3, fz = factors.t, factors.e3, factors.fz
+    r1, r2 = reference_roots(t)
     s = 1.0 - t**2
     jac = np.zeros(t.shape[:-1] + (6, 6))
     mu_c, mu_z = c.mu_c, c.mu_z
@@ -228,14 +237,24 @@ def test_stacked_adjoint_bitwise_equals_unstacked(case):
 @given(shooting_instances)
 @settings(max_examples=200, deadline=None)
 def test_stacked_payload_seeds_bitwise_equal_unstacked(case):
-    states, wrenches, activity, payload, constants, _, _, q_d = case
+    """The kernel adds into the gradient's seeds what the oracle puts in a zero buffer of its own.
+
+    Both are bitwise the same sum for seeds that hold no -0.0, which the
+    kernel keeps so: the seeds here start with +0.0 entries and the masked
+    residual rows of swing contacts add signed zeros.
+    """
+    states, wrenches, activity, payload, constants, _, seeds, q_d = case
+    seeds[seeds == 0.0] = 0.0  # +0.0 where the draw gave either zero
     targets, cache = costs.payload_compensation_targets(states, activity, payload, constants)
-    expected = reference_payload_seeds(targets, cache, wrenches, activity, payload, q_d)
+    expected_seeds, expected_v = reference_payload_seeds(targets, cache, wrenches, activity, payload, q_d)
     residual = costs.payload_residual(wrenches, targets, activity[..., None])
-    actual = payload_cost_state_seeds(residual, cache, activity, payload, q_d)
-    for got, want in zip(actual, expected):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    actual_seeds = seeds.copy()
+    actual_v = payload_cost_state_seeds(residual, cache, activity, payload, q_d, actual_seeds)
+    assert actual_v.shape == expected_v.shape
+    assert actual_v.tobytes() == expected_v.tobytes()
+    assert actual_seeds.shape == seeds.shape == expected_seeds.shape
+    assert actual_seeds.tobytes() == (seeds + expected_seeds).tobytes()
+    assert not np.signbit(actual_seeds[actual_seeds == 0.0]).any()
 
 
 def reference_skew(v):
@@ -262,6 +281,54 @@ def test_skew_matrices_and_target_system_bitwise(case):
     _, cache = costs.payload_compensation_targets(states, activity, payload, constants)
     inner = np.einsum("ki,kiab,kicb->kac", activity, expected, expected)
     assert cache["m"][:, 3:, 3:].tobytes() == (inner + activity.sum(axis=1)[:, None, None] * np.eye(3)).tobytes()
+
+
+# -- the plant --------------------------------------------------------------------
+
+
+def reference_euler_step(state, wrenches, velocities, payload, active, constants, dt):
+    """`dynamics.euler_step` as it was, on `np.cross`: (com, momentum, feet) of the next state."""
+    com = state.com_position
+    h_dot = -constants.mass * constants.gravity_vector
+    for flag, wrench, position in zip(active, wrenches, state.contact_positions):
+        if flag:
+            h_dot = h_dot + np.concatenate([wrench[:3], wrench[3:] + np.cross(position - com, wrench[:3])])
+    for grip_wrench, grip_point in (
+        (payload.left_wrench, payload.left_point),
+        (payload.right_wrench, payload.right_point),
+    ):
+        h_dot = h_dot + np.concatenate(
+            [grip_wrench.force, grip_wrench.moment + np.cross(grip_point - com, grip_wrench.force)]
+        )
+    feet_dot = (1.0 - np.asarray(active, dtype=float))[:, None] * velocities
+    feet = np.where(
+        np.asarray(active, dtype=bool)[:, None],
+        state.contact_positions,
+        state.contact_positions + dt * feet_dot,
+    )
+    return com + dt * (state.linear_momentum / constants.mass), state.momentum + dt * h_dot, feet
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(1, 3), zeros=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_euler_step_bitwise_equals_numpy_cross_plant(seed, n_c, zeros):
+    rng = np.random.default_rng(seed)
+    state = CentroidalState(
+        draw_values(rng, 3, 0.5, zeros), draw_values(rng, 6, 2.0, zeros), draw_values(rng, (n_c, 3), 0.3, zeros)
+    )
+    payload = PayloadDisturbance(
+        Wrench.from_array(draw_values(rng, 6, 10.0, zeros)), Wrench.from_array(draw_values(rng, 6, 10.0, zeros)),
+        draw_values(rng, 3, 0.5, zeros), draw_values(rng, 3, 0.5, zeros),
+    )
+    active = rng.integers(0, 2, n_c)
+    wrenches = draw_values(rng, (n_c, 6), 10.0, zeros)
+    velocities = draw_values(rng, (n_c, 3), 0.3, zeros)
+    constants = RobotConstants(mass=float(rng.uniform(0.5, 40.0)))
+    dt = float(rng.choice([0.01, 0.05, 0.2]))
+    got = euler_step(state, wrenches, velocities, payload, active, constants, dt)
+    want = reference_euler_step(state, wrenches, velocities, payload, active, constants, dt)
+    for got_part, want_part in zip((got.com_position, got.momentum, got.contact_positions), want):
+        assert got_part.tobytes() == want_part.tobytes()
 
 
 # -- contact map and Jacobian -----------------------------------------------------

@@ -346,7 +346,7 @@ def test_warm_start_benefit_over_walking_run():
     # regression metric: shifted warm starts should not need more iterations
     # than cold starts over a 50-tick walking run
     from payload_mpc.gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference
-    from payload_mpc.simulation import _payload_at, PayloadSpec, default_run_solver_options
+    from payload_mpc.simulation import default_run_solver_options
     from payload_mpc.dynamics import euler_step
 
     config = MpcConfig(solver=default_run_solver_options())
@@ -356,7 +356,7 @@ def test_warm_start_benefit_over_walking_run():
     com_refs = generate_nominal_com_reference(schedule, gait)
     orientations = np.tile(np.eye(3), (2, 1, 1))
     state = CentroidalState(com_refs[0], np.zeros(6), schedule.footstep_refs[:, 0, :])
-    payload_spec = PayloadSpec(mass=0.0)
+    payload = PayloadDisturbance.zero()  # no load on this walk
     warm = None
     warm_iters, cold_iters = [], []
     for tick in range(ticks):
@@ -365,7 +365,6 @@ def test_warm_start_benefit_over_walking_run():
             com_refs[window], schedule.footstep_refs[:, window, :],
             schedule.activity[:, window], orientations,
         )
-        payload = _payload_at(payload_spec, state.com_position, tick * config.dt, CONSTANTS.gravity_vector[2])
         prob = build_mpc_problem(state, refs, payload, Weights(), config, CONSTANTS, [SURFACE] * 2)
         step = receding_horizon_step(prob, warm)
         warm_iters.append(step.stats.iterations)

@@ -22,7 +22,7 @@ from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import NonFiniteStartError, SolverFailure
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
-from payload_mpc.simulation import TickRecord, _truncate_log, default_payload_scenario, run_closed_loop
+from payload_mpc.simulation import TickRecord, TimingReport, _truncate_log, default_payload_scenario, run_closed_loop
 from payload_mpc.solver import SolverOptions, solve
 
 SURFACE = ContactSurface(-0.2, 0.2, -0.075, 0.075)
@@ -141,6 +141,8 @@ def test_tick_records_copy_their_solves(shadowed_carry, name):
                 assert value == controller
             elif name == "solve_ms":  # timed around the stepper, inside which the solve times itself
                 assert value >= 1000.0 * stats.wall_time
+            elif name == "over_period":  # derived from the record's own time and the controller period
+                assert value == (record.solve_ms > 1000.0 * default_payload_scenario().mpc.dt)
             else:
                 assert value == getattr(stats, name)
 
@@ -160,6 +162,17 @@ def test_summary_reads_the_tick_records(shadowed_carry):
     violations = [r.constraint_violation for r in log.ticks if r.status == "converged"]
     assert summary["max_converged_violation"] == float(max(violations, default=0.0))
     assert summary["non_converged_ticks"] == sum(r.status != "converged" for r in log.ticks)
+    assert summary["ticks_over_period"] == sum(r.over_period for r in log.ticks)
+
+
+def test_both_summaries_count_the_ticks_over_the_period(shadowed_carry):
+    log, solves, _ = shadowed_carry
+    stats = solves["param"][0]
+    records = [TickRecord.of(tick, "param", ms, stats, 0.2) for tick, ms in enumerate((150.0, 200.0, 200.5, 731.0))]
+    assert [r.over_period for r in records] == [False, False, True, True]
+    assert dataclasses.replace(log, ticks=records).summary()["ticks_over_period"] == 2
+    summary = TimingReport(records + [TickRecord.of(0, "baseline", 240.0, stats, 0.25)]).summary()
+    assert (summary["param"]["ticks_over_period"], summary["baseline"]["ticks_over_period"]) == (2, 0)
 
 
 # -- a warm start with no finite objective ----------------------------------------

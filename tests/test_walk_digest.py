@@ -1,0 +1,34 @@
+"""Smoke test of `scripts/walk_digest.py`: the seed-0 carry-walk slice, twice in one process."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "walk_digest.py"
+
+
+@pytest.fixture
+def walk_digest(monkeypatch):
+    # the script pins BLAS threads in os.environ and puts its checkout's
+    # `src` and `perfbench` in front of sys.path on import; put both back
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("walk_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["walk_digest.py", "--slice", "--walk", "carry-walk", "--seed", "0"])
+    runs = []
+    for _ in range(2):
+        assert walk_digest.main() == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    walk, *logs = runs[0]
+    assert walk.startswith("carry-walk seed=0 ticks=5 mean_iterations=178.800000 non_converged=2 sha256=")
+    assert [line.split()[0] for line in logs] == list(walk_digest.LOGS)
