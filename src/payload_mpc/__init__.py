@@ -8,13 +8,7 @@ from .contact import (
     parametrization_jacobian,
     parametrize,
 )
-from .costs import (
-    Weights,
-    footstep_cost,
-    parameter_regularization_cost,
-    payload_attenuation_cost,
-    tracking_cost,
-)
+from .costs import Weights
 from .dynamics import (
     GRAVITY,
     CentroidalState,

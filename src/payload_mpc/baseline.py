@@ -18,12 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import costs as _costs
 from .contact import rotate_wrenches
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from .mpc import HorizonReferences, MpcConfig, ShootingProblem, receding_horizon_step
-from .shooting import einsum
 from .solver import solve  # noqa: F401  (perfbench/spans.py wraps `baseline.solve`)
 
 STABILITY_RESIDUALS_PER_CONTACT = 5
@@ -75,14 +73,15 @@ class BaselineProblem(ShootingProblem):
 
     # -- objective ----------------------------------------------------------------
 
-    def _input_costs(self, point) -> dict:
-        wrenches, w = point.inputs, self.weights
-        cost = _costs.velocity_regularization_cost(point.velocities, w)
-        cost += 0.5 * float(einsum("kli,ij,klj->", wrenches, w.q_wrench_reg, wrenches))
+    cost_groups = ShootingProblem.cost_groups + ("input_reg",)
+
+    def _input_blocks(self, point) -> list:
+        """The input regularizer: swing velocities, wrenches and the double-support similarity."""
+        w = self.weights
+        blocks = [("input_reg", point.velocities, w.q_v, None), ("input_reg", point.inputs, w.q_wrench_reg, None)]
         if self._both_stages.size:
-            diff = point.factors.similarity
-            cost += 0.5 * float(einsum("ki,ij,kj->", diff, w.q_force_similarity, diff))
-        return {"input_reg": cost}
+            blocks.append(("input_reg", point.factors.similarity, w.q_force_similarity, None))
+        return blocks
 
     # -- constraints ----------------------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Cost tasks of the receding-horizon controller.
+"""Cost weights and the primitives of the receding-horizon controller's tasks.
 
-All tasks are weighted quadratic penalties evaluated on a rolled-out state
-trajectory (flat state vectors, one row per stage) and the per-stage inputs.
-The payload-attenuation task compares the commanded contact wrenches against
-a feedforward target: the minimum-norm wrench distribution cancelling the
-payload (via the pseudo-inverse of the stacked CoM transport maps) plus an
-even share of the robot weight over the active contacts.
+Every task is a weighted quadratic penalty `quad(r, W)` of a residual of the
+rolled-out state trajectory (flat state vectors, one row per stage) or of
+the per-stage inputs; `mpc.ShootingProblem` lists the (residual, weight)
+pairs.  The payload-attenuation residual compares the commanded contact
+wrenches against a feedforward target: the minimum-norm wrench distribution
+cancelling the payload (via the pseudo-inverse of the stacked CoM transport
+maps) plus an even share of the robot weight over the active contacts.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import parametrize_batch, rotate_wrenches
-from .dynamics import PayloadDisturbance, RobotConstants
+from .contact import parametrize_batch  # noqa: F401  (mpc maps through it here, where perfbench/spans.py wraps it)
+from .dynamics import RobotConstants
 from .errors import ConfigurationError, InfeasiblePhaseError
 from .shooting import PayloadArrays
 from .shooting import cross as _cross
@@ -89,37 +90,10 @@ class Weights:
         )
 
 
-def _quad(err: np.ndarray, weight: np.ndarray) -> float:
-    # err rows are vectors; total 0.5 * sum_k err_k' W err_k
-    flat = np.asarray(err, dtype=float).reshape(-1, weight.shape[0])
+def quad(r: np.ndarray, weight: np.ndarray) -> float:
+    """0.5 * sum_k r_k' W r_k over the rows r_k of a residual (any leading shape)."""
+    flat = np.asarray(r, dtype=float).reshape(-1, weight.shape[0])
     return 0.5 * float(_einsum("ki,ij,kj->", flat, weight, flat))
-
-
-def tracking_cost(states: np.ndarray, refs, weights: Weights, com_err: np.ndarray) -> float:
-    """Angular-momentum damping plus CoM reference tracking, summed over stages.
-
-    Linear momentum is deliberately left unpenalized; the CoM term shapes it
-    indirectly.  `states` is the (K+1, nx) trajectory and `com_err` its CoM
-    minus the reference (K+1, 3).
-    """
-    stages = refs.com_refs.shape[0]
-    if states.shape[0] != stages:
-        raise ConfigurationError(f"trajectory has {states.shape[0]} stages, references expect {stages}")
-    return _quad(states[:, 6:9], weights.q_h) + _quad(com_err, weights.q_c)
-
-
-def footstep_cost(feet_err: np.ndarray, weights: Weights) -> float:
-    """Quadratic penalty on the feet minus their planned references (K+1, n_c, 3)."""
-    return _quad(feet_err, weights.q_pc)
-
-
-def parameter_regularization_cost(xi_traj: np.ndarray, weights: Weights) -> float:
-    """Penalty pulling the wrench parameters toward the interior point at xi = 0."""
-    return _quad(np.asarray(xi_traj, dtype=float), weights.q_xi)
-
-
-def velocity_regularization_cost(velocities: np.ndarray, weights: Weights) -> float:
-    return _quad(np.asarray(velocities, dtype=float), weights.q_v)
 
 
 @dataclass(frozen=True)
@@ -199,46 +173,6 @@ def payload_compensation_targets(
 def payload_residual(wrenches: np.ndarray, targets: np.ndarray, stance: np.ndarray) -> np.ndarray:
     """Inertial wrenches (K, n_c, 6) minus their targets, zero where `stance` (activity[..., None]) is."""
     return (wrenches - targets) * stance
-
-
-def payload_attenuation_from_residual(residual: np.ndarray, weights: Weights) -> float:
-    """Payload-attenuation penalty of a `payload_residual`."""
-    return _quad(residual, weights.q_d)
-
-
-def payload_attenuation_cost(
-    xi_traj: np.ndarray,
-    states: np.ndarray,
-    payload: PayloadDisturbance,
-    gait: np.ndarray,
-    orientations: np.ndarray,
-    surfaces,
-    constants: RobotConstants,
-    weights: Weights,
-) -> float:
-    """Distance of the commanded wrenches from the payload-cancelling distribution.
-
-    `xi_traj` is (K, n_c, 6); wrenches are mapped through the parametrization
-    and rotated into the inertial frame before comparison.  The `payload`
-    estimate is held over every stage.  Only active contacts contribute.
-    """
-    xi_traj = np.asarray(xi_traj, dtype=float)
-    steps, n_c = xi_traj.shape[:2]
-    activity = np.asarray(gait, dtype=float)[:, :steps].T  # (K, n_c)
-    wrenches = wrenches_from_parameters(xi_traj, orientations, surfaces)
-    states = np.asarray(states, dtype=float)
-    targets, _ = payload_compensation_targets(states, activity, PayloadArrays.of(payload), constants)
-    return payload_attenuation_from_residual(payload_residual(wrenches, targets, activity[..., None]), weights)
-
-
-def wrenches_from_parameters(xi_traj: np.ndarray, orientations: np.ndarray, surfaces) -> np.ndarray:
-    """Map parameters (K, n_c, 6) to inertial-frame wrenches via the parametrization.
-
-    One contact-map call covers every contact: `surfaces` holds one surface
-    per contact, or is their stacked `contact.SurfaceConstants`.
-    """
-    local = parametrize_batch(xi_traj, surfaces)
-    return rotate_wrenches(local, np.asarray(orientations, dtype=float).transpose(0, 2, 1))
 
 
 # rows of [[0, -v2, v1], [v2, 0, -v0], [-v1, v0, 0]] as indices into (v, -v, 0)

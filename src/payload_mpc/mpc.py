@@ -43,10 +43,10 @@ import numpy as np
 
 from . import costs as _costs
 from . import shooting as _shooting
-from .contact import (  # noqa: F401  (perfbench/spans.py wraps `mpc.parametrization_jacobian_batch`)
+from .contact import (
     SurfaceConstants,
     invert_parametrization,
-    parametrization_jacobian_batch,
+    parametrization_jacobian_batch,  # noqa: F401  (perfbench/spans.py wraps `mpc.parametrization_jacobian_batch`)
     parametrization_vjp,
     rotate_wrenches,
     _unchecked_factors,
@@ -69,6 +69,9 @@ _XI3_GUARD = 50.0
 # K=10; one tick's problem grows linearly with it (9 variables per
 # contact-stage) and a much longer one cannot be solved within a tick
 MAX_HORIZON = 100
+
+# the state columns that the core tasks' residuals live on
+_COM, _H, _FEET = slice(0, 3), slice(6, 9), slice(9, None)
 
 
 @dataclass
@@ -163,6 +166,16 @@ def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, conf
     return (config.footstep_bound_upper[0] - norm).reshape(steps * n_c)
 
 
+def _blown_up(states: np.ndarray) -> bool:
+    """Whether a rollout overshot (a line-search step too far): its objective is +inf.
+
+    Such states are far beyond any physical trajectory, and lever arms this
+    large would make the payload-target solve numerically singular.  A nan
+    or an inf counts as blown up.
+    """
+    return not np.maximum.reduce(np.abs(states), None) <= 1e6
+
+
 class ShootingProblem:
     """One single-shooting MPC instance, less its input model.
 
@@ -170,9 +183,10 @@ class ShootingProblem:
     contact followed by the swing velocities of every contact (length
     horizon * n_contacts * 9).  A subclass plugs in the input model:
     `_wrenches_world` and `_input_factors` (the map to inertial-frame wrenches
-    and what the gradient reuses of it), `_input_costs` (the input cost parts,
-    in summation order), `_input_seeds` (their seeds, with the extra
-    residuals'), `_input_gradient` (the chain back to the inputs),
+    and what the gradient reuses of it), `cost_groups` and `_input_blocks`
+    (the cost keys and the input tasks' weighted residuals, in summation
+    order), `_input_seeds` (their seeds, with the extra residuals'),
+    `_input_gradient` (the chain back to the inputs),
     `_input_curvature` (the input half of the metric) and
     `initial_warm_start`.  Extra residuals override `_residuals` and
     `num_constraints`; `_input_factors` rejects inputs before any rollout by
@@ -275,18 +289,37 @@ class ShootingProblem:
 
     # -- objective and constraints ----------------------------------------------
 
+    # the `cost_breakdown` keys, in order; each sums the blocks of its group
+    cost_groups = ("tracking", "footsteps")
+
+    def _state_blocks(self, point: _shooting.ShootingPoint) -> list:
+        """The tasks on the states, as (group, residual r, weight W, state columns).
+
+        Angular-momentum damping and CoM tracking make up the tracking group;
+        linear momentum is deliberately left unpenalized, the CoM term shapes
+        it indirectly.  The objective sums `costs.quad(r, W)` of these and of
+        the subclass's `_input_blocks`; the gradient seeds `r @ W` into the
+        columns.
+        """
+        w = self.weights
+        return [
+            ("tracking", point.states[:, _H], w.q_h, _H),
+            ("tracking", point.com_err, w.q_c, _COM),
+            ("footsteps", point.feet_err, w.q_pc, _FEET),
+        ]
+
     def _cost_parts(self, point: _shooting.ShootingPoint) -> dict:
-        parts = {
-            "tracking": _costs.tracking_cost(point.states, self.refs, self.weights, point.com_err),
-            "footsteps": _costs.footstep_cost(point.feet_err, self.weights),
-        }
-        parts.update(self._input_costs(point))
+        parts = dict.fromkeys(self.cost_groups, 0.0)
+        for group, r, weight, _ in self._state_blocks(point) + self._input_blocks(point):
+            parts[group] += _costs.quad(r, weight)
         return parts
 
     def cost_breakdown(self, z: np.ndarray) -> dict:
         try:
             point = self._point(z)
         except ParameterRangeError:  # inputs past the merit guard
+            return {"total": np.inf}
+        if _blown_up(point.states):
             return {"total": np.inf}
         parts = self._cost_parts(point)
         parts["total"] = sum(parts.values())
@@ -314,13 +347,9 @@ class ShootingProblem:
         """Exact gradient of objective + s . constraints via one reverse sweep."""
         point = self._point(z)
         states = point.states
-        steps, n_c = self.horizon, self.n_contacts
         seeds = np.zeros(states.shape)
-        # tracking task: CoM error and angular momentum
-        seeds[:, 0:3] += point.com_err @ self.weights.q_c
-        seeds[:, 6:9] += states[:, 6:9] @ self.weights.q_h
-        # footstep task
-        seeds[:, 9:] += (point.feet_err @ self.weights.q_pc).reshape(steps + 1, n_c * 3)
+        for _, r, weight, columns in self._state_blocks(point):
+            seeds[:, columns] += (r @ weight).reshape(self.horizon + 1, -1)
         # the residual weights: footstep bounds first, then any extra residuals
         s = constraint_weights if constraint_weights is not None and constraint_weights.size else None
         n_bounds = self.num_bound_constraints
@@ -359,10 +388,7 @@ class ShootingProblem:
             except ParameterRangeError:  # inputs past the merit guard
                 return np.inf, np.zeros(self.num_constraints)
             if point.value is None:
-                # reject blown-up rollouts (line-search overshoot): far beyond
-                # any physical trajectory, and lever arms this large would make
-                # the payload-target solve numerically singular
-                if not np.maximum.reduce(np.abs(point.states), None) <= 1e6:  # also rejects nan and inf
+                if _blown_up(point.states):
                     f, c = np.inf, np.zeros(self.num_constraints)
                 else:
                     f, c = float(sum(self._cost_parts(point).values())), self._residuals(point)
@@ -443,11 +469,12 @@ class ShootingProblem:
 class HorizonProblem(ShootingProblem):
     """The parametrized problem: the inputs are the wrench parameters xi.
 
-    The input costs are the parameter regularizer and the payload task, and
-    the footstep bounds are the only residuals.
+    The input tasks are the parameter and swing-velocity regularizers and
+    the payload task, and the footstep bounds are the only residuals.
     """
 
     parametrized = True
+    cost_groups = ShootingProblem.cost_groups + ("parameter_reg", "velocity_reg", "payload")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -482,15 +509,13 @@ class HorizonProblem(ShootingProblem):
             )
         return point.payload_targets
 
-    def _input_costs(self, point: _shooting.ShootingPoint) -> dict:
-        parts = {
-            "parameter_reg": _costs.parameter_regularization_cost(point.inputs, self.weights),
-            "velocity_reg": _costs.velocity_regularization_cost(point.velocities, self.weights),
-            "payload": 0.0,
-        }
+    def _input_blocks(self, point: _shooting.ShootingPoint) -> list:
+        """The input tasks as (group, residual, weight, None); "payload" reads 0.0 with the task off."""
+        w = self.weights
+        blocks = [("parameter_reg", point.inputs, w.q_xi, None), ("velocity_reg", point.velocities, w.q_v, None)]
         if self.use_payload_task:
-            parts["payload"] = _costs.payload_attenuation_from_residual(self._payload_residual(point), self.weights)
-        return parts
+            blocks.append(("payload", self._payload_residual(point), w.q_d, None))
+        return blocks
 
     def _payload_residual(self, point: _shooting.ShootingPoint) -> np.ndarray:
         if point.payload_residual is None:

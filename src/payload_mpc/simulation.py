@@ -173,7 +173,9 @@ class SimLog:
     wrenches: np.ndarray  # (T, n_c, 6) applied, inertial frame
     xi: np.ndarray  # (T, n_c, 6)
     payload_fz_total: np.ndarray  # (T,)
-    costs: np.ndarray  # (T, 4) tracking, footsteps, payload, parameter_reg
+    # (T, 4) cost_breakdown groups: tracking, footsteps, payload, then parameter_reg
+    # (parametrized; velocity_reg is not logged) or input_reg (baseline, whose payload is 0)
+    costs: np.ndarray
     completed: bool = True
     failure_reason: str = ""
     # one TickRecord per completed controller tick; a tick spans len(times) // len(ticks) rows

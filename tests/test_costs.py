@@ -1,29 +1,31 @@
+"""Cost weights, the payload targets, and the weightings of the problems' task blocks.
+
+The task tests read the cost groups of a horizon-1 `HorizonProblem` at a
+hand-made point (`ShootingProblem._cost_parts`), so they check the
+problem's own pairing of each residual with its weight.
+"""
+
 import numpy as np
 import pytest
 
-from payload_mpc.costs import (
-    Weights,
-    footstep_cost,
-    parameter_regularization_cost,
-    payload_attenuation_cost,
-    payload_compensation_targets,
-    tracking_cost,
-)
-from payload_mpc.contact import ContactSurface
+from payload_mpc.costs import Weights, payload_compensation_targets
+from payload_mpc.contact import ContactSurface, invert_parametrization
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError, InfeasiblePhaseError
-from payload_mpc.mpc import HorizonReferences
-from payload_mpc.shooting import PayloadArrays
+from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
+from payload_mpc.shooting import PayloadArrays, ShootingPoint
 
 FOOT = ContactSurface(-0.1, 0.1, -0.05, 0.05)
 
 
-def single_stage_refs(com_ref, feet_ref, gait=((1,), (1,))):
+def held_refs(com_ref, feet_ref, gait=None):
+    """References held over a horizon of one stage; every contact active unless `gait` says otherwise."""
+    n_c = len(feet_ref)
     return HorizonReferences(
-        com_refs=np.array([com_ref]),
-        footstep_refs=np.array([[f] for f in feet_ref]),
-        gait=np.array(gait),
-        contact_orientations=np.tile(np.eye(3), (len(feet_ref), 1, 1)),
+        com_refs=np.array([com_ref, com_ref]),
+        footstep_refs=np.array([[f, f] for f in feet_ref]),
+        gait=np.ones((n_c, 2)) if gait is None else np.array(gait),
+        contact_orientations=np.tile(np.eye(3), (n_c, 1, 1)),
     )
 
 
@@ -37,12 +39,26 @@ def task_errors(states, refs):
     return states[:, 0:3] - refs.com_refs, feet - refs.footstep_refs.transpose(1, 0, 2)
 
 
-def tracking(states, refs, weights):
-    return tracking_cost(states, refs, weights, task_errors(states, refs)[0])
+def cost_parts(refs, stage, xi=None):
+    """The cost groups of a horizon-1 problem at a point whose stage 0 is `stage`.
 
-
-def footsteps(states, refs, weights):
-    return footstep_cost(task_errors(states, refs)[1], weights)
+    Stage 1 sits on the references, the swing velocities are zero and the
+    wrench parameters `xi` (1, n_c, 6) zero unless given.  The weights are
+    the defaults and the robot's mass is 1 kg.
+    """
+    n_c = refs.n_contacts
+    states = np.vstack([stage, stack_state(refs.com_refs[1], np.zeros(6), refs.footstep_refs[:, 1])])
+    xi = np.zeros((1, n_c, 6)) if xi is None else xi
+    problem = build_mpc_problem(
+        CentroidalState(states[0, :3], states[0, 3:9], states[0, 9:].reshape(n_c, 3)),
+        refs, PayloadDisturbance.zero(), Weights(), MpcConfig(horizon=1),
+        RobotConstants(mass=1.0), [FOOT] * n_c,
+    )
+    com_err, feet_err = task_errors(states, refs)
+    point = ShootingPoint(
+        b"", xi, np.zeros((1, n_c, 3)), problem._wrenches_world(xi), states, None, com_err, feet_err
+    )
+    return problem._cost_parts(point)
 
 
 def test_weights_defaults_match_documented_values():
@@ -72,96 +88,81 @@ def test_weights_reject_indefinite():
         Weights(q_c=np.diag([1.0, -1.0, 1.0]))
 
 
+STANCE = [[0, 0.1, 0], [0, -0.1, 0]]
+
+
 def test_tracking_cost_zero_on_reference():
-    refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
-    states = stack_state([0, 0, 0.53], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
-    assert tracking(states, refs, Weights()) == 0.0
+    refs = held_refs([0, 0, 0.53], STANCE)
+    parts = cost_parts(refs, stack_state([0, 0, 0.53], np.zeros(6), STANCE))
+    assert parts["tracking"] == 0.0 and parts["footsteps"] == 0.0
 
 
 def test_tracking_cost_com_height_error():
-    refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
-    states = stack_state([0, 0, 0.63], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
+    refs = held_refs([0, 0, 0.53], STANCE)
+    stage = stack_state([0, 0, 0.63], np.zeros(6), STANCE)
     # oracle: 0.5 * 1000 * 0.1^2
-    assert tracking(states, refs, Weights()) == pytest.approx(5.0)
+    assert cost_parts(refs, stage)["tracking"] == pytest.approx(5.0)
 
 
 def test_tracking_cost_angular_momentum():
-    refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
-    states = stack_state([0, 0, 0.53], [0, 0, 0, 0.1, 0, 0], [[0, 0.1, 0], [0, -0.1, 0]])
+    refs = held_refs([0, 0, 0.53], STANCE)
+    stage = stack_state([0, 0, 0.53], [0, 0, 0, 0.1, 0, 0], STANCE)
     # oracle: 0.5 * 100 * 0.1^2; linear momentum is never penalized
-    assert tracking(states, refs, Weights()) == pytest.approx(0.5)
-    linear_only = stack_state([0, 0, 0.53], [5, -3, 2, 0, 0, 0], [[0, 0.1, 0], [0, -0.1, 0]])
-    assert tracking(linear_only, refs, Weights()) == 0.0
+    assert cost_parts(refs, stage)["tracking"] == pytest.approx(0.5)
+    linear_only = stack_state([0, 0, 0.53], [5, -3, 2, 0, 0, 0], STANCE)
+    assert cost_parts(refs, linear_only)["tracking"] == 0.0
 
 
 def test_footstep_cost_examples():
-    refs = single_stage_refs([0, 0, 0.53], [[0, 0.1, 0], [0, -0.1, 0]])
-    exact = stack_state([0, 0, 0.53], np.zeros(6), [[0, 0.1, 0], [0, -0.1, 0]])
-    assert footsteps(exact, refs, Weights()) == 0.0
+    refs = held_refs([0, 0, 0.53], STANCE)
+    assert cost_parts(refs, stack_state([0, 0, 0.53], np.zeros(6), STANCE))["footsteps"] == 0.0
     off = stack_state([0, 0, 0.53], np.zeros(6), [[0.01, 0.1, 0], [0, -0.1, 0]])
-    # oracle: 0.5 * 200 * 0.01^2
-    assert footsteps(off, refs, Weights()) == pytest.approx(0.01)
+    # oracle: 0.5 * 200 * 0.01^2, and the feet are no tracking task
+    parts = cost_parts(refs, off)
+    assert parts["footsteps"] == pytest.approx(0.01)
+    assert parts["tracking"] == 0.0
 
 
 def test_footstep_cost_additive_over_axes():
-    refs = single_stage_refs([0, 0, 0], [[0, 0, 0]], gait=((1,),))
+    refs = held_refs([0, 0, 0], [[0, 0, 0]])
     a = stack_state([0, 0, 0], np.zeros(6), [[0.02, 0, 0]])
     b = stack_state([0, 0, 0], np.zeros(6), [[0, 0.03, 0]])
     both = stack_state([0, 0, 0], np.zeros(6), [[0.02, 0.03, 0]])
-    w = Weights()
-    assert footsteps(both, refs, w) == pytest.approx(
-        footsteps(a, refs, w) + footsteps(b, refs, w)
+    assert cost_parts(refs, both)["footsteps"] == pytest.approx(
+        cost_parts(refs, a)["footsteps"] + cost_parts(refs, b)["footsteps"]
     )
 
 
 def test_parameter_regularization():
-    w = Weights()
-    assert parameter_regularization_cost(np.zeros((3, 2, 6)), w) == 0.0
+    on_ref = stack_state([0, 0, 0.53], np.zeros(6), STANCE)
+    assert cost_parts(held_refs([0, 0, 0.53], STANCE), on_ref)["parameter_reg"] == 0.0
+    refs = held_refs([0, 0, 0], [[0, 0, 0]])
+    stage = stack_state([0, 0, 0], np.zeros(6), [[0, 0, 0]])
     xi = np.zeros((1, 1, 6))
     xi[0, 0, 0] = 1.0
     # oracle: 0.5 * 10 * 1
-    assert parameter_regularization_cost(xi, w) == pytest.approx(5.0)
-    assert parameter_regularization_cost(2 * xi, w) == pytest.approx(20.0)
-
-
-def payload_cost_args(xi, state_vec, payload, gait):
-    n_c = gait.shape[0]
-    return dict(
-        xi_traj=xi,
-        states=state_vec,
-        payload=payload,
-        gait=gait,
-        orientations=np.tile(np.eye(3), (n_c, 1, 1)),
-        surfaces=[FOOT] * n_c,
-        constants=RobotConstants(mass=1.0),
-        weights=Weights(),
-    )
+    assert cost_parts(refs, stage, xi)["parameter_reg"] == pytest.approx(5.0)
+    assert cost_parts(refs, stage, 2 * xi)["parameter_reg"] == pytest.approx(20.0)
 
 
 def test_payload_cost_gravity_share_single_contact():
     # one active contact at the CoM: a wrench equal to m g cancels gravity
-    from payload_mpc.contact import invert_parametrization
-
     xi = invert_parametrization(Wrench([0, 0, 9.81], [0, 0, 0]), FOOT)[None, None, :]
-    com = np.array([0.0, 0.0, 0.0])
-    states = np.concatenate([com, np.zeros(6), com])[None, :].repeat(2, axis=0)
-    cost = payload_attenuation_cost(
-        **payload_cost_args(xi, states, PayloadDisturbance.zero(), np.array([[1, 1]]))
-    )
-    assert cost == pytest.approx(0.0, abs=1e-10)
+    origin = [0.0, 0.0, 0.0]
+    parts = cost_parts(held_refs(origin, [origin]), stack_state(origin, np.zeros(6), [origin]), xi)
+    assert parts["payload"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_payload_cost_equal_distribution_two_contacts():
-    from payload_mpc.contact import invert_parametrization
-
+    full = invert_parametrization(Wrench([0, 0, 9.81], [0, 0, 0]), FOOT)
     half = invert_parametrization(Wrench([0, 0, 9.81 / 2], [0, 0, 0]), FOOT)
-    xi = np.stack([half, half])[None, :, :]
-    com = np.array([0.0, 0.0, 0.0])
-    states = np.concatenate([com, np.zeros(6), com, com])[None, :].repeat(2, axis=0)
-    cost = payload_attenuation_cost(
-        **payload_cost_args(xi, states, PayloadDisturbance.zero(), np.array([[1, 1], [1, 1]]))
-    )
-    assert cost == pytest.approx(0.0, abs=1e-10)
+    origin = [0.0, 0.0, 0.0]
+    refs = held_refs(origin, [origin, origin])
+    stage = stack_state(origin, np.zeros(6), [origin, origin])
+    assert cost_parts(refs, stage, np.stack([half, half])[None])["payload"] == pytest.approx(0.0, abs=1e-10)
+    # oracle: 0.5 * 100 * (9.81 / 2)^2, the first foot's normal force above its share
+    lopsided = cost_parts(refs, stage, np.stack([full, half])[None])["payload"]
+    assert lopsided == pytest.approx(0.5 * 100.0 * (9.81 / 2) ** 2, rel=1e-9)
 
 
 def test_payload_target_with_disturbance_at_com():
@@ -179,13 +180,9 @@ def test_payload_target_with_disturbance_at_com():
 
 
 def test_payload_cost_requires_active_contact():
-    xi = np.zeros((1, 1, 6))
-    com = np.array([0.0, 0.0, 0.5])
-    states = np.concatenate([com, np.zeros(6), [0.0, 0.0, 0.0]])[None, :]
+    refs = held_refs([0.0, 0.0, 0.5], [[0.0, 0.0, 0.0]], gait=[[0, 0]])
     with pytest.raises(InfeasiblePhaseError):
-        payload_attenuation_cost(
-            **payload_cost_args(xi, states, PayloadDisturbance.zero(), np.array([[0, 0]]))
-        )
+        cost_parts(refs, stack_state([0.0, 0.0, 0.5], np.zeros(6), [[0.0, 0.0, 0.0]]))
 
 
 def test_hold_payload_over_horizon():

@@ -105,17 +105,52 @@ def test_non_finite_input_evaluates_to_inf(controller):
 
 
 def test_objective_decomposition_matches_breakdown():
-    prob = static_problem()
-    rng = np.random.default_rng(0)
-    z = prob.initial_warm_start() + rng.normal(0, 0.3, prob.dim)
-    parts = prob.cost_breakdown(z)
-    total = (
-        parts["tracking"] + parts["footsteps"] + parts["payload"]
-        + parts["parameter_reg"] + parts["velocity_reg"]
+    # the evaluator's value is the breakdown's total, bitwise, for every problem;
+    # with the payload task off its group is still reported, at 0.0
+    groups = {
+        "param": ("tracking", "footsteps", "parameter_reg", "velocity_reg", "payload"),
+        "param-no-td": ("tracking", "footsteps", "parameter_reg", "velocity_reg", "payload"),
+        "baseline": ("tracking", "footsteps", "input_reg"),
+    }
+    builders = {"param": build_mpc_problem, "param-no-td": build_mpc_problem, "baseline": build_constrained_mpc}
+    gait = np.ones((2, 11), dtype=int)
+    gait[1, 3:6] = 0  # a single-support phase, so the baseline's similarity term is partial
+    state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
+    for controller, builder in builders.items():
+        weights = Weights().without_payload_task() if controller == "param-no-td" else Weights()
+        prob = builder(
+            state, static_refs(gait=gait), PayloadDisturbance.zero(), weights, MpcConfig(), CONSTANTS, [SURFACE] * 2
+        )
+        rng = np.random.default_rng(0)
+        z = prob.initial_warm_start() + rng.normal(0, 0.3, prob.dim)
+        parts = prob.cost_breakdown(z)
+        assert tuple(parts) == groups[controller] + ("total",)
+        assert parts["total"] == pytest.approx(sum(parts[g] for g in groups[controller]), abs=1e-12)
+        value, _ = prob.evaluator().value(z)
+        assert np.float64(value).tobytes() == np.float64(parts["total"]).tobytes(), controller
+        assert prob.objective(z) == value
+        if controller == "param-no-td":
+            assert parts["payload"] == 0.0
+        elif controller == "param":
+            assert parts["payload"] > 0.0
+
+
+@pytest.mark.parametrize("controller", BUILDERS)
+def test_blown_up_rollout_is_inf_in_every_reader(controller):
+    # swing velocities far past any step: the rollout leaves the 1e6 guard, and the
+    # objective and the breakdown read the evaluator's +inf, not a finite huge sum
+    gait = np.ones((2, 11), dtype=int)
+    gait[1, 3:6] = 0
+    state = CentroidalState([0.0, 0.0, 0.53], np.zeros(6), FEET)
+    prob = BUILDERS[controller](
+        state, static_refs(gait=gait), PayloadDisturbance.zero(), Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2
     )
-    assert parts["total"] == pytest.approx(total, abs=1e-12)
-    value, _ = prob.evaluator().value(z)
-    assert value == pytest.approx(parts["total"], rel=1e-12)
+    inputs, velocities = prob.decode(prob.initial_warm_start())
+    z = prob.encode(inputs, velocities + 1e9)
+    assert np.abs(prob.rollout(z)).max() > 1e6
+    assert prob.objective(z) == np.inf
+    assert prob.cost_breakdown(z) == {"total": np.inf}
+    assert prob.evaluator().value(z)[0] == np.inf
 
 
 def test_bound_residual_count_and_satisfaction():
