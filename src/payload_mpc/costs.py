@@ -11,6 +11,7 @@ maps) plus an even share of the robot weight over the active contacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ def _weight_matrix(value, n: int, name: str) -> np.ndarray:
         mat = np.diag(mat.astype(float))
     if mat.shape != (n, n):
         raise ConfigurationError(f"{name} must be {n}x{n}, got {mat.shape}")
+    # the solver's L-BFGS pair products are quadratic in the weights (Python floats overflow to inf)
+    peak = float(np.abs(mat).max())
+    if not math.isfinite(peak * peak):
+        raise ConfigurationError(f"{name} entries must have finite squares, got largest magnitude {peak}")
     if np.abs(mat - mat.T).max() > 1e-12:
         raise ConfigurationError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() < -1e-10:

@@ -13,6 +13,7 @@ so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,10 @@ class RobotConstants:
         if not (np.isfinite(self.mass) and self.mass >= 1e-3):
             raise ConfigurationError(f"mass must be finite and at least 1e-3 kg, got {self.mass}")
         object.__setattr__(self, "gravity_vector", _vec(self.gravity_vector, 6, "gravity_vector", exact=True))
+        # the curvature metric squares the weight m g_z (Python floats overflow to inf)
+        weight = float(self.mass) * float(self.gravity_vector[2])
+        if not math.isfinite(weight * weight):
+            raise ConfigurationError(f"weight mass * gravity_vector[2] must have a finite square, got {weight}")
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,8 @@ def generate_gait_schedule(params: GaitParameters, config, min_ticks: int = 0) -
         active[swing] = 0.0
         phases.append(Phase(tick, tick + ss_ticks, PHASE_SINGLE, swing_foot=swing))
         for j in range(ss_ticks):
-            # reference slides to the landing target across the swing so the
-            # bound box stays satisfiable throughout
+            # reference slides to the landing target across the swing; at the
+            # first swing column it has already moved 1/ss_ticks of the step
             alpha = (j + 1) / ss_ticks
             feet[swing] = (1.0 - alpha) * start_pos + alpha * target
             activity_cols.append(active.copy())

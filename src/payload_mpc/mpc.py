@@ -56,9 +56,6 @@ from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrenc
 from .errors import ConfigurationError, InversionError, ParameterRangeError, SolverFailure
 from .solver import NlpFunctions, SolverOptions, SolverResult, solve
 
-BOUND_MODE_BOX = "box"
-BOUND_MODE_NORM = "norm"
-
 # merit-function trust guard: exp(50) N is far beyond any physical wrench, and
 # the parameter regularizer diverges long before, so rejecting these points
 # with an infinite objective cannot cut off a minimizer; it only keeps the
@@ -80,7 +77,6 @@ class MpcConfig:
     dt: float = 0.2  # s, controller period
     footstep_bound_lower: np.ndarray = field(default_factory=lambda: np.array([-0.05, -0.05, -0.001]))
     footstep_bound_upper: np.ndarray = field(default_factory=lambda: np.array([0.05, 0.05, 0.001]))
-    footstep_bound_mode: str = BOUND_MODE_BOX
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -100,8 +96,6 @@ class MpcConfig:
             raise ConfigurationError("footstep bounds must satisfy lb <= 0 <= ub componentwise")
         self.footstep_bound_lower = lb
         self.footstep_bound_upper = ub
-        if self.footstep_bound_mode not in (BOUND_MODE_BOX, BOUND_MODE_NORM):
-            raise ConfigurationError(f"unknown footstep_bound_mode {self.footstep_bound_mode!r}")
 
 
 @dataclass
@@ -148,22 +142,18 @@ def footstep_bound_residuals(feet_err: np.ndarray, refs: HorizonReferences, conf
     """Inequality residuals (positive = satisfied) of the footstep error bounds.
 
     `feet_err` is the feet minus their references (K+1, n_c, 3).  Errors are
-    expressed in each contact frame.  Box mode emits lower and upper
-    residuals per axis (6 per contact-stage); norm mode emits a single upper
-    residual on the error norm (the printed lower bound is vacuous for
-    non-negative bounds).  Stage 0 is the measured state and carries no
-    residuals.
+    expressed in each contact frame and bounded by a per-axis box: each
+    contact-stage emits the lower residuals `R'e - lb` and then the upper
+    residuals `ub - R'e` (6 per contact-stage).  Stage 0 is the measured
+    state and carries no residuals.
     """
     steps, n_c = feet_err.shape[0] - 1, feet_err.shape[1]
     err_world = feet_err[1:]  # (K, n_c, 3)
     err = _shooting.einsum("iba,kib->kia", refs.contact_orientations, err_world)  # R' e, contact frame
-    if config.footstep_bound_mode == BOUND_MODE_BOX:
-        out = np.empty((steps, n_c, 6))
-        np.subtract(err, config.footstep_bound_lower, out[..., :3])
-        np.subtract(config.footstep_bound_upper, err, out[..., 3:])
-        return out.reshape(steps * n_c * 6)
-    norm = np.linalg.norm(err, axis=2)
-    return (config.footstep_bound_upper[0] - norm).reshape(steps * n_c)
+    out = np.empty((steps, n_c, 6))
+    np.subtract(err, config.footstep_bound_lower, out[..., :3])
+    np.subtract(config.footstep_bound_upper, err, out[..., 3:])
+    return out.reshape(steps * n_c * 6)
 
 
 def _blown_up(states: np.ndarray) -> bool:
@@ -336,8 +326,7 @@ class ShootingProblem:
 
     @property
     def num_bound_constraints(self) -> int:
-        per_stage = 6 if self.config.footstep_bound_mode == BOUND_MODE_BOX else 1
-        return self.horizon * self.n_contacts * per_stage
+        return self.horizon * self.n_contacts * 6
 
     @property
     def num_constraints(self) -> int:
@@ -356,27 +345,22 @@ class ShootingProblem:
         wrench_direct = self._input_seeds(point, seeds, None if s is None else s[n_bounds:])
         # footstep bound residuals, folded in through their stage states
         if s is not None:
-            self._bound_state_seeds(point, s[:n_bounds], seeds)
+            self._bound_state_seeds(s[:n_bounds], seeds)
         wrench_adj, vel_adj = _shooting.rollout_adjoint(states, self.config.dt, seeds, self._gates, point.forces)
         vel_grad = vel_adj + point.velocities @ self.weights.q_v
         return self.encode(self._input_gradient(point, wrench_adj, wrench_direct), vel_grad)
 
-    def _bound_state_seeds(self, point: _shooting.ShootingPoint, s: np.ndarray, seeds: np.ndarray) -> None:
-        """Add the footstep bounds' state gradients, weighted by `s`, into the gradient's `seeds` in place."""
+    def _bound_state_seeds(self, s: np.ndarray, seeds: np.ndarray) -> None:
+        """Add the footstep bounds' state gradients, weighted by `s`, into the gradient's `seeds` in place.
+
+        The bounds are affine in the feet, so their gradients do not depend on the point.
+        """
         steps, n_c = self.horizon, self.n_contacts
+        sw = s.reshape(steps, n_c, 6)
+        # d(e - lb)/dp = R', d(ub - e)/dp = -R'
+        delta = sw[..., :3] - sw[..., 3:]
         rots = self.refs.contact_orientations
-        if self.config.footstep_bound_mode == BOUND_MODE_BOX:
-            sw = s.reshape(steps, n_c, 6)
-            # d(e - lb)/dp = R', d(ub - e)/dp = -R'
-            delta = sw[..., :3] - sw[..., 3:]
-            seeds[1:, 9:] += _shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
-        else:
-            sw = s.reshape(steps, n_c)
-            err = _shooting.einsum("iba,kib->kia", rots, point.feet_err[1:])
-            norm = np.linalg.norm(err, axis=2, keepdims=True)
-            unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
-            contrib = -sw[..., None] * _shooting.einsum("iab,kib->kia", rots, unit)
-            seeds[1:, 9:] += contrib.reshape(steps, n_c * 3)
+        seeds[1:, 9:] += _shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
 
     # -- solver plumbing ---------------------------------------------------------
 

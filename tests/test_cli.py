@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from payload_mpc import mpc
 from payload_mpc.cli import _DEFAULT_SURFACE, _scenario_from_config, main
 from payload_mpc.contact import ContactSurface
 
@@ -160,6 +162,12 @@ MISTYPED_CONFIGS = [
     {"surface": {"mu_c": 1e308}, "duration": 0.4},
     # a finite half-extent whose square, times the weight, overflows the curvature metric
     {"surface": {"x_min": -1e307, "x_max": 1e307}, "duration": 0.4},
+    # a finite weight m g_z whose square, in the curvature metric, overflows
+    {"robot": {"mass": 1e300}, "duration": 0.4},
+    {"robot": {"mass": 1.0, "gravity_vector": [0, 0, -1e200, 0, 0, 0]}, "duration": 0.4},
+    # finite task weights whose squares, in the solver's L-BFGS pair products, overflow
+    {"weights": {"q_h": 1e300}, "duration": 0.4},
+    {"weights": {"q_c": 1e160}, "duration": 0.4},
     # vectors of the right element count in the wrong shape
     {"payload": {"mass": 1.5, "left_offset": [[0.25], [0.1], [-0.1]]}, "duration": 0.4},
     {"robot": {"mass": 33.0, "gravity_vector": [[0], [0], [-9.81], [0], [0], [0]]}, "duration": 0.4},
@@ -198,11 +206,40 @@ def test_simulate_rejects_fixed_solver_settings(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.strip().splitlines() == [f"configuration error: unknown configuration key solver.{key}"]
 
 
-def test_non_finite_line_search_trial_does_not_end_the_run(tmp_path, capsys):
-    # a huge weight overflows the gradient, so line-search trials carry inf and nan parameters
-    config = write_config(tmp_path, {"weights": {"q_h": 1e308}, "duration": 0.4})
+def test_simulate_rejects_a_footstep_bound_mode(tmp_path, capsys):
+    # the footstep bounds have one form, a per-axis box, and no mode to choose
+    config = write_config(tmp_path, {"mpc": {"footstep_bound_mode": "box"}, "duration": 0.4})
+    code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    expected = ["configuration error: unknown configuration key mpc.footstep_bound_mode"]
+    assert capsys.readouterr().err.strip().splitlines() == expected
+
+
+def test_non_finite_line_search_trial_does_not_end_the_run(tmp_path, capsys, monkeypatch):
+    # an overflowed gradient entry puts inf parameters into its line-search
+    # trials; weights that large are configuration errors, so the first
+    # gradient of the run is overflowed here
+    gradient, input_factors = mpc.ShootingProblem.gradient, mpc.HorizonProblem._input_factors
+    overflowed, non_finite_trials = [], []
+
+    def overflowed_once(self, z, constraint_weights=None):
+        grad = gradient(self, z, constraint_weights)
+        if not overflowed:
+            grad[0] = np.inf
+            overflowed.append(z)
+        return grad
+
+    def counting(self, xi):
+        if not np.isfinite(xi).all():
+            non_finite_trials.append(xi)
+        return input_factors(self, xi)
+
+    monkeypatch.setattr(mpc.ShootingProblem, "gradient", overflowed_once)
+    monkeypatch.setattr(mpc.HorizonProblem, "_input_factors", counting)
+    config = write_config(tmp_path, {"duration": 0.4})
     code = main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")])
     assert code == 0
+    assert non_finite_trials
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -114,17 +114,9 @@ def reference_bound_seeds(problem, point, s):
     steps, n_c = problem.horizon, problem.n_contacts
     seeds = np.zeros(point.states.shape)
     rots = problem.refs.contact_orientations
-    if problem.config.footstep_bound_mode == "box":
-        sw = s.reshape(steps, n_c, 6)
-        delta = sw[..., :3] - sw[..., 3:]
-        seeds[1:, 9:] = shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
-    else:
-        sw = s.reshape(steps, n_c)
-        err = shooting.einsum("iba,kib->kia", rots, point.feet_err[1:])
-        norm = np.linalg.norm(err, axis=2, keepdims=True)
-        unit = np.where(norm > 1e-12, err / np.maximum(norm, 1e-12), 0.0)
-        contrib = -sw[..., None] * shooting.einsum("iab,kib->kia", rots, unit)
-        seeds[1:, 9:] = contrib.reshape(steps, n_c * 3)
+    sw = s.reshape(steps, n_c, 6)
+    delta = sw[..., :3] - sw[..., 3:]
+    seeds[1:, 9:] = shooting.einsum("iab,kib->kia", rots, delta).reshape(steps, n_c * 3)
     return seeds
 
 
@@ -349,7 +341,7 @@ def reference_metric(problem):
 # -- problems with a different surface and frame per contact ---------------------
 
 
-def make_problem(builder, seed, mode="box", n_c=2, payload=True, gait=None):
+def make_problem(builder, seed, n_c=2, payload=True, gait=None):
     rng = np.random.default_rng(seed)
     feet = np.column_stack([rng.normal(0, 0.05, n_c), np.linspace(0.1, -0.1, n_c), np.zeros(n_c)])
     if gait is None:
@@ -371,8 +363,7 @@ def make_problem(builder, seed, mode="box", n_c=2, payload=True, gait=None):
         if payload
         else PayloadDisturbance.zero()
     )
-    config = MpcConfig(footstep_bound_mode=mode)
-    return builder(state, refs, estimate, Weights(), config, CONSTANTS, random_surfaces(rng, n_c))
+    return builder(state, refs, estimate, Weights(), MpcConfig(), CONSTANTS, random_surfaces(rng, n_c))
 
 
 # -- tests -------------------------------------------------------------------------
@@ -417,10 +408,10 @@ def test_stacked_jacobian_bitwise_equals_per_contact_jacobian(seed, steps, n_c, 
         assert got[:, i].tobytes() == parametrization_jacobian_batch(xi[:, i], surfaces[i]).tobytes()
 
 
-@given(seed=seeds, mode=st.sampled_from(["box", "norm"]), n_c=st.integers(1, 3), payload=st.booleans())
+@given(seed=seeds, n_c=st.integers(1, 3), payload=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_mpc_gradient_bitwise_equals_per_contact_loop(seed, mode, n_c, payload):
-    problem = make_problem(build_mpc_problem, seed, mode, n_c, payload)
+def test_mpc_gradient_bitwise_equals_per_contact_loop(seed, n_c, payload):
+    problem = make_problem(build_mpc_problem, seed, n_c, payload)
     rng = np.random.default_rng(seed + 1)
     z = problem.initial_warm_start() + rng.normal(0, 0.3, problem.dim)
     weights = rng.uniform(0, 3, problem.num_constraints)
@@ -428,10 +419,10 @@ def test_mpc_gradient_bitwise_equals_per_contact_loop(seed, mode, n_c, payload):
     assert problem.gradient(z, weights).tobytes() == want.tobytes()
 
 
-@given(seed=seeds, mode=st.sampled_from(["box", "norm"]), n_c=st.integers(1, 3))
+@given(seed=seeds, n_c=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
-def test_baseline_rotations_and_residuals_bitwise_equal_per_contact_loops(seed, mode, n_c):
-    problem = make_problem(build_constrained_mpc, seed, mode, n_c)
+def test_baseline_rotations_and_residuals_bitwise_equal_per_contact_loops(seed, n_c):
+    problem = make_problem(build_constrained_mpc, seed, n_c)
     rng = np.random.default_rng(seed + 1)
     z = problem.initial_warm_start() + rng.normal(0, 0.5, problem.dim)
     weights = rng.uniform(0, 3, problem.num_constraints)

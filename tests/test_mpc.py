@@ -199,13 +199,6 @@ def test_footstep_bound_rotated_frame():
     assert res[0, 0, 4] == pytest.approx(0.01 + 0.02)
 
 
-def test_norm_bound_mode_counts():
-    config = MpcConfig(footstep_bound_mode="norm")
-    prob = static_problem(config=config)
-    assert prob.num_constraints == 10 * 2
-    assert (prob.constraints(prob.initial_warm_start()) > 0).all()
-
-
 def test_gradient_matches_finite_differences_random_instances():
     rng = np.random.default_rng(42)
     for trial in range(3):
@@ -416,7 +409,7 @@ def test_warm_start_benefit_over_walking_run():
 
 def test_gradients_with_rotated_contact_frames():
     # exercises the rotation chain: wrench mapping, Jacobian chain rule and
-    # bound-residual seeds, in both bound modes and both controllers
+    # bound-residual seeds, in both controllers
     from payload_mpc.baseline import build_constrained_mpc
 
     def rot_z(a):
@@ -444,14 +437,12 @@ def test_gradients_with_rotated_contact_frames():
         Wrench.from_array(rng.normal(0, 3, 6)), Wrench.from_array(rng.normal(0, 3, 6)),
         state.com_position + rng.normal(0, 0.2, 3), state.com_position + rng.normal(0, 0.2, 3),
     )
-    for mode in ("box", "norm"):
-        config = MpcConfig(footstep_bound_mode=mode)
-        for builder in (build_mpc_problem, build_constrained_mpc):
-            prob = builder(state, refs, payload, Weights(), config, CONSTANTS, [SURFACE] * 2)
-            z = rng.normal(0, 0.4, prob.dim)
-            ev = prob.evaluator()
-            gfd = finite_difference_gradient(ev, z)
-            assert np.abs(prob.gradient(z) - gfd).max() / max(1.0, np.abs(gfd).max()) < 1e-5
-            s = rng.uniform(0, 2, prob.num_constraints)
-            gfd_c = finite_difference_gradient(lambda p: ev.value(p)[0] + s @ ev.value(p)[1], z)
-            assert np.abs(prob.gradient(z, s) - gfd_c).max() / max(1.0, np.abs(gfd_c).max()) < 1e-5
+    for builder in (build_mpc_problem, build_constrained_mpc):
+        prob = builder(state, refs, payload, Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2)
+        z = rng.normal(0, 0.4, prob.dim)
+        ev = prob.evaluator()
+        gfd = finite_difference_gradient(ev, z)
+        assert np.abs(prob.gradient(z) - gfd).max() / max(1.0, np.abs(gfd).max()) < 1e-5
+        s = rng.uniform(0, 2, prob.num_constraints)
+        gfd_c = finite_difference_gradient(lambda p: ev.value(p)[0] + s @ ev.value(p)[1], z)
+        assert np.abs(prob.gradient(z, s) - gfd_c).max() / max(1.0, np.abs(gfd_c).max()) < 1e-5

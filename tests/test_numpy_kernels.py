@@ -27,7 +27,7 @@ def rotation(rng):
     return q * np.sign(np.diag(r))
 
 
-def make_problem(builder, mode, rng, steps=10):
+def make_problem(builder, rng, steps=10):
     feet = np.array([[0.0, 0.1, 0.0], [0.0, -0.1, 0.0]])
     gait = np.ones((2, steps + 1), dtype=int)
     gait[0, 3:6] = 0  # a swing phase, so both single and double support occur
@@ -44,14 +44,14 @@ def make_problem(builder, mode, rng, steps=10):
         refs=refs,
         payload_estimate=payload,
         weights=Weights(),
-        config=mpc.MpcConfig(horizon=steps, footstep_bound_mode=mode),
+        config=mpc.MpcConfig(horizon=steps),
         constants=RobotConstants(mass=1.0),
         surfaces=[ContactSurface(-0.05, 0.35, -0.075, 0.075)] * 2,
     )
 
 
 def recorded_einsums(monkeypatch):
-    """Every einsum call of one value and one gradient of each problem kind, in both bound modes."""
+    """Every einsum call of one value and one gradient of each problem kind."""
     calls = []
     kernel = shooting.einsum
 
@@ -65,12 +65,11 @@ def recorded_einsums(monkeypatch):
     monkeypatch.setattr(costs, "_einsum", recorder)
     rng = np.random.default_rng(3)
     for builder in (mpc.build_mpc_problem, baseline.build_constrained_mpc):
-        for mode in (mpc.BOUND_MODE_BOX, mpc.BOUND_MODE_NORM):
-            problem = make_problem(builder, mode, rng)
-            z = problem.initial_warm_start() + 0.05 * rng.standard_normal(problem.dim)
-            nlp = problem.evaluator()
-            nlp.value(z)
-            nlp.gradient(z, -rng.uniform(0.0, 1.0, problem.num_constraints))
+        problem = make_problem(builder, rng)
+        z = problem.initial_warm_start() + 0.05 * rng.standard_normal(problem.dim)
+        nlp = problem.evaluator()
+        nlp.value(z)
+        nlp.gradient(z, -rng.uniform(0.0, 1.0, problem.num_constraints))
     monkeypatch.undo()
     return calls
 
