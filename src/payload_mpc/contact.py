@@ -51,6 +51,7 @@ import numpy as np
 
 from .dynamics import Wrench
 from .errors import ConfigurationError, InversionError, ParameterRangeError
+from .shooting import stage_constant
 
 # exp() overflows IEEE doubles just above 709; stay clear of it
 XI3_LIMIT = 700.0
@@ -167,6 +168,16 @@ class SurfaceConstants:
             )
         singles = [cls.of(s) for s in surfaces]
         return cls(*(np.array([getattr(s, f.name) for s in singles]) for f in dataclasses.fields(cls)))
+
+    def over(self, steps: int) -> "SurfaceConstants":
+        """Stacked (n_c,) constants held at each of `steps` stages: (K, n_c) fields, (K, n_c, 6) rows.
+
+        Every array is contiguous and read-only (`shooting.stage_constant`),
+        so a kernel on (K, n_c) components or (K, n_c, 6) rows meets its
+        constants at its own shape, with the values the broadcast gave.
+        """
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return type(self)(*(stage_constant(value, (steps,) + np.shape(value)) for value in values))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .shooting import PayloadArrays
 from .shooting import cross as _cross
 from .shooting import einsum as _einsum
 from .shooting import linalg_solve as _linalg_solve
+from .shooting import stage_constant
 
 
 def _weight_matrix(value, n: int, name: str) -> np.ndarray:
@@ -107,21 +108,29 @@ class TargetConstants:
 
     They depend only on the contact activity and the robot, not on the
     states, so a problem builds them once and passes them to every
-    `payload_compensation_targets` call.  Building them is where a stage with
-    no active contact is rejected.
+    `payload_compensation_targets` and `shooting.payload_cost_state_seeds`
+    call.  Each is held at the shape its kernel reads (`shooting.stage_constant`).
+    Building them is where a stage with no active contact is rejected.
     """
 
     eye_scaled: np.ndarray  # (K, 3, 3) active contacts * I, the force block of M
-    gravity_share: np.ndarray  # (K, 1, 3) even share of the robot weight per active contact
+    gravity_share: np.ndarray  # (K, n_c, 6) even share of the robot weight per active contact
+    wrench_mask: np.ndarray  # (K, n_c, 6) activity flags, the gate of the payload seeds' wrench rows
+    position_mask: np.ndarray  # (K, n_c, 3) activity flags, the gate of their contact-position gradients
 
     @classmethod
     def build(cls, activity: np.ndarray, constants: RobotConstants) -> "TargetConstants":
-        n_active = np.asarray(activity, dtype=float).sum(axis=1)
+        activity = np.asarray(activity, dtype=float)
+        steps, n_c = activity.shape
+        n_active = activity.sum(axis=1)
         if np.any(n_active < 1):
             raise InfeasiblePhaseError("payload attenuation needs at least one active contact per stage")
+        share = (constants.mass / n_active)[:, None, None] * constants.gravity_vector[None, None, :]
         return cls(
             eye_scaled=n_active[:, None, None] * np.eye(3),
-            gravity_share=(constants.mass / n_active)[:, None, None] * constants.gravity_vector[None, None, :],
+            gravity_share=stage_constant(share, (steps, n_c, 6)),
+            wrench_mask=stage_constant(activity[..., None], (steps, n_c, 6)),
+            position_mask=stage_constant(activity[..., None], (steps, n_c, 3)),
         )
 
 
@@ -170,7 +179,7 @@ def payload_compensation_targets(
     targets = np.empty((steps, n_c, 6))
     targets[..., :3] = z1
     targets[..., 3:] = c[:, None, 3:]
-    targets = targets + fixed.gravity_share
+    targets += fixed.gravity_share
     cache = {"m": m_mat, "c": c, "r": r, "z1": z1}
     return targets, cache
 
@@ -187,7 +196,10 @@ _SKEW = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
 def _skew_batch(v: np.ndarray) -> np.ndarray:
     """Skew matrices for an (..., 3) array of vectors."""
     v = np.asarray(v, dtype=float)
-    signed = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+    signed = np.empty(v.shape[:-1] + (7,))
+    signed[..., :3] = v
+    np.negative(v, signed[..., 3:6])
+    signed[..., 6] = 0.0
     # `take`, not `signed[..., _SKEW]`: that result is not C-ordered, and the
     # einsums over these matrices sum in an order that follows the layout
     return signed.take(_SKEW, -1).reshape(v.shape + (3,))

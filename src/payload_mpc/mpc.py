@@ -215,19 +215,27 @@ class ShootingProblem:
         self._surface_constants = SurfaceConstants.of(self.surfaces)
         self.horizon = config.horizon
         self.n_contacts = refs.n_contacts
+        # the same constants at every stage, for the kernels on (K, n_c) components and rows
+        self._stage_surface = self._surface_constants.over(self.horizon)
         # zero-order hold: the one estimate acts at every stage of the horizon
-        self._payload = _shooting.PayloadArrays.of(payload_estimate)
+        self._payload = _shooting.PayloadArrays.of(payload_estimate, self.horizon)
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()
         self._last_point = None
         # tick constants: the activity gates of every rollout and adjoint, the
-        # footstep references in the feet's (K+1, n_c, 3) layout, and the
-        # transposed orientations that rotate contact-frame wrenches into the
-        # inertial frame
+        # footstep references in the feet's (K+1, n_c, 3) layout (a contiguous
+        # copy), and the transposed orientations that rotate contact-frame
+        # wrenches into the inertial frame
         self._gates = _shooting.StageGates.of(self.activity, constants, config.dt)
-        self._feet_refs = refs.footstep_refs.transpose(1, 0, 2)
+        self._feet_refs = refs.footstep_refs.transpose(1, 0, 2).copy()
         self._to_world = refs.contact_orientations.transpose(0, 2, 1)
+        # the decision vector's positions of the inputs (K, n_c, 6) and the
+        # velocities (K, n_c, 3): one `take` each gathers them contiguous
+        layout = np.arange(self.dim).reshape(self.horizon, self.n_contacts * 9)
+        n_in = self.n_contacts * 6
+        self._input_index = layout[:, :n_in].reshape(self.horizon, self.n_contacts, 6).copy()
+        self._velocity_index = layout[:, n_in:].reshape(self.horizon, self.n_contacts, 3).copy()
 
     # -- decision vector layout ------------------------------------------------
 
@@ -239,14 +247,10 @@ class ShootingProblem:
         return inputs, vel
 
     def encode(self, inputs: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-        z = np.concatenate(
-            [
-                inputs.reshape(self.horizon, self.n_contacts * 6),
-                velocities.reshape(self.horizon, self.n_contacts * 3),
-            ],
-            axis=1,
-        )
-        return z.reshape(self.dim)
+        z = np.empty(self.dim)
+        z.put(self._input_index, inputs)
+        z.put(self._velocity_index, velocities)
+        return z
 
     # -- model ------------------------------------------------------------------
 
@@ -257,12 +261,14 @@ class ShootingProblem:
         """Inputs, rollout and task errors at `z`; value and gradient share the last one.
 
         Inputs that `_input_factors` rejects raise before the memo changes.
+        The inputs and velocities are gathered by `take`, which copies: the
+        memo's arrays are its own, contiguous, whatever the caller does with `z`.
         """
         z = np.asarray(z, dtype=float)
         key = z.tobytes()
         point = self._last_point
         if point is None or point.key != key:
-            inputs, vel = self.decode(z.copy())
+            inputs, vel = z.take(self._input_index), z.take(self._velocity_index)
             factors = self._input_factors(inputs)
             wrenches = self._wrenches_world(inputs, factors)
             forces = _shooting.stage_forces(wrenches, self._gates, self._payload)
@@ -401,7 +407,7 @@ class ShootingProblem:
         steps, n_c = self.horizon, self.n_contacts
         dt = self.config.dt
         mass = self.constants.mass
-        weight = float(self._gates.mg[2])  # m g, the model's weight
+        weight = float(self._gates.mg_force[0, 2])  # m g, the model's weight
         w = self.weights
         q_h_m = float(np.diag(w.q_h).mean())
         q_c_max = float(np.diag(w.q_c).max())
@@ -432,7 +438,7 @@ class ShootingProblem:
     def _weight_shares(self) -> np.ndarray:
         """Each active contact's equal share of the weight, as a contact-frame wrench (K, n_c, 6)."""
         shares = np.zeros((self.horizon, self.n_contacts, 6))
-        weight = float(self._gates.mg[2])
+        weight = float(self._gates.mg_force[0, 2])
         for k, i in zip(*np.nonzero(self.activity)):
             n_active = int(self.activity[k].sum())
             shares[k, i, :3] = self.refs.contact_orientations[i].T @ [0.0, 0.0, weight / n_active]
@@ -479,7 +485,7 @@ class HorizonProblem(ShootingProblem):
             or not np.logical_and.reduce(np.isfinite(xi), None)
         ):
             raise ParameterRangeError(f"xi must be finite with |xi_3| <= {_XI3_GUARD}")
-        return _unchecked_factors(xi, self._surface_constants)
+        return _unchecked_factors(xi, self._stage_surface)
 
     def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
         return rotate_wrenches(_costs.parametrize_batch(xi, self._surface_constants, factors), self._to_world)
@@ -513,7 +519,7 @@ class HorizonProblem(ShootingProblem):
             return np.zeros((self.horizon, self.n_contacts, 6))
         _, cache = self._payload_targets(point)
         return _shooting.payload_cost_state_seeds(
-            self._payload_residual(point), cache, self.activity, self._payload, self.weights.q_d, seeds
+            self._payload_residual(point), cache, self._target_constants, self._payload, self.weights.q_d, seeds
         )
 
     def _input_gradient(self, point: _shooting.ShootingPoint, wrench_adj, wrench_direct) -> np.ndarray:
@@ -521,7 +527,7 @@ class HorizonProblem(ShootingProblem):
         # every contact at once and on the factors the value computed
         xi = point.inputs
         local = rotate_wrenches(wrench_adj + wrench_direct, self.refs.contact_orientations)
-        xi_grad = parametrization_vjp(local, self._surface_constants, point.factors)
+        xi_grad = parametrization_vjp(local, self._stage_surface, point.factors)
         xi_grad += xi @ self.weights.q_xi
         return xi_grad
 
@@ -533,7 +539,7 @@ class HorizonProblem(ShootingProblem):
         squared with `np.float_power`, the C library's `pow` that a scalar
         `** 2` calls (an array's `** 2` multiplies, which rounds differently).
         """
-        weight = float(self._gates.mg[2])
+        weight = float(self._gates.mg_force[0, 2])
         w = self.weights
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())

@@ -54,7 +54,21 @@ and `np.logical_and.reduce` rather than the `ndarray` methods that reach
 them through Python, and `ndarray.take` for gathers, each with its axis
 positional.  Each gives its wrapper's result bitwise.  The gradient's state
 seeds go into one buffer: every seed term, the payload task's and the
-footstep bounds' included, is added into it in place.
+footstep bounds' included, is added into it in place.  Buffers that stack
+two operands are filled by slice assignment or a ufunc's `out`, not
+`np.concatenate`, whose Python dispatcher costs more than the copy.
+
+The same holds for the operands of an elementwise call.  On a (10, 2, 6)
+array a multiply costs 0.4-0.5 us when its operands are contiguous and of
+one shape, and 1.0-1.7 us when one of them is a broadcast (K, n_c, 1) gate
+or a strided column view; `np.tanh` costs 0.5-0.7 against 1.0-1.3 us
+(`timeit`, one BLAS thread, a shared 2-vCPU x86-64 host).  So the fast path
+feeds ufuncs contiguous operands of one shape.  What a problem holds
+constant is built once, by `stage_constant`, at the width its kernels read
+it: the gates below, the payload's sums, the payload targets' constants and
+the contact map's surface rows.  Each is contiguous and read-only, and each
+element is the value the broadcast gave, so every product is bitwise the
+same.
 """
 
 from __future__ import annotations
@@ -89,13 +103,20 @@ def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
+def stage_constant(value, shape: tuple) -> np.ndarray:
+    """`value` broadcast to `shape` as a C-contiguous, read-only float64 array of its own."""
+    out = np.array(np.broadcast_to(value, shape), float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PayloadArrays:
     """A payload's two grips as arrays: (2, 3) for one estimate, or (K, 2, 3) for one per stage.
 
-    The problems hold one estimate over the whole horizon (`of`), whose
-    (2, 3) arrays and (3,) sums broadcast against every stage; every kernel
-    takes either shape.
+    Every kernel takes either shape.  The problems hold one estimate over the
+    whole horizon, built by `of` with the horizon's stage count, so that the
+    (K, 3) sums meet the (K, 3) stage totals at their own shape.
     """
 
     forces: np.ndarray  # (..., 2, 3)
@@ -107,15 +128,24 @@ class PayloadArrays:
     def __post_init__(self):
         object.__setattr__(self, "force_sum", self.forces.sum(axis=-2))
         object.__setattr__(self, "pivot_moment", (self.moments + cross(self.points, self.forces)).sum(axis=-2))
+        self.force_sum.flags.writeable = self.pivot_moment.flags.writeable = False
 
     @classmethod
-    def of(cls, estimate: PayloadDisturbance) -> "PayloadArrays":
+    def of(cls, estimate: PayloadDisturbance, steps: int | None = None) -> "PayloadArrays":
+        """The (2, 3) arrays of one estimate or, given `steps`, that estimate held at each of K stages.
+
+        The held form's sums are the two-term sums of the same rows, so each
+        of its (K, 3) rows is bitwise the (3,) sum of the one-estimate form.
+        """
         left, right = estimate.left_wrench, estimate.right_wrench
-        return cls(
-            forces=np.array([left.force, right.force]),
-            moments=np.array([left.moment, right.moment]),
-            points=np.array([estimate.left_point, estimate.right_point]),
+        grips = (
+            np.array([left.force, right.force]),
+            np.array([left.moment, right.moment]),
+            np.array([estimate.left_point, estimate.right_point]),
         )
+        if steps is not None:
+            grips = tuple(stage_constant(grip, (steps, 2, 3)) for grip in grips)
+        return cls(*grips)
 
 
 @dataclass(frozen=True)
@@ -123,23 +153,27 @@ class StageGates:
     """What a problem's rollouts and adjoints derive from its contact activity alone.
 
     A problem builds these once (`of`) and passes them to every `rollout` and
-    `rollout_adjoint` call.
+    `rollout_adjoint` call.  Each is held at the width its readers use.
     """
 
-    stance: np.ndarray  # (K, n_c, 1) activity flags
-    stance_dt: np.ndarray  # (K, n_c, 1) dt * activity
-    swing_dt: np.ndarray  # (K, n_c, 1) dt * (1 - activity)
-    mg: np.ndarray  # (6,) mass * gravity_vector
+    stance: np.ndarray  # (K, n_c, 6) activity flags
+    stance_dt: np.ndarray  # (K, n_c, 3) dt * activity
+    swing_dt: np.ndarray  # (K, n_c, 3) dt * (1 - activity)
+    mg_force: np.ndarray  # (K, 3) mass * gravity_vector[:3] at every stage
+    mg_moment: np.ndarray  # (K, 3) mass * gravity_vector[3:] at every stage
     dt_over_mass: float
 
     @classmethod
     def of(cls, activity: np.ndarray, constants: RobotConstants, dt: float) -> "StageGates":
+        steps, n_c = activity.shape
         stance = activity[..., None]
+        mg = constants.mass * constants.gravity_vector
         return cls(
-            stance=stance,
-            stance_dt=dt * stance,
-            swing_dt=dt * (1.0 - activity)[..., None],
-            mg=constants.mass * constants.gravity_vector,
+            stance=stage_constant(stance, (steps, n_c, 6)),
+            stance_dt=stage_constant(dt * stance, (steps, n_c, 3)),
+            swing_dt=stage_constant(dt * (1.0 - activity)[..., None], (steps, n_c, 3)),
+            mg_force=stage_constant(mg[:3], (steps, 3)),
+            mg_moment=stage_constant(mg[3:], (steps, 3)),
             dt_over_mass=dt / constants.mass,
         )
 
@@ -194,13 +228,12 @@ def rollout(
     steps, n_c = velocities.shape[:2]
     gated, total_force = forces
     gated_f = gated[:, :, :3]
-    mg = gates.mg
     # zeros: the angular block rides along in the first scan, then is
     # overwritten with its own increments and scanned again
     states = np.zeros((steps + 1, x0.size))
     states[0] = x0
     # linear momentum and feet: increments known up front, one scan for both
-    states[1:, 3:6] = dt * (total_force - mg[:3])
+    states[1:, 3:6] = dt * (total_force - gates.mg_force)
     states[1:, 9:] = (gates.swing_dt * velocities).reshape(steps, n_c * 3)
     block = states[:, 3:]
     np.add.accumulate(block, 0, None, block)
@@ -213,7 +246,7 @@ def rollout(
     feet = states[:-1, 9:].reshape(steps, n_c, 3)
     base_moment = np.add.reduce(gated[:, :, 3:], 1) + payload.pivot_moment
     moment = base_moment + np.add.reduce(cross(feet, gated_f), 1) - cross(com, total_force)
-    states[1:, 6:9] = dt * (moment - mg[3:])
+    states[1:, 6:9] = dt * (moment - gates.mg_moment)
     block = states[:, 6:9]
     np.add.accumulate(block, 0, None, block)
     return states
@@ -243,13 +276,15 @@ def rollout_adjoint(
     terms = chain[0:-1:2]  # (K, nx) transport terms t_k
     backward = chain[::-1]
     lam_hm = lam[1:, 6:9]  # angular-momentum costate of the next stage
-    r = states[:-1, 9:].reshape(steps, n_c, 3) - states[:-1, None, 0:3]  # lever arms
+    # the gated forces and the lever arms meet the same costate: one cross for both
+    f_r = np.empty((steps, 2 * n_c, 3))
+    f_r[:, :n_c] = gated_f
+    np.subtract(states[:-1, 9:].reshape(steps, n_c, 3), states[:-1, None, 0:3], f_r[:, n_c:])  # lever arms
     terms[:, 6:9] = -0.0  # the additive identity for every sign of zero
     block = backward[:, 6:9]
     np.add.accumulate(block, 0, None, block)
     terms[:, 0:3] = dt * cross(lam_hm, total_force)
-    # the gated forces and the lever arms meet the same costate: one cross for both
-    f_r_cross = cross(np.concatenate([gated_f, r], 1), lam_hm[:, None, :])
+    f_r_cross = cross(f_r, lam_hm[:, None, :])
     terms[:, 9:] = (dt * f_r_cross[:, :n_c]).reshape(steps, n_c * 3)
     block = backward[:, 0:3]
     np.add.accumulate(block, 0, None, block)
@@ -271,7 +306,7 @@ def rollout_adjoint(
 def payload_cost_state_seeds(
     residual: np.ndarray,
     cache: dict,
-    activity: np.ndarray,
+    fixed,
     payload: PayloadArrays,
     q_d: np.ndarray,
     seeds: np.ndarray,
@@ -280,8 +315,9 @@ def payload_cost_state_seeds(
 
     `residual` is `costs.payload_residual` of the wrenches and their targets,
     `cache` the solve cache of `costs.payload_compensation_targets` at the
-    same states.  The state gradients are added into `seeds` (K+1, nx) in
-    place; the direct wrench gradients (K, n_c, 6) are returned.  The state
+    same states and `fixed` the problem's `costs.TargetConstants`, whose
+    stance masks gate the rows.  The state gradients are added into `seeds`
+    (K+1, nx) in place; the direct wrench gradients (K, n_c, 6) are returned.  The state
     dependence runs through the pseudo-inverse wrench targets; the
     reverse-mode algebra differentiates the batched linear solves against
     the stacked transport maps directly.  Adding in place gives bitwise what
@@ -289,26 +325,28 @@ def payload_cost_state_seeds(
     (x + 0.0 == x for every other x); a buffer that starts at +0.0 and is
     only added to never does.
     """
-    steps, n_c = activity.shape
-    mask = activity[..., None]
-    v = (residual @ q_d) * mask  # (K, n_c, 6), rows v_i = Q_d rho_i
+    steps, n_c = residual.shape[:2]
+    v = (residual @ q_d) * fixed.wrench_mask  # (K, n_c, 6), rows v_i = Q_d rho_i
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages
-    w_vec = np.concatenate(
-        [np.add.reduce(v[:, :, :3], 1), np.add.reduce(v[:, :, 3:] + cross(r, v[:, :, :3]), 1)], 1
-    )
+    w_vec = np.empty((steps, 6))
+    np.add.reduce(v[:, :, :3], 1, None, w_vec[:, :3])
+    np.add.reduce(v[:, :, 3:] + cross(r, v[:, :, :3]), 1, None, w_vec[:, 3:])
     h = linalg_solve(m_mat, w_vec[..., None])[..., 0]  # (K, 6)
     c2 = c[:, None, 3:]
     h1, h2 = h[:, None, :3], h[:, None, 3:]
     z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
     # every cross with h2 in one call: lever arms, z1, then the grip forces,
-    # stacked in place (the assignment broadcasts a held payload's (2, 3) forces)
+    # stacked in place (the assignment broadcasts a one-estimate payload's (2, 3) forces)
     stacked = np.empty((steps, 2 * n_c + 2, 3))
     stacked[:, :n_c], stacked[:, n_c : 2 * n_c], stacked[:, 2 * n_c :] = r, z1, payload.forces
     by_h2 = cross(stacked, h2)
-    zeta1 = h1 - by_h2[:, :n_c]
-    by_c2 = cross(np.concatenate([zeta1, v[:, :, :3]], 1), c2)
-    d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * mask
+    # zeta1 = h1 - r x h2 and the force rows of v meet the same c2: one cross for both
+    zeta1_v = np.empty((steps, 2 * n_c, 3))
+    np.subtract(h1, by_h2[:, :n_c], zeta1_v[:, :n_c])
+    zeta1_v[:, n_c:] = v[:, :, :3]
+    by_c2 = cross(zeta1_v, c2)
+    d_r = (-by_h2[:, n_c : 2 * n_c] - by_c2[:, :n_c] + by_c2[:, n_c:]) * fixed.position_mask
     d_q = -np.add.reduce(by_h2[:, 2 * n_c :], 1)  # (K, 3)
     seeds[:steps, 9:] -= d_r.reshape(steps, n_c * 3)
     seeds[:steps, 0:3] += np.add.reduce(d_r, 1) + d_q

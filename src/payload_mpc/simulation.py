@@ -27,7 +27,7 @@ from .baseline import baseline_receding_horizon_step, build_constrained_mpc
 from .contact import ContactSurface, stability_margins
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler_step
-from .errors import ConfigurationError, SolverFailure
+from .errors import ConfigurationError, NonFiniteStartError, SolverFailure
 from .gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference, payload_from_mass
 from .mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
 from .solver import SolverOptions, SolverResult
@@ -298,11 +298,22 @@ def _timed_step(controller: str, instance: tuple, warm):
     """Build one controller's problem for `instance` (the builder's arguments) and solve it.
 
     Returns the problem, its `ControlStep` and the solve's wall time in ms.
+    Without a `warm` start the solve starts from the problem's own
+    `initial_warm_start`, which the configuration alone fixes; if the
+    objective is not finite there, no tick of the run can start, so that
+    raises `ConfigurationError`, not the `SolverFailure` that ends a run
+    mid-way.
     """
     build, stepper = _controller(controller)
     problem = build(*instance)
     start = time.perf_counter()
-    step = stepper(problem, warm)
+    try:
+        step = stepper(problem, warm)
+    except NonFiniteStartError as failure:
+        if warm is not None:
+            raise
+        message = f"the {controller} controller cannot start from its own initial guess: {failure}"
+        raise ConfigurationError(message) from failure
     return problem, step, 1000.0 * (time.perf_counter() - start)
 
 

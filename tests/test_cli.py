@@ -171,6 +171,11 @@ MISTYPED_CONFIGS = [
     # vectors of the right element count in the wrong shape
     {"payload": {"mass": 1.5, "left_offset": [[0.25], [0.1], [-0.1]]}, "duration": 0.4},
     {"robot": {"mass": 33.0, "gravity_vector": [[0], [0], [-9.81], [0], [0], [0]]}, "duration": 0.4},
+    # finite numbers whose first solve has no finite objective at its own initial guess
+    {"robot": {"mass": 1e150}, "duration": 0.4},
+    {"payload": {"mass": 1e150}, "duration": 0.4},
+    {"gait": {"step_length": 1e300}, "duration": 0.4},
+    {"surface": {"fz_min": 1e300}, "duration": 0.4},
 ]
 
 

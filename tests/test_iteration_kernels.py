@@ -249,7 +249,8 @@ def test_stacked_payload_seeds_bitwise_equal_unstacked(case):
     expected_seeds, expected_v = reference_payload_seeds(targets, cache, wrenches, activity, payload, q_d)
     residual = costs.payload_residual(wrenches, targets, activity[..., None])
     actual_seeds = seeds.copy()
-    actual_v = payload_cost_state_seeds(residual, cache, activity, payload, q_d, actual_seeds)
+    fixed = costs.TargetConstants.build(activity, constants)
+    actual_v = payload_cost_state_seeds(residual, cache, fixed, payload, q_d, actual_seeds)
     assert actual_v.shape == expected_v.shape
     assert actual_v.tobytes() == expected_v.tobytes()
     assert actual_seeds.shape == seeds.shape == expected_seeds.shape

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from payload_mpc.baseline import BaselineProblem
 from payload_mpc.contact import stability_margins
 from payload_mpc.dynamics import RobotConstants
 from payload_mpc.errors import ConfigurationError
@@ -230,3 +231,15 @@ def test_shadow_leaves_the_driving_loop_bitwise_alone():
 def test_unknown_shadow_controller_rejected():
     with pytest.raises(ConfigurationError):
         run_closed_loop(quick_scenario(duration=0.2), shadow="x")
+
+
+def test_a_first_solve_that_cannot_start_from_its_own_guess_is_a_configuration_error(monkeypatch):
+    # the baseline's own initial guess rolls out past the blow-up guard: no tick can start
+    guess = BaselineProblem.initial_warm_start
+    monkeypatch.setattr(BaselineProblem, "initial_warm_start", lambda self: guess(self) + 1e9)
+    scenario = default_payload_scenario(duration=0.4)
+    message = "the baseline controller cannot start from its own initial guess"
+    with pytest.raises(ConfigurationError, match=message):  # driving the plant
+        run_closed_loop(with_controller(scenario, "baseline"))
+    with pytest.raises(ConfigurationError, match=message):  # shadowing the parametrized controller
+        run_closed_loop(scenario, shadow="baseline")
