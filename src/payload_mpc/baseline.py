@@ -20,8 +20,10 @@ strided `wrenches[..., k]` column.  The residuals and the gradient are
 computed as (5, K, n_c) and (6, K, n_c) rows and put back into the
 constraint vector's (K, n_c, 5) order, and the wrench gradient's (K, n_c, 6)
 layout, by one gather and one product each.  The double-support similarity
-gathers its left and right wrenches through index arrays.  Every entry is
-the same product or sum, in the same order, as the per-contact formulas.
+gathers its left and right wrenches through index arrays, an empty (0, 6)
+block on a horizon with no double-support stage: its cost is 0.0 and its
+seeds write nothing, so every schedule takes one path.  Every entry is the
+same product or sum, in the same order, as the per-contact formulas.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class WrenchFactors(NamedTuple):
 
     rows: np.ndarray  # (6, K, n_c) the wrench components, component-major
     cop: tuple  # (a_y, b_y, a_x, b_x): the two factors of each center-of-pressure product, (K, n_c) each
-    similarity: np.ndarray | None  # left minus right wrench at the double-support stages
+    similarity: np.ndarray  # (n_double_support, 6) left minus right wrench at the double-support stages
 
 
 class BaselineProblem(ShootingProblem):
@@ -62,9 +64,9 @@ class BaselineProblem(ShootingProblem):
         steps, n_c = self.horizon, self.n_contacts
         # double-support mask for the similarity term (exactly two active feet)
         self._both_active = (self.activity.sum(axis=1) == 2.0) if n_c == 2 else np.zeros(steps, dtype=bool)
-        self._both_stages = np.flatnonzero(self._both_active)
-        # flat positions in a (K, n_c, 6) array of the left and right wrenches at those stages
-        left = (n_c * 6 * self._both_stages)[:, None] + np.arange(6)
+        # flat positions in a (K, n_c, 6) array of the left and right wrenches
+        # at those stages, (0, 6) when there are none
+        left = (n_c * 6 * np.flatnonzero(self._both_active))[:, None] + np.arange(6)
         self._similarity_index = (left, left + 6)
         # the flat positions of a (K, n_c, m) array's entries, component-major
         # (m, K, n_c): the wrenches' and the residual weights' component rows
@@ -77,14 +79,14 @@ class BaselineProblem(ShootingProblem):
         self._inactive_residuals = residual_entries.reshape(steps, n_c, -1)[self.activity < 0.5].reshape(-1)
         # the squared cones' gradient factors, 2 mu^2, with the C library's `pow`
         # for the square, as a scalar `mu ** 2` computes it
-        s = self._surface_constants
+        s = self._stage_surface
         self._two_mu_c_sq = stage_constant(2.0 * np.float_power(s.mu_c, 2), (steps, n_c))
         self._two_mu_z_sq = stage_constant(2.0 * np.float_power(s.mu_z, 2), (steps, n_c))
 
     # the class's own binding: perfbench/spans.py wraps `cls.__dict__["evaluator"]`
     evaluator = ShootingProblem.evaluator
 
-    def _wrenches_world(self, wrenches: np.ndarray, factors=None) -> np.ndarray:
+    def _wrenches_world(self, wrenches: np.ndarray, factors) -> np.ndarray:
         return rotate_wrenches(wrenches, self._to_world)
 
     def _input_factors(self, wrenches: np.ndarray) -> WrenchFactors:
@@ -95,7 +97,7 @@ class BaselineProblem(ShootingProblem):
         return WrenchFactors(
             rows=rows,
             cop=(s.y_max * fz - mx, mx - s.y_min * fz, s.x_max * fz + my, -my - s.x_min * fz),
-            similarity=wrenches.take(left) - wrenches.take(right) if self._both_stages.size else None,
+            similarity=wrenches.take(left) - wrenches.take(right),
         )
 
     # -- objective ----------------------------------------------------------------
@@ -105,10 +107,11 @@ class BaselineProblem(ShootingProblem):
     def _input_blocks(self, point) -> list:
         """The input regularizer: swing velocities, wrenches and the double-support similarity."""
         w = self.weights
-        blocks = [("input_reg", point.velocities, w.q_v, None), ("input_reg", point.inputs, w.q_wrench_reg, None)]
-        if self._both_stages.size:
-            blocks.append(("input_reg", point.factors.similarity, w.q_force_similarity, None))
-        return blocks
+        return [
+            ("input_reg", point.velocities, w.q_v, None),
+            ("input_reg", point.inputs, w.q_wrench_reg, None),
+            ("input_reg", point.factors.similarity, w.q_force_similarity, None),
+        ]
 
     # -- constraints ----------------------------------------------------------------
 
@@ -172,12 +175,11 @@ class BaselineProblem(ShootingProblem):
         wrenches, w = point.inputs, self.weights
         wrench_direct = np.zeros((self.horizon, self.n_contacts, 6))
         wrench_direct += wrenches @ w.q_wrench_reg
-        if self._both_stages.size:
-            left, right = self._similarity_index
-            diff = point.factors.similarity @ w.q_force_similarity
-            flat = wrench_direct.reshape(-1)
-            flat.put(left, flat.take(left) + diff)
-            flat.put(right, flat.take(right) - diff)
+        left, right = self._similarity_index
+        diff = point.factors.similarity @ w.q_force_similarity
+        flat = wrench_direct.reshape(-1)
+        flat.put(left, flat.take(left) + diff)
+        flat.put(right, flat.take(right) - diff)
         if s_stability is not None:
             wrench_direct += self._stability_gradient(point.factors, s_stability)
         return wrench_direct

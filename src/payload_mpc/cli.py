@@ -94,11 +94,10 @@ def _build_from_dict(cls, data: dict, path: str):
     return cls(**data)
 
 
-def _surface_from_config(data: dict) -> ContactSurface:
-    """The configured surface; keys it leaves out keep their `_DEFAULT_SURFACE` values."""
-    surface = data.get("surface", {})
-    _check_fields(ContactSurface, surface, "surface")
-    return ContactSurface(**{**_DEFAULT_SURFACE, **surface})
+def _amend(cls, defaults: dict, data, path: str):
+    """A `cls` from a config section; the keys it leaves out keep their `defaults` values."""
+    _check_fields(cls, data, path)
+    return cls(**{**defaults, **data})
 
 
 # top-level scalars and their field annotations
@@ -126,10 +125,10 @@ def _scenario_from_config(data: dict) -> tuple:
     runs = data.pop("benchmark_runs", 1)
     shared_trace = data.pop("benchmark_shared_trace", False)
     robot = _build_from_dict(RobotConstants, data.get("robot", {"mass": 1.0}), "robot")
-    surface = _surface_from_config(data)
+    surface = _amend(ContactSurface, _DEFAULT_SURFACE, data.get("surface", {}), "surface")
     gait = _build_from_dict(GaitParameters, data.get("gait", {}), "gait")
     payload = _build_from_dict(PayloadSpec, data.get("payload", {}), "payload")
-    solver = _build_from_dict(SolverOptions, data.get("solver", {}), "solver") if "solver" in data else default_run_solver_options()
+    solver = _amend(SolverOptions, dataclasses.asdict(default_run_solver_options()), data.get("solver", {}), "solver")
     mpc_data = data.get("mpc", {})
     _check_fields(MpcConfig, mpc_data, "mpc")
     mpc = MpcConfig(solver=solver, **mpc_data)
@@ -230,7 +229,9 @@ def cmd_verify_param(args) -> int:
         raise ConfigurationError(f"samples must be >= 1, got {args.samples}")
     if args.seed < 0:  # the sampler's seed sequence takes non-negative integers only
         raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
-    surface = _surface_from_config(_load_config(args.config))
+    # the whole document is parsed as `simulate` parses it: unknown keys and
+    # invalid sections are configuration errors here too
+    surface = _scenario_from_config(_load_config(args.config))[0].surface
     rng = np.random.default_rng(args.seed)
     failures = 0
     remaining = args.samples

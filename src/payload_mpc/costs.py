@@ -115,8 +115,7 @@ class TargetConstants:
 
     eye_scaled: np.ndarray  # (K, 3, 3) active contacts * I, the force block of M
     gravity_share: np.ndarray  # (K, n_c, 6) even share of the robot weight per active contact
-    wrench_mask: np.ndarray  # (K, n_c, 6) activity flags, the gate of the payload seeds' wrench rows
-    position_mask: np.ndarray  # (K, n_c, 3) activity flags, the gate of their contact-position gradients
+    position_mask: np.ndarray  # (K, n_c, 3) activity flags, the gate of the payload seeds' contact-position gradients
 
     @classmethod
     def build(cls, activity: np.ndarray, constants: RobotConstants) -> "TargetConstants":
@@ -129,7 +128,6 @@ class TargetConstants:
         return cls(
             eye_scaled=n_active[:, None, None] * np.eye(3),
             gravity_share=stage_constant(share, (steps, n_c, 6)),
-            wrench_mask=stage_constant(activity[..., None], (steps, n_c, 6)),
             position_mask=stage_constant(activity[..., None], (steps, n_c, 3)),
         )
 

@@ -17,12 +17,12 @@ wrenches themselves and adds explicit stability residuals.
 
 An evaluated point costs a fixed number of numpy calls whatever the number of
 contacts: the parameters of every contact go through one contact-map call
-(surface constants stacked once per problem), the tanh/exp factors of that
-call stay in the point's memo for the gradient's Jacobian, and the frame
-rotations and the J^T product each run once over all contacts.  The
-rotations are stacked matmuls, not einsums: matmul rounds each entry exactly
-as the per-contact products did, an einsum does not (it skips the fused
-multiply-add).  J^T v runs over the Jacobian's 13 structural nonzeros
+(against the surface constants held at every stage, one record per problem),
+the tanh/exp factors of that call stay in the point's memo for the gradient's
+Jacobian, and the frame rotations and the J^T product each run once over all
+contacts.  The rotations are stacked matmuls, not einsums: matmul rounds each
+entry exactly as the per-contact products did, an einsum does not (it skips
+the fused multiply-add).  J^T v runs over the Jacobian's 13 structural nonzeros
 (`contact.parametrization_vjp`), bitwise what the dense einsum gave.  The
 payload targets take their stage constants (active counts, the weight share)
 from `costs.TargetConstants`, built on first use.
@@ -30,7 +30,9 @@ from `costs.TargetConstants`, built on first use.
 Each quantity is computed once per point: the value keeps in the point memo
 what the gradient needs again (task errors, gated forces, input factors,
 payload residual), and the value itself, so the solver's repeated value at
-the start and the end of each inner loop costs one key comparison.
+the start and the end of each inner loop costs one key comparison.  The
+command a tick applies is stage 0 of the solved point's memo, not a second
+map of its inputs.
 The merit guard on the parameters is the only check of a point's xi.
 """
 
@@ -212,11 +214,10 @@ class ShootingProblem:
         self.config = config
         self.constants = constants
         self.surfaces = tuple(surfaces)
-        self._surface_constants = SurfaceConstants.of(self.surfaces)
         self.horizon = config.horizon
         self.n_contacts = refs.n_contacts
-        # the same constants at every stage, for the kernels on (K, n_c) components and rows
-        self._stage_surface = self._surface_constants.over(self.horizon)
+        # the surfaces' constants at every stage, for the kernels on (K, n_c) components and rows
+        self._stage_surface = SurfaceConstants.of(self.surfaces).over(self.horizon)
         # zero-order hold: the one estimate acts at every stage of the horizon
         self._payload = _shooting.PayloadArrays.of(payload_estimate, self.horizon)
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
@@ -240,11 +241,9 @@ class ShootingProblem:
     # -- decision vector layout ------------------------------------------------
 
     def decode(self, z: np.ndarray):
-        """Split a decision vector into inputs (K, n_c, 6) and velocities (K, n_c, 3)."""
-        z = np.asarray(z, dtype=float).reshape(self.horizon, self.n_contacts * 9)
-        inputs = z[:, : self.n_contacts * 6].reshape(self.horizon, self.n_contacts, 6)
-        vel = z[:, self.n_contacts * 6 :].reshape(self.horizon, self.n_contacts, 3)
-        return inputs, vel
+        """Copies of a decision vector's inputs (K, n_c, 6) and velocities (K, n_c, 3)."""
+        z = np.asarray(z, dtype=float)
+        return z.take(self._input_index), z.take(self._velocity_index)
 
     def encode(self, inputs: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         z = np.empty(self.dim)
@@ -261,14 +260,14 @@ class ShootingProblem:
         """Inputs, rollout and task errors at `z`; value and gradient share the last one.
 
         Inputs that `_input_factors` rejects raise before the memo changes.
-        The inputs and velocities are gathered by `take`, which copies: the
-        memo's arrays are its own, contiguous, whatever the caller does with `z`.
+        `decode` copies the inputs and velocities: the memo's arrays are its
+        own, contiguous, whatever the caller does with `z`.
         """
         z = np.asarray(z, dtype=float)
         key = z.tobytes()
         point = self._last_point
         if point is None or point.key != key:
-            inputs, vel = z.take(self._input_index), z.take(self._velocity_index)
+            inputs, vel = self.decode(z)
             factors = self._input_factors(inputs)
             wrenches = self._wrenches_world(inputs, factors)
             forces = _shooting.stage_forces(wrenches, self._gates, self._payload)
@@ -428,10 +427,7 @@ class ShootingProblem:
         landed_after[gamma >= 0.5] = 0
         lever = q_h_m * dt**4 * weight**2 * landed_after**3 / 3.0
         swing = (1.0 - gamma) * ((q_pc_m * dt * dt * remaining)[:, None] + lever)
-        metric = np.empty((steps, n_c * 9))
-        metric[:, : n_c * 6] = (1.0 / self._input_curvature(momentum, com)).reshape(steps, n_c * 6)
-        metric[:, n_c * 6 :] = (1.0 / (np.diag(w.q_v) + swing[..., None])).reshape(steps, n_c * 3)
-        return metric.reshape(self.dim)
+        return self.encode(1.0 / self._input_curvature(momentum, com), 1.0 / (np.diag(w.q_v) + swing[..., None]))
 
     # -- warm starts ---------------------------------------------------------------
 
@@ -450,10 +446,15 @@ class ShootingProblem:
         return np.concatenate([blocks[1:], blocks[-1:]], axis=0).reshape(self.dim)
 
     def first_input(self, z: np.ndarray):
-        """Stage-0 command: inputs, inertial-frame wrenches (+0.0 rows for swing contacts), swing velocities."""
-        inputs, vel = self.decode(z)
-        wrenches = np.where(self._gates.stance[0] != 0, self._wrenches_world(inputs[:1])[0], 0.0)
-        return inputs[0].copy(), wrenches, vel[0].copy()
+        """Stage-0 command: inputs, inertial-frame wrenches (+0.0 rows for swing contacts), swing velocities.
+
+        Read from the point memo at `z`, so `z` must have a finite objective
+        (inputs past the merit guard raise), as a solver result does; the
+        solver's last evaluation is the value at its result, so this is a hit.
+        """
+        point = self._point(z)
+        wrenches = np.where(self._gates.stance[0] != 0, point.wrenches[0], 0.0)
+        return point.inputs[0].copy(), wrenches, point.velocities[0].copy()
 
 
 class HorizonProblem(ShootingProblem):
@@ -487,39 +488,35 @@ class HorizonProblem(ShootingProblem):
             raise ParameterRangeError(f"xi must be finite with |xi_3| <= {_XI3_GUARD}")
         return _unchecked_factors(xi, self._stage_surface)
 
-    def _wrenches_world(self, xi: np.ndarray, factors=None) -> np.ndarray:
-        return rotate_wrenches(_costs.parametrize_batch(xi, self._surface_constants, factors), self._to_world)
+    def _wrenches_world(self, xi: np.ndarray, factors) -> np.ndarray:
+        return rotate_wrenches(_costs.parametrize_batch(xi, self._stage_surface, factors), self._to_world)
 
-    def _payload_targets(self, point: _shooting.ShootingPoint):
-        if point.payload_targets is None:
+    def _payload_task(self, point: _shooting.ShootingPoint) -> tuple:
+        """The payload residual (K, n_c, 6) and its targets' solve cache at `point`, kept in its memo."""
+        if point.payload is None:
             if self._target_constants is None:
                 self._target_constants = _costs.TargetConstants.build(self.activity, self.constants)
-            point.payload_targets = _costs.payload_compensation_targets(
+            targets, cache = _costs.payload_compensation_targets(
                 point.states, self.activity, self._payload, self.constants, self._target_constants
             )
-        return point.payload_targets
+            point.payload = (_costs.payload_residual(point.wrenches, targets, self._gates.stance), cache)
+        return point.payload
 
     def _input_blocks(self, point: _shooting.ShootingPoint) -> list:
         """The input tasks as (group, residual, weight, None); "payload" reads 0.0 with the task off."""
         w = self.weights
         blocks = [("parameter_reg", point.inputs, w.q_xi, None), ("velocity_reg", point.velocities, w.q_v, None)]
         if self.use_payload_task:
-            blocks.append(("payload", self._payload_residual(point), w.q_d, None))
+            blocks.append(("payload", self._payload_task(point)[0], w.q_d, None))
         return blocks
-
-    def _payload_residual(self, point: _shooting.ShootingPoint) -> np.ndarray:
-        if point.payload_residual is None:
-            targets, _ = self._payload_targets(point)
-            point.payload_residual = _costs.payload_residual(point.wrenches, targets, self._gates.stance)
-        return point.payload_residual
 
     def _input_seeds(self, point: _shooting.ShootingPoint, seeds: np.ndarray, s_extra) -> np.ndarray:
         """Payload task: pseudo-inverse state terms into `seeds`, the direct wrench gradient returned."""
         if not self.use_payload_task:
             return np.zeros((self.horizon, self.n_contacts, 6))
-        _, cache = self._payload_targets(point)
+        residual, cache = self._payload_task(point)
         return _shooting.payload_cost_state_seeds(
-            self._payload_residual(point), cache, self._target_constants, self._payload, self.weights.q_d, seeds
+            residual, cache, self._target_constants, self._payload, self.weights.q_d, seeds
         )
 
     def _input_gradient(self, point: _shooting.ShootingPoint, wrench_adj, wrench_direct) -> np.ndarray:
@@ -543,11 +540,11 @@ class HorizonProblem(ShootingProblem):
         w = self.weights
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())
-        s = self._surface_constants
+        s = self._stage_surface
         for i, surface in enumerate(self.surfaces):
             # each factor below is squared times a weight share, at most the whole
             # weight; Python floats overflow to inf without a warning
-            largest = float(max(s.mu_c[i], s.mu_z[i], s.delta_x[i], s.delta_y[i])) * abs(weight)
+            largest = float(max(s.mu_c[0, i], s.mu_z[0, i], s.delta_x[0, i], s.delta_y[0, i])) * abs(weight)
             if not largest * largest < math.inf:
                 raise ConfigurationError(
                     f"surface {surface} overflows the curvature metric: its largest factor times "
@@ -556,7 +553,7 @@ class HorizonProblem(ShootingProblem):
         share = weight / np.maximum(np.add.reduce(self.activity, 1), 1.0)
         # the rows' factors: mu_c, mu_c, 1 (the normal force), delta_y, delta_x, mu_z
         factor = s.row_scale.copy()
-        factor[:, 2] = 1.0
+        factor[..., 2] = 1.0
         tasks = np.empty((self.horizon, 6))
         tasks[:, :3] = (qd_f + momentum + com)[:, None]
         tasks[:, 3:] = (qd_m + momentum)[:, None]

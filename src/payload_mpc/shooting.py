@@ -41,10 +41,11 @@ cross calls.
 A `ShootingPoint` keeps everything one decision vector needs more than once:
 its inputs, world wrenches and states, the gated forces that the rollout and
 the adjoint share, the tracking and footstep errors that the cost and its
-seeds share, the input factors, the payload targets and residual, and the
-evaluator's value.  `StageGates` holds what a problem derives from its
-activity flags alone (the dt-scaled stance and swing gates, m g), built once
-per problem instead of once per rollout and adjoint.
+seeds share, the input factors, the payload task (its residual and its
+targets' solve cache, in one field) and the evaluator's value.  `StageGates`
+holds what a problem derives from its activity flags alone (the dt-scaled
+stance and swing gates, m g), built once per problem instead of once per
+rollout and adjoint.
 
 An iteration's arrays are tiny, so a numpy function's Python wrapper can
 cost as much as its kernel.  The hot path therefore calls kernels: `einsum`
@@ -193,8 +194,8 @@ class ShootingPoint:
     them stale.  Everything the value computes that the gradient needs again
     is kept: the gated forces of the rollout, the tracking and footstep
     errors, the input factors (the parametrization's tanh and exp, or the
-    baseline's center-of-pressure factors), the payload targets and residual
-    (filled on first use) and the evaluator's `(f, c)`.
+    baseline's center-of-pressure factors), the payload task's residual and
+    its targets' solve cache (filled on first use) and the evaluator's `(f, c)`.
     """
 
     key: bytes
@@ -206,8 +207,7 @@ class ShootingPoint:
     com_err: np.ndarray  # (K+1, 3) CoM minus its reference
     feet_err: np.ndarray  # (K+1, n_c, 3) feet minus their references
     factors: object = None  # what the subclass's `_input_factors` keeps of `inputs`
-    payload_targets: tuple | None = None  # (targets, cache) of costs.payload_compensation_targets
-    payload_residual: np.ndarray | None = None  # (K, n_c, 6) active wrenches minus their targets
+    payload: tuple | None = None  # (residual (K, n_c, 6) active wrenches minus their targets, solve cache)
     value: tuple | None = None  # (f, c) of the evaluator
 
 
@@ -316,17 +316,18 @@ def payload_cost_state_seeds(
     `residual` is `costs.payload_residual` of the wrenches and their targets,
     `cache` the solve cache of `costs.payload_compensation_targets` at the
     same states and `fixed` the problem's `costs.TargetConstants`, whose
-    stance masks gate the rows.  The state gradients are added into `seeds`
-    (K+1, nx) in place; the direct wrench gradients (K, n_c, 6) are returned.  The state
-    dependence runs through the pseudo-inverse wrench targets; the
-    reverse-mode algebra differentiates the batched linear solves against
-    the stacked transport maps directly.  Adding in place gives bitwise what
-    adding a zero buffer of these terms would while `seeds` holds no -0.0
-    (x + 0.0 == x for every other x); a buffer that starts at +0.0 and is
-    only added to never does.
+    position mask gates the contact-position gradients.  The residual's swing
+    rows are ±0 already, so `residual @ q_d` needs no gate.  The state
+    gradients are added into `seeds` (K+1, nx) in place; the direct wrench
+    gradients (K, n_c, 6) are returned.  The state dependence runs through
+    the pseudo-inverse wrench targets; the reverse-mode algebra
+    differentiates the batched linear solves against the stacked transport
+    maps directly.  Adding in place gives bitwise what adding a zero buffer
+    of these terms would while `seeds` holds no -0.0 (x + 0.0 == x for every
+    other x); a buffer that starts at +0.0 and is only added to never does.
     """
     steps, n_c = residual.shape[:2]
-    v = (residual @ q_d) * fixed.wrench_mask  # (K, n_c, 6), rows v_i = Q_d rho_i
+    v = residual @ q_d  # (K, n_c, 6), rows v_i = Q_d rho_i
     m_mat, c, r = cache["m"], cache["c"], cache["r"]
     # w = sum_i A_i v_i, h = M^{-1} w, all batched over stages
     w_vec = np.empty((steps, 6))

@@ -285,9 +285,6 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
     kkt_norm = math.nan
     for _ in range(MAX_OUTER_ITERATIONS):
         budget = options.max_iterations - total_iters
-        if budget <= 0:
-            status = MAX_ITERATIONS
-            break
         tolerance = options.kkt_tolerance if m == 0 else max(omega, options.kkt_tolerance)
         z, f, c, inner_status, used, kkt_norm = _minimize_lagrangian(
             problem, z, lam, rho, budget, tolerance, counters
@@ -308,7 +305,7 @@ def solve(problem: NlpFunctions, initial_point, options: SolverOptions = None) -
             status = MAX_ITERATIONS
             break
         status = inner_status
-        if violation <= max(eta, CONSTRAINT_TOLERANCE):
+        if violation <= eta:
             # making feasibility progress: update multipliers, tighten targets
             lam = np.maximum(0.0, lam - rho * c)
             if feasible:

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from payload_mpc import mpc
+from payload_mpc import mpc, simulation
 from payload_mpc.cli import _DEFAULT_SURFACE, _scenario_from_config, main
 from payload_mpc.contact import ContactSurface
+from payload_mpc.solver import SolverOptions
 
 
 def write_config(tmp_path, data):
@@ -107,6 +108,28 @@ def test_verify_param_invalid_surface(tmp_path, capsys):
     config = write_config(tmp_path, {"surface": {"x_min": 0.1, "x_max": -0.1, "y_min": -0.05, "y_max": 0.05}})
     code = main(["verify-param", "--samples", "10", "--config", config])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"surfce": {"x_min": -0.3}}, {"surface": {"x_min": -0.3}, "robot": {"mass": -5}}],
+    ids=lambda d: json.dumps(d),
+)
+def test_verify_param_parses_the_whole_config_like_simulate(tmp_path, capsys, document):
+    # an unknown key, or an invalid section other than `surface`, is a configuration error
+    config = write_config(tmp_path, document)
+    code = main(["verify-param", "--samples", "10", "--config", config])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "PASS" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+def test_verify_param_with_a_valid_surface_section(tmp_path, capsys):
+    config = write_config(tmp_path, {"surface": {"x_min": -0.3}})
+    assert main(["verify-param", "--samples", "10", "--config", config]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_verify_param_zero_samples_rejected():
@@ -255,6 +278,18 @@ def test_partial_surface_keeps_the_other_defaults(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     scenario, _, _, _ = _scenario_from_config({"surface": {"x_min": 0.1}})
     assert scenario.surface == ContactSurface(**{**_DEFAULT_SURFACE, "x_min": 0.1})
+
+
+def test_partial_solver_keeps_the_run_defaults():
+    run = simulation.default_run_solver_options()
+    for section, want in (
+        ({}, run),
+        ({"max_iterations": 100}, SolverOptions(max_iterations=100, kkt_tolerance=run.kkt_tolerance)),
+        ({"kkt_tolerance": 1e-4}, SolverOptions(max_iterations=run.max_iterations, kkt_tolerance=1e-4)),
+    ):
+        scenario, _, _, _ = _scenario_from_config({"solver": section})
+        assert scenario.mpc.solver == want, section
+    assert run == SolverOptions(max_iterations=200, kkt_tolerance=3e-3)
 
 
 def test_simulate_reports_non_converged_ticks(tmp_path, capsys):

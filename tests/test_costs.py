@@ -55,9 +55,8 @@ def cost_parts(refs, stage, xi=None):
         RobotConstants(mass=1.0), [FOOT] * n_c,
     )
     com_err, feet_err = task_errors(states, refs)
-    point = ShootingPoint(
-        b"", xi, np.zeros((1, n_c, 3)), problem._wrenches_world(xi), states, None, com_err, feet_err
-    )
+    wrenches = problem._wrenches_world(xi, problem._input_factors(xi))
+    point = ShootingPoint(b"", xi, np.zeros((1, n_c, 3)), wrenches, states, None, com_err, feet_err)
     return problem._cost_parts(point)
 
 

@@ -144,7 +144,7 @@ def reference_mpc_gradient(problem, z, constraint_weights):
     seeds[:, 9:] += (feet_err @ weights.q_pc).reshape(steps + 1, n_c * 3)
     wrench_direct = np.zeros((steps, n_c, 6))
     if problem.use_payload_task:
-        targets, cache = problem._payload_targets(point)
+        targets, cache = payload_compensation_targets(states, problem.activity, problem._payload, problem.constants)
         residual = costs.payload_residual(wrenches, targets, problem.activity[..., None])
         payload_seeds, wrench_direct = reference_payload_seeds(
             residual, cache, problem.activity, problem._payload, weights.q_d
@@ -285,7 +285,7 @@ def reference_input_curvature(problem, curvature, momentum, com):
         qd_f = float(np.diag(w.q_d)[:3].mean())
         qd_m = float(np.diag(w.q_d)[3:].mean())
         q_xi_d = np.diag(w.q_xi)
-        s = problem._surface_constants
+        s = SurfaceConstants.of(problem.surfaces)
         for k in range(problem.horizon):
             n_active = max(problem.activity[k].sum(), 1.0)
             share = weight / n_active
@@ -434,8 +434,9 @@ def test_baseline_rotations_and_residuals_bitwise_equal_per_contact_loops(seed, 
     weights = rng.uniform(0, 3, problem.num_constraints)
     wrenches, _ = problem.decode(z)
     # contact frame -> inertial frame
-    assert problem._wrenches_world(wrenches).tobytes() == reference_wrenches_world(problem, wrenches).tobytes()
-    residuals = problem.stability_residuals(problem._input_factors(wrenches))
+    factors = problem._input_factors(wrenches)
+    assert problem._wrenches_world(wrenches, factors).tobytes() == reference_wrenches_world(problem, wrenches).tobytes()
+    residuals = problem.stability_residuals(factors)
     assert residuals.tobytes() == reference_stability_residuals(problem, wrenches).tobytes()
     # inertial-frame gradient -> contact frame, with the stability terms
     want = reference_baseline_gradient(problem, z, weights)
@@ -489,6 +490,33 @@ def test_baseline_kernels_bitwise_equal_per_contact_loops_with_signed_zeros(seed
     assert problem.gradient(z, weights).tobytes() == reference_baseline_gradient(problem, z, weights).tobytes()
 
 
+def reference_baseline_breakdown(problem, z):
+    """`BaselineProblem.cost_breakdown` as summed on a schedule with no double-support stage: no similarity term."""
+    wrenches, vel = problem.decode(z)
+    com, momentum, feet = split_states(problem.rollout(z), problem.n_contacts)
+    w, refs = problem.weights, problem.refs
+    parts = {
+        "tracking": 0.0 + costs.quad(momentum[:, 3:], w.q_h) + costs.quad(com - refs.com_refs, w.q_c),
+        "footsteps": 0.0 + costs.quad(feet - refs.footstep_refs.transpose(1, 0, 2), w.q_pc),
+        "input_reg": 0.0 + costs.quad(vel, w.q_v) + costs.quad(wrenches, w.q_wrench_reg),
+    }
+    parts["total"] = sum(parts.values())
+    return parts
+
+
+@given(seed=seeds, n_c=st.integers(1, 3), kind=st.sampled_from(["all-swing", "one-in-stance"]))
+@settings(max_examples=40, deadline=None)
+def test_baseline_breakdown_without_double_support_bitwise_equals_a_sum_without_similarity(seed, n_c, kind):
+    """With no double-support stage the similarity is an empty block, whose 0.0 changes no group's sum."""
+    rng = np.random.default_rng(seed + 3)
+    problem = make_problem(build_constrained_mpc, seed, n_c, gait=schedule(kind, n_c, rng))
+    assert not problem._both_active.any()
+    z = problem.initial_warm_start() + rng.normal(0, 0.5, problem.dim)
+    got, want = problem.cost_breakdown(z), reference_baseline_breakdown(problem, z)
+    assert list(got) == list(want)
+    assert [np.float64(v).tobytes() for v in got.values()] == [np.float64(v).tobytes() for v in want.values()]
+
+
 def assert_held(array, former):
     """`array` is a contiguous, read-only float64 array of its own, bitwise `np.broadcast_to(former, its shape)`."""
     assert array.dtype == np.float64 and array.flags.c_contiguous and not array.flags.writeable
@@ -521,12 +549,11 @@ def test_per_problem_constants_are_read_only_broadcasts_of_the_former_gates(seed
     fixed = TargetConstants.build(activity, constants)
     n_active = activity.sum(axis=1)
     assert_held(fixed.gravity_share, (constants.mass / n_active)[:, None, None] * constants.gravity_vector)
-    assert_held(fixed.wrench_mask, activity[..., None])
     assert_held(fixed.position_mask, activity[..., None])
-    assert fixed.gravity_share.shape == fixed.wrench_mask.shape == (steps, n_c, 6)
+    assert fixed.gravity_share.shape == (steps, n_c, 6)
     assert fixed.position_mask.shape == (steps, n_c, 3)
     # the surface constants at every stage
-    stacked, staged = problem._surface_constants, problem._stage_surface
+    stacked, staged = SurfaceConstants.of(problem.surfaces), problem._stage_surface
     for name in stacked.__dataclass_fields__:
         assert_held(getattr(staged, name), getattr(stacked, name))
         assert getattr(staged, name).shape == (steps,) + np.shape(getattr(stacked, name))

@@ -87,7 +87,7 @@ def test_warm_start_carries_the_model_weight_under_any_gravity(controller):
         state, static_refs(gait=gait), PayloadDisturbance.zero(), Weights(), MpcConfig(), constants, [SURFACE] * 2
     )
     inputs, _ = prob.decode(prob.initial_warm_start())
-    applied = prob._wrenches_world(inputs) * prob.activity[..., None]
+    applied = prob._wrenches_world(inputs, prob._input_factors(inputs)) * prob.activity[..., None]
     np.testing.assert_allclose(applied[..., 2].sum(axis=1), 3.71, rtol=1e-9)
 
 
@@ -306,7 +306,7 @@ def test_control_step_wrenches_are_stage0_world_rows_with_zero_swing_rows(contro
     prob = BUILDERS[controller](state, refs, PayloadDisturbance.zero(), Weights(), config, CONSTANTS, [SURFACE] * 2)
     step = receding_horizon_step(prob, rng.normal(0.0, 0.5, prob.dim))
     inputs, _ = prob.decode(step.stats.z)
-    world = prob._wrenches_world(inputs[:1])[0]
+    world = prob._wrenches_world(inputs, prob._input_factors(inputs))[0]
     assert isinstance(step.wrenches, np.ndarray) and step.wrenches.shape == (2, 6)
     assert step.wrenches[0].tobytes() == world[0].tobytes()
     # the swing row is masked, not zero already: a negative entry times a zero gate would be -0.0

@@ -13,7 +13,7 @@ import pytest
 
 from payload_mpc import shooting
 from payload_mpc.baseline import baseline_receding_horizon_step, build_constrained_mpc
-from payload_mpc.contact import ContactSurface
+from payload_mpc.contact import ContactSurface, parametrize_batch, rotate_wrenches
 from payload_mpc.costs import Weights
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
@@ -28,10 +28,11 @@ CONTROLLERS = {
 }
 
 
-def make_problem(controller, max_iterations=200):
+def make_problem(controller, max_iterations=200, gait=None):
     rng = np.random.default_rng(5)
-    gait = np.ones((2, 11), dtype=int)
-    gait[0, 3:7] = 0
+    if gait is None:
+        gait = np.ones((2, 11), dtype=int)
+        gait[0, 3:7] = 0
     state = CentroidalState(
         np.array([0, 0, 0.53]) + rng.normal(0, 0.03, 3), rng.normal(0, 0.2, 6), FEET
     )
@@ -86,6 +87,33 @@ def test_memo_hit_matches_fresh_problem(controller):
     assert got.tobytes() == fresh.gradient(z1, weights).tobytes()
     assert_same_value(first, fresh.evaluator().value(z1))
     assert_same_value(evaluator.value(z1), first)
+
+
+def reference_first_input(problem, z):
+    """The stage-0 command as a second map of stage 0's inputs alone: the contact map, the rotations, the gate."""
+    inputs, velocities = problem.decode(z)
+    local = parametrize_batch(inputs[:1], problem.surfaces) if problem.parametrized else inputs[:1]
+    world = rotate_wrenches(local, problem.refs.contact_orientations.transpose(0, 2, 1))[0]
+    return inputs[0], np.where(problem.activity[0][:, None] != 0, world, 0.0), velocities[0]
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_first_input_reads_stage_zero_of_the_point(controller):
+    gait = np.ones((2, 11), dtype=int)
+    gait[1, 0:3] = 0  # contact 1 swings at stage 0: its wrench row is +0.0
+    problem = make_problem(controller, gait=gait)
+    z1, z2, _ = points(problem)
+    want = [a.tobytes() for a in reference_first_input(problem, z1)]
+    value = problem.evaluator().value
+    value(z1)
+    hit = problem.first_input(z1)  # the memo holds z1
+    value(z2)
+    moved = problem.first_input(z1)  # the memo held z2
+    for got in (hit, moved):
+        assert [a.tobytes() for a in got] == want
+        point = problem._last_point
+        for array, memo in zip(got, (point.inputs, point.wrenches, point.velocities)):
+            assert not np.shares_memory(array, memo)
 
 
 @pytest.mark.parametrize("controller", CONTROLLERS)

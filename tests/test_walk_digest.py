@@ -1,4 +1,4 @@
-"""Smoke test of `scripts/walk_digest.py`: the seed-0 carry-walk slice, twice in one process."""
+"""Smoke test of `scripts/walk_digest.py`: the seed-0 carry-walk and flat-walk-baseline slices, twice in one process."""
 
 import importlib.util
 import sys
@@ -22,13 +22,24 @@ def walk_digest(monkeypatch):
     return module
 
 
-def test_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["walk_digest.py", "--slice", "--walk", "carry-walk", "--seed", "0"])
+def slice_digest_twice(walk_digest, monkeypatch, capsys, walk):
+    """The seed-0 slice's digest lines of `walk`, after checking that a second run prints them again."""
+    monkeypatch.setattr(sys, "argv", ["walk_digest.py", "--slice", "--walk", walk, "--seed", "0"])
     runs = []
     for _ in range(2):
         assert walk_digest.main() == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    walk, *logs = runs[0]
-    assert walk.startswith("carry-walk seed=0 ticks=5 mean_iterations=178.800000 non_converged=2 sha256=")
-    assert [line.split()[0] for line in logs] == list(walk_digest.LOGS)
+    line, *logs = runs[0]
+    assert [log.split()[0] for log in logs] == list(walk_digest.LOGS)
+    return line
+
+
+def test_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
+    line = slice_digest_twice(walk_digest, monkeypatch, capsys, "carry-walk")
+    assert line.startswith("carry-walk seed=0 ticks=5 mean_iterations=178.800000 non_converged=2 sha256=")
+
+
+def test_baseline_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
+    line = slice_digest_twice(walk_digest, monkeypatch, capsys, "flat-walk-baseline")
+    assert line.startswith("flat-walk-baseline seed=0 ticks=5 mean_iterations=200.000000 non_converged=5 sha256=")
