@@ -3,9 +3,11 @@
 
 Runs the full benchmark walks (`perfbench/workloads.py`) and prints, per
 walk, its tick count, mean iterations and non-converged ticks, and a sha256
-over the bytes of the per-tick iterations and statuses and the per-plant-tick
-CoM, momentum, feet, applied wrenches, wrench parameters and cost logs, with a
-short digest of each of those logs below it.  `flat-walk-shared` is the
+over the bytes of the per-tick iterations and statuses and of every
+per-plant-tick log that `SimLog.to_csv` writes (times, CoM and its reference,
+momentum, feet, their references and activity flags, applied wrenches, wrench
+parameters, the payload's total vertical force and the costs), with a short
+digest of each of those logs below it.  `flat-walk-shared` is the
 shared-trace timing comparison on the flat walk instead: its digest covers
 the `(tick, controller, iterations, status)` rows of
 `compare_timing(..., shared_trace=True)`, in order.  Two source trees that
@@ -46,20 +48,17 @@ from payload_mpc.simulation import run_closed_loop  # noqa: E402
 from workloads import make_scenario  # noqa: E402
 
 WALKS = ("carry-walk", "flat-walk", "flat-walk-baseline", "flat-walk-shared")
-LOGS = ("iterations", "status", "com", "momentum", "feet", "wrenches", "xi", "costs")
+# the per-tick logs, then the per-plant-tick logs in the order of the CSV's columns
+LOGS = (
+    "iterations", "status", "times", "com", "com_ref", "momentum", "feet", "feet_ref", "feet_active",
+    "wrenches", "xi", "payload_fz_total", "costs",
+)
 
 
 def log_bytes(log) -> dict:
     """Byte image of every fingerprinted log of one run."""
-    arrays = {
-        "iterations": np.asarray(log.iterations_per_tick, dtype=np.int64),
-        "com": log.com,
-        "momentum": log.momentum,
-        "feet": log.feet,
-        "wrenches": log.wrenches,
-        "xi": log.xi,
-        "costs": log.costs,
-    }
+    arrays = {"iterations": np.asarray(log.iterations_per_tick, dtype=np.int64)}
+    arrays.update((name, getattr(log, name)) for name in LOGS[2:])
     out = {name: np.ascontiguousarray(a).tobytes() for name, a in arrays.items()}
     out["status"] = "\n".join(log.status_per_tick).encode()
     return out
@@ -96,7 +95,7 @@ def print_walk(name: str, seed: int, full: bool) -> None:
         f"non_converged={sum(s != 'converged' for s in statuses)} sha256={total.hexdigest()}"
     )
     for key in LOGS:
-        print(f"  {key:<10} {hashlib.sha256(parts[key]).hexdigest()[:16]}")
+        print(f"  {key:<16} {hashlib.sha256(parts[key]).hexdigest()[:16]}")
     sys.stdout.flush()
 
 

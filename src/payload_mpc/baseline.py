@@ -34,9 +34,8 @@ import numpy as np
 
 from .contact import rotate_wrenches
 from .costs import Weights
-from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants
+from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, stage_constant
 from .mpc import HorizonReferences, MpcConfig, ShootingProblem, receding_horizon_step
-from .shooting import stage_constant
 from .solver import solve  # noqa: F401  (perfbench/spans.py wraps `baseline.solve`)
 
 STABILITY_RESIDUALS_PER_CONTACT = 5

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,6 +41,9 @@ EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 
 log = logging.getLogger("payload_mpc")
+
+# `verify-param` samples every wrench parameter uniformly in [-XI_SAMPLE_BOUND, XI_SAMPLE_BOUND)
+XI_SAMPLE_BOUND = 10.0
 
 
 def _is_number(value) -> bool:
@@ -232,13 +236,20 @@ def cmd_verify_param(args) -> int:
     # the whole document is parsed as `simulate` parses it: unknown keys and
     # invalid sections are configuration errors here too
     surface = _scenario_from_config(_load_config(args.config))[0].surface
+    # the normal force is exp(xi_3) + fz_min: if the smallest sampled exp(xi_3)
+    # rounds away, the samples cannot tell the parametrization from fz_min alone
+    if surface.fz_min + math.exp(-XI_SAMPLE_BOUND) == surface.fz_min:
+        raise ConfigurationError(
+            f"surface fz_min={surface.fz_min} absorbs exp(xi_3) at the sampled xi_3 >= {-XI_SAMPLE_BOUND}: "
+            "every sampled normal force would round to fz_min"
+        )
     rng = np.random.default_rng(args.seed)
     failures = 0
     remaining = args.samples
     worst = np.inf
     while remaining > 0:
         batch = min(remaining, 200_000)
-        xi = rng.uniform(-10.0, 10.0, (batch, 6))
+        xi = rng.uniform(-XI_SAMPLE_BOUND, XI_SAMPLE_BOUND, (batch, 6))
         margins = stability_margins(parametrize_batch(xi, surface), surface)
         failures += int((margins.min(axis=1) <= 0).sum())
         worst = min(worst, float(margins.min()))

@@ -49,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Wrench
+from .dynamics import Wrench, stage_constant
 from .errors import ConfigurationError, InversionError, ParameterRangeError
-from .shooting import stage_constant
 
 # exp() overflows IEEE doubles just above 709; stay clear of it
 XI3_LIMIT = 700.0
@@ -172,7 +171,7 @@ class SurfaceConstants:
     def over(self, steps: int) -> "SurfaceConstants":
         """Stacked (n_c,) constants held at each of `steps` stages: (K, n_c) fields, (K, n_c, 6) rows.
 
-        Every array is contiguous and read-only (`shooting.stage_constant`),
+        Every array is contiguous and read-only (`dynamics.stage_constant`),
         so a kernel on (K, n_c) components or (K, n_c, 6) rows meets its
         constants at its own shape, with the values the broadcast gave.
         """

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import parametrize_batch  # noqa: F401  (mpc maps through it here, where perfbench/spans.py wraps it)
-from .dynamics import RobotConstants
+from .dynamics import PayloadDisturbance, RobotConstants, stage_constant
 from .errors import ConfigurationError, InfeasiblePhaseError
-from .shooting import PayloadArrays
 from .shooting import cross as _cross
 from .shooting import einsum as _einsum
 from .shooting import linalg_solve as _linalg_solve
-from .shooting import stage_constant
 
 
 def _weight_matrix(value, n: int, name: str) -> np.ndarray:
@@ -109,7 +107,7 @@ class TargetConstants:
     They depend only on the contact activity and the robot, not on the
     states, so a problem builds them once and passes them to every
     `payload_compensation_targets` and `shooting.payload_cost_state_seeds`
-    call.  Each is held at the shape its kernel reads (`shooting.stage_constant`).
+    call.  Each is held at the shape its kernel reads (`dynamics.stage_constant`).
     Building them is where a stage with no active contact is rejected.
     """
 
@@ -135,15 +133,17 @@ class TargetConstants:
 def payload_compensation_targets(
     states: np.ndarray,
     activity: np.ndarray,
-    payload: PayloadArrays,
+    payload: PayloadDisturbance,
     constants: RobotConstants,
     fixed: TargetConstants | None = None,
 ):
     """Per-stage, per-contact wrench targets cancelling the held payload.
 
-    `states` holds the stacked states of at least the K stages (K+1, nx)
-    and `fixed` is the problem's `TargetConstants` for this activity and
-    robot, built here when not given.
+    `states` holds the stacked states of at least the K stages (K+1, nx),
+    `payload` is one estimate (2, 3) or the problem's held record
+    (`PayloadDisturbance.over`, (K, 2, 3)), whose sums the targets read, and
+    `fixed` is the problem's `TargetConstants` for this activity and robot,
+    built here when not given.
     Returns (targets (K, n_c, 6), solve cache) where targets are only
     meaningful where `activity` is 1.  The cache carries the stacked transport
     products needed by the analytic gradient, among them the top block

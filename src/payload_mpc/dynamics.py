@@ -152,32 +152,65 @@ class CentroidalState:
         return np.concatenate([self.com_position, self.momentum, self.contact_positions.ravel()])
 
 
+def stage_constant(value, shape: tuple) -> np.ndarray:
+    """`value` broadcast to `shape` as a C-contiguous, read-only float64 array of its own."""
+    out = np.array(np.broadcast_to(value, shape), float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PayloadDisturbance:
-    """External wrench pair from a carried load, applied at the two grip points."""
+    """External wrench pair from a carried load, applied at the two grip points.
 
-    left_wrench: Wrench
-    right_wrench: Wrench
-    left_point: np.ndarray
-    right_point: np.ndarray
+    Rows are the grips, left then right: (2, 3) for one estimate, or (K, 2, 3)
+    for that estimate held at each of K stages (`over`).  Every kernel takes
+    either shape.  `force_sum` and `pivot_moment` (the moments plus points x
+    forces, summed about the origin) are derived once, so the held form's
+    (K, 3) sums meet the (K, 3) stage totals at their own shape.  Each array
+    is read-only.
+    """
+
+    forces: np.ndarray  # (..., 2, 3) N
+    moments: np.ndarray  # (..., 2, 3) N*m about the grip points
+    points: np.ndarray  # (..., 2, 3) m
+    force_sum: np.ndarray = field(init=False)  # (..., 3)
+    pivot_moment: np.ndarray = field(init=False)  # (..., 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "left_point", _vec(self.left_point, 3, "left_point"))
-        object.__setattr__(self, "right_point", _vec(self.right_point, 3, "right_point"))
+        names = ("forces", "moments", "points")
+        try:
+            grips = [np.array(getattr(self, name), dtype=float) for name in names]
+        except (ValueError, TypeError) as exc:
+            raise ConfigurationError(f"payload grips must be numeric arrays: {exc}") from exc
+        for name, grip in zip(names, grips):
+            if grip.shape[-2:] != (2, 3) or grip.shape != grips[0].shape:
+                raise ConfigurationError(f"payload {name} must be (..., 2, 3) as the forces, got {grip.shape}")
+            if not np.isfinite(grip).all():
+                raise ConfigurationError(f"payload {name} must be finite")
+            grip.flags.writeable = False
+            object.__setattr__(self, name, grip)
+        forces, moments, points = grips
+        object.__setattr__(self, "force_sum", forces.sum(axis=-2))
+        object.__setattr__(self, "pivot_moment", (moments + cross(points, forces)).sum(axis=-2))
+        self.force_sum.flags.writeable = self.pivot_moment.flags.writeable = False
 
     @classmethod
     def zero(cls) -> "PayloadDisturbance":
-        return cls(Wrench.zero(), Wrench.zero(), np.zeros(3), np.zeros(3))
-
-    def total_force(self) -> np.ndarray:
-        return self.left_wrench.force + self.right_wrench.force
+        return cls(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
 
     def translated(self, offset) -> "PayloadDisturbance":
         """Same wrenches with both grip points shifted by `offset`."""
-        offset = _vec(offset, 3, "offset")
-        return PayloadDisturbance(
-            self.left_wrench, self.right_wrench, self.left_point + offset, self.right_point + offset
-        )
+        return PayloadDisturbance(self.forces, self.moments, self.points + _vec(offset, 3, "offset"))
+
+    def over(self, steps: int) -> "PayloadDisturbance":
+        """This one estimate held at each of `steps` stages, every array (steps, 2, 3).
+
+        The held form's sums are the two-term sums of the same rows, so each
+        of its (K, 3) rows is bitwise the (3,) sum of the one-estimate form.
+        """
+        grips = (self.forces, self.moments, self.points)
+        return PayloadDisturbance(*(stage_constant(grip, (steps, 2, 3)) for grip in grips))
 
 
 def _per_contact(x, n_c: int, width: int, name: str) -> np.ndarray:
@@ -224,13 +257,8 @@ def centroidal_dynamics(
     for flag, wrench, position in zip(active, wrenches, state.contact_positions):
         if flag:
             h_dot = h_dot + np.concatenate([wrench[:3], wrench[3:] + cross(position - com, wrench[:3])])
-    for grip_wrench, grip_point in (
-        (payload.left_wrench, payload.left_point),
-        (payload.right_wrench, payload.right_point),
-    ):
-        h_dot = h_dot + np.concatenate(
-            [grip_wrench.force, grip_wrench.moment + cross(grip_point - com, grip_wrench.force)]
-        )
+    for force, moment, point in zip(payload.forces, payload.moments, payload.points):
+        h_dot = h_dot + np.concatenate([force, moment + cross(point - com, force)])
     com_dot = state.linear_momentum / constants.mass
     feet_dot = (1.0 - np.asarray(active, dtype=float))[:, None] * velocities
     return CentroidalState(com_dot, h_dot, feet_dot)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GRAVITY, PayloadDisturbance, Wrench
+from .dynamics import GRAVITY, PayloadDisturbance
 from .errors import ConfigurationError
 
 PHASE_DOUBLE = "double"
@@ -183,9 +183,4 @@ def payload_from_mass(
     if mass < 0:
         raise ConfigurationError(f"payload mass must be >= 0, got {mass}")
     half = np.array([0.0, 0.0, -mass * gravity / 2.0])
-    return PayloadDisturbance(
-        left_wrench=Wrench(half, np.zeros(3)),
-        right_wrench=Wrench(half, np.zeros(3)),
-        left_point=np.asarray(left_offset, dtype=float),
-        right_point=np.asarray(right_offset, dtype=float),
-    )
+    return PayloadDisturbance(forces=[half, half], moments=np.zeros((2, 3)), points=[left_offset, right_offset])

@@ -24,8 +24,11 @@ contacts.  The rotations are stacked matmuls, not einsums: matmul rounds each
 entry exactly as the per-contact products did, an einsum does not (it skips
 the fused multiply-add).  J^T v runs over the Jacobian's 13 structural nonzeros
 (`contact.parametrization_vjp`), bitwise what the dense einsum gave.  The
-payload targets take their stage constants (active counts, the weight share)
-from `costs.TargetConstants`, built on first use.
+payload estimate is one `PayloadDisturbance`, the record the plant reads
+too; a problem holds it over the horizon once (`PayloadDisturbance.over`)
+and the rollout, the payload targets and their seeds all read that held
+record.  The payload targets take their stage constants (active counts, the
+weight share) from `costs.TargetConstants`, built on first use.
 
 Each quantity is computed once per point: the value keeps in the point memo
 what the gradient needs again (task errors, gated forces, input factors,
@@ -218,8 +221,8 @@ class ShootingProblem:
         self.n_contacts = refs.n_contacts
         # the surfaces' constants at every stage, for the kernels on (K, n_c) components and rows
         self._stage_surface = SurfaceConstants.of(self.surfaces).over(self.horizon)
-        # zero-order hold: the one estimate acts at every stage of the horizon
-        self._payload = _shooting.PayloadArrays.of(payload_estimate, self.horizon)
+        # zero-order hold: the one estimate acts at every stage of the horizon, (K, 2, 3) grips
+        self._payload = payload_estimate.over(self.horizon)
         self.activity = np.asarray(refs.gait, dtype=float)[:, : self.horizon].T.copy()  # (K, n_c)
         self.dim = self.horizon * self.n_contacts * 9
         self._x0 = state.as_vector()

@@ -65,22 +65,23 @@ one shape, and 1.0-1.7 us when one of them is a broadcast (K, n_c, 1) gate
 or a strided column view; `np.tanh` costs 0.5-0.7 against 1.0-1.3 us
 (`timeit`, one BLAS thread, a shared 2-vCPU x86-64 host).  So the fast path
 feeds ufuncs contiguous operands of one shape.  What a problem holds
-constant is built once, by `stage_constant`, at the width its kernels read
-it: the gates below, the payload's sums, the payload targets' constants and
-the contact map's surface rows.  Each is contiguous and read-only, and each
-element is the value the broadcast gave, so every product is bitwise the
-same.
+constant is built once, by `dynamics.stage_constant`, at the width its
+kernels read it: the gates below, the payload record held over the horizon
+(`PayloadDisturbance.over`, whose sums are then (K, 3)), the payload
+targets' constants and the contact map's surface rows.  Each is contiguous
+and read-only, and each element is the value the broadcast gave, so every
+product is bitwise the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
-from .dynamics import PayloadDisturbance, RobotConstants, cross
+from .dynamics import PayloadDisturbance, RobotConstants, cross, stage_constant
 
 # `np.einsum` without `optimize` hands its arguments straight to this kernel,
 # after a dispatcher and a generator that cost about as much as the einsum.
@@ -102,51 +103,6 @@ def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the callers pass float64 arrays of these shapes.
     """
     return _umath_linalg.solve(a, b, signature="dd->d")
-
-
-def stage_constant(value, shape: tuple) -> np.ndarray:
-    """`value` broadcast to `shape` as a C-contiguous, read-only float64 array of its own."""
-    out = np.array(np.broadcast_to(value, shape), float, order="C")
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class PayloadArrays:
-    """A payload's two grips as arrays: (2, 3) for one estimate, or (K, 2, 3) for one per stage.
-
-    Every kernel takes either shape.  The problems hold one estimate over the
-    whole horizon, built by `of` with the horizon's stage count, so that the
-    (K, 3) sums meet the (K, 3) stage totals at their own shape.
-    """
-
-    forces: np.ndarray  # (..., 2, 3)
-    moments: np.ndarray  # (..., 2, 3)
-    points: np.ndarray  # (..., 2, 3)
-    force_sum: np.ndarray = field(init=False)  # (..., 3)
-    pivot_moment: np.ndarray = field(init=False)  # (..., 3) sum of moments + points x forces (about the origin)
-
-    def __post_init__(self):
-        object.__setattr__(self, "force_sum", self.forces.sum(axis=-2))
-        object.__setattr__(self, "pivot_moment", (self.moments + cross(self.points, self.forces)).sum(axis=-2))
-        self.force_sum.flags.writeable = self.pivot_moment.flags.writeable = False
-
-    @classmethod
-    def of(cls, estimate: PayloadDisturbance, steps: int | None = None) -> "PayloadArrays":
-        """The (2, 3) arrays of one estimate or, given `steps`, that estimate held at each of K stages.
-
-        The held form's sums are the two-term sums of the same rows, so each
-        of its (K, 3) rows is bitwise the (3,) sum of the one-estimate form.
-        """
-        left, right = estimate.left_wrench, estimate.right_wrench
-        grips = (
-            np.array([left.force, right.force]),
-            np.array([left.moment, right.moment]),
-            np.array([estimate.left_point, estimate.right_point]),
-        )
-        if steps is not None:
-            grips = tuple(stage_constant(grip, (steps, 2, 3)) for grip in grips)
-        return cls(*grips)
 
 
 @dataclass(frozen=True)
@@ -179,7 +135,7 @@ class StageGates:
         )
 
 
-def stage_forces(wrenches: np.ndarray, gates: StageGates, payload: PayloadArrays):
+def stage_forces(wrenches: np.ndarray, gates: StageGates, payload: PayloadDisturbance):
     """The gated wrenches (K, n_c, 6) and each stage's total force (K, 3), payload included."""
     gated = wrenches * gates.stance
     return gated, np.add.reduce(gated[:, :, :3], 1) + payload.force_sum
@@ -214,7 +170,7 @@ class ShootingPoint:
 def rollout(
     x0: np.ndarray,
     velocities: np.ndarray,  # (K, n_c, 3)
-    payload: PayloadArrays,
+    payload: PayloadDisturbance,
     dt: float,
     gates: StageGates,
     forces: tuple,
@@ -307,7 +263,7 @@ def payload_cost_state_seeds(
     residual: np.ndarray,
     cache: dict,
     fixed,
-    payload: PayloadArrays,
+    payload: PayloadDisturbance,
     q_d: np.ndarray,
     seeds: np.ndarray,
 ) -> np.ndarray:
@@ -338,7 +294,8 @@ def payload_cost_state_seeds(
     h1, h2 = h[:, None, :3], h[:, None, 3:]
     z1 = cache["z1"]  # (K, n_c, 3) top block of A_i' c
     # every cross with h2 in one call: lever arms, z1, then the grip forces,
-    # stacked in place (the assignment broadcasts a one-estimate payload's (2, 3) forces)
+    # stacked in place (the assignment broadcasts a one-estimate record's (2, 3)
+    # forces as it copies a held record's (K, 2, 3) ones)
     stacked = np.empty((steps, 2 * n_c + 2, 3))
     stacked[:, :n_c], stacked[:, n_c : 2 * n_c], stacked[:, 2 * n_c :] = r, z1, payload.forces
     by_h2 = cross(stacked, h2)

@@ -28,7 +28,8 @@ from .contact import ContactSurface, stability_margins
 from .costs import Weights
 from .dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler_step
 from .errors import ConfigurationError, NonFiniteStartError, SolverFailure
-from .gait import GaitParameters, generate_gait_schedule, generate_nominal_com_reference, payload_from_mass
+from .gait import DEFAULT_LEFT_GRIP, DEFAULT_RIGHT_GRIP, GaitParameters, payload_from_mass
+from .gait import generate_gait_schedule, generate_nominal_com_reference
 from .mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
 from .solver import SolverOptions, SolverResult
 
@@ -52,8 +53,8 @@ def default_run_solver_options() -> SolverOptions:
 @dataclass
 class PayloadSpec:
     mass: float = 0.0  # kg
-    left_offset: tuple = (0.25, 0.1, -0.1325)  # m, CoM-relative grip points
-    right_offset: tuple = (0.25, -0.1, -0.1325)
+    left_offset: tuple = DEFAULT_LEFT_GRIP  # m, CoM-relative grip points
+    right_offset: tuple = DEFAULT_RIGHT_GRIP
     onset_time: float = 0.0  # s
 
     def validate(self) -> None:
@@ -429,7 +430,7 @@ def run_closed_loop(scenario: Scenario, shadow: str = None) -> SimLog:
             log.feet_active[row] = active
             log.wrenches[row] = step.wrenches
             log.xi[row] = step.xi
-            log.payload_fz_total[row] = payload_plant.total_force()[2]
+            log.payload_fz_total[row] = payload_plant.force_sum[2]
             log.costs[row] = cost_row
             state = euler_step(
                 state,

@@ -140,11 +140,9 @@ def test_criterion_3_gradient_fidelity():
                 gait,
                 np.tile(np.eye(3), (2, 1, 1)),
             )
+            grips = rng.normal(0, 4, (2, 6))  # left then right: force, moment
             payload = PayloadDisturbance(
-                Wrench.from_array(rng.normal(0, 4, 6)),
-                Wrench.from_array(rng.normal(0, 4, 6)),
-                state.com_position + rng.normal(0, 0.2, 3),
-                state.com_position + rng.normal(0, 0.2, 3),
+                grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3))
             )
             problem = build_mpc_problem(
                 state, refs, payload, Weights(), MpcConfig(), constants, [surface, surface]

@@ -79,9 +79,10 @@ def test_gradient_matches_finite_differences():
     state = CentroidalState(
         np.array([0, 0, 0.53]) + rng.normal(0, 0.03, 3), rng.normal(0, 0.2, 6), FEET
     )
+    left = rng.normal(0, 2, 6)  # the right grip carries nothing
     payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 2, 6)), Wrench.zero(),
-        state.com_position + [0.2, 0.1, -0.1], state.com_position,
+        [left[:3], np.zeros(3)], [left[3:], np.zeros(3)],
+        [state.com_position + [0.2, 0.1, -0.1], state.com_position],
     )
     prob = build_constrained_mpc(
         state, static_refs(gait=gait), payload, Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ def test_verify_param_with_a_valid_surface_section(tmp_path, capsys):
     config = write_config(tmp_path, {"surface": {"x_min": -0.3}})
     assert main(["verify-param", "--samples", "10", "--config", config]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_param_rejects_a_floor_that_absorbs_the_sampled_normal_force(tmp_path, capsys):
+    # exp(xi_3) + 1e300 rounds to 1e300 over the whole sampled xi_3 range, as
+    # `simulate` also rejects this surface: a configuration error, not a failure
+    config = write_config(tmp_path, {"surface": {"fz_min": 1e300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify-param", "--samples", "10", "--config", config])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ") and "fz_min" in lines[0]
 
 
 def test_verify_param_zero_samples_rejected():

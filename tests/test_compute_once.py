@@ -27,7 +27,7 @@ from payload_mpc.contact import (
     parametrization_vjp,
 )
 from payload_mpc.costs import Weights
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from payload_mpc.errors import NonFiniteStartError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
 from payload_mpc.simulation import default_payload_scenario, run_closed_loop
@@ -443,10 +443,8 @@ def make_problem(controller, seed):
         gait,
         np.tile(np.eye(3), (2, 1, 1)),
     )
-    payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 2, 6)), Wrench.from_array(rng.normal(0, 2, 6)),
-        state.com_position + rng.normal(0, 0.2, 3), state.com_position + rng.normal(0, 0.2, 3),
-    )
+    grips = rng.normal(0, 2, (2, 6))  # left then right: force, moment
+    payload = PayloadDisturbance(grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3)))
     return BUILDERS[controller](state, refs, payload, Weights(), MpcConfig(), RobotConstants(mass=1.0), [SURFACE, SURFACE])
 
 

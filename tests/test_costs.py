@@ -13,7 +13,7 @@ from payload_mpc.contact import ContactSurface, invert_parametrization
 from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
 from payload_mpc.errors import ConfigurationError, InfeasiblePhaseError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
-from payload_mpc.shooting import PayloadArrays, ShootingPoint
+from payload_mpc.shooting import ShootingPoint
 
 FOOT = ContactSurface(-0.1, 0.1, -0.05, 0.05)
 
@@ -167,14 +167,10 @@ def test_payload_cost_equal_distribution_two_contacts():
 def test_payload_target_with_disturbance_at_com():
     # payload applied at the CoM, one active contact at the CoM:
     # target wrench = -d + m g share = (0,0,24.525,...)
-    payload = PayloadDisturbance(
-        Wrench([0, 0, -14.715], [0, 0, 0]), Wrench.zero(), [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
-    )
+    payload = PayloadDisturbance([[0, 0, -14.715], [0, 0, 0]], np.zeros((2, 3)), np.zeros((2, 3)))
     com = np.array([0.0, 0.0, 0.0])
     states = np.concatenate([com, np.zeros(6), com])[None, :]
-    targets, _ = payload_compensation_targets(
-        states, np.array([[1.0]]), PayloadArrays.of(payload), RobotConstants(mass=1.0)
-    )
+    targets, _ = payload_compensation_targets(states, np.array([[1.0]]), payload, RobotConstants(mass=1.0))
     assert np.allclose(targets[0, 0], [0, 0, 24.525, 0, 0, 0], atol=1e-12)
 
 
@@ -187,15 +183,13 @@ def test_payload_cost_requires_active_contact():
 def test_hold_payload_over_horizon():
     # one estimate's (2, 3) grip arrays act at every stage: its targets equal,
     # bitwise, those of the same estimate stacked once per stage
-    payload = PayloadDisturbance(
-        Wrench([0, 0, -14.715], [0.1, 0, 0]), Wrench([0, 0.2, -1.0], [0, 0, 0.3]),
-        [0.25, 0.1, -0.1325], [0.25, -0.1, -0.1325],
+    held = PayloadDisturbance(
+        [[0, 0, -14.715], [0, 0.2, -1.0]], [[0.1, 0, 0], [0, 0, 0.3]], [[0.25, 0.1, -0.1325], [0.25, -0.1, -0.1325]]
     )
-    held = PayloadArrays.of(payload)
     assert held.forces.shape == held.moments.shape == held.points.shape == (2, 3)
-    assert np.array_equal(held.force_sum, payload.total_force())
+    assert np.array_equal(held.force_sum, held.forces[0] + held.forces[1])
     steps = 10
-    stacked = PayloadArrays(
+    stacked = PayloadDisturbance(
         *(np.broadcast_to(a, (steps, 2, 3)).copy() for a in (held.forces, held.moments, held.points))
     )
     rng = np.random.default_rng(3)
@@ -205,14 +199,16 @@ def test_hold_payload_over_horizon():
     got, _ = payload_compensation_targets(states, activity, held, robot)
     want, _ = payload_compensation_targets(states, activity, stacked, robot)
     assert got.tobytes() == want.tobytes()
-    zero = PayloadArrays.of(PayloadDisturbance.zero())
+    # `over` holds the estimate at every stage: the stacked arrays and their sums, bitwise
+    over = held.over(steps)
+    for name in ("forces", "moments", "points", "force_sum", "pivot_moment"):
+        assert getattr(over, name).tobytes() == getattr(stacked, name).tobytes()
+    zero = PayloadDisturbance.zero()
     assert np.array_equal(zero.force_sum, [0, 0, 0]) and np.array_equal(zero.pivot_moment, [0, 0, 0])
 
 
 def test_hold_is_per_call():
-    first = PayloadDisturbance(Wrench([0, 0, -1], [0, 0, 0]), Wrench.zero(), np.zeros(3), np.zeros(3))
-    second = PayloadDisturbance(Wrench([0, 0, -2], [0, 0, 0]), Wrench.zero(), np.zeros(3), np.zeros(3))
-    hold1 = PayloadArrays.of(first)
-    hold2 = PayloadArrays.of(second)
+    hold1 = PayloadDisturbance([[0, 0, -1], [0, 0, 0]], np.zeros((2, 3)), np.zeros((2, 3)))
+    hold2 = PayloadDisturbance([[0, 0, -2], [0, 0, 0]], np.zeros((2, 3)), np.zeros((2, 3)))
     assert hold1.forces[0, 2] == -1 and hold1.force_sum[2] == -1
     assert hold2.forces[0, 2] == -2 and hold2.force_sum[2] == -2

@@ -7,7 +7,6 @@ from payload_mpc.dynamics import (
     CentroidalState,
     PayloadDisturbance,
     RobotConstants,
-    Wrench,
     centroidal_dynamics,
     euler_step,
     gravity_vector,
@@ -140,10 +139,9 @@ def _rich_setup():
     wrenches = np.array([[0.4, -0.2, 6.0, 0.02, -0.05, 0.01], [0.1, 0.2, 3.0, 0, 0, 0]])
     velocities = [np.zeros(3), np.array([0.25, 0.0, 0.05])]
     payload = PayloadDisturbance(
-        Wrench([0, 0, -7.3575], [0, 0, 0]),
-        Wrench([0, 0, -7.3575], [0, 0, 0]),
-        [0.27, 0.09, 0.4],
-        [0.27, -0.11, 0.4],
+        [[0, 0, -7.3575], [0, 0, -7.3575]],
+        np.zeros((2, 3)),
+        [[0.27, 0.09, 0.4], [0.27, -0.11, 0.4]],
     )
     return state, active, wrenches, velocities, payload
 
@@ -193,6 +191,40 @@ def test_gating_active_contact_velocity_is_ignored(v):
     modified = [v, velocities[1]]  # contact 0 is active
     out = euler_step(state, wrenches, modified, payload, active, cst, 0.2)
     assert np.array_equal(base.as_vector(), out.as_vector())
+
+
+def test_payload_record_holds_two_grips_read_only():
+    forces = np.array([[0.0, 0.0, -7.0], [0.5, 0.0, -6.0]])
+    payload = PayloadDisturbance(forces, np.zeros((2, 3)), [[0.2, 0.1, 0.0], [0.2, -0.1, 0.0]])
+    forces[0, 2] = 1.0  # the record keeps its own copy
+    assert payload.forces[0, 2] == -7.0
+    assert np.array_equal(payload.force_sum, [0.5, 0.0, -13.0])
+    # about the origin: sum of points x forces (the moments are zero here)
+    assert np.allclose(payload.pivot_moment, np.cross(payload.points, payload.forces).sum(axis=0))
+    for name in ("forces", "moments", "points", "force_sum", "pivot_moment"):
+        assert not getattr(payload, name).flags.writeable
+    moved = payload.translated([1.0, 0.0, 0.0])
+    assert np.array_equal(moved.points, payload.points + [1.0, 0.0, 0.0])
+    held = payload.over(4)
+    assert held.forces.shape == held.moments.shape == held.points.shape == (4, 2, 3)
+    assert held.force_sum.shape == held.pivot_moment.shape == (4, 3)
+    assert all(row.tobytes() == payload.force_sum.tobytes() for row in held.force_sum)
+
+
+@pytest.mark.parametrize(
+    "forces, moments, points",
+    [
+        (np.zeros(3), np.zeros(3), np.zeros(3)),  # one grip's row, not two
+        (np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))),  # three grips
+        (np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros((2, 3))),  # shapes disagree
+        (np.full((2, 3), np.nan), np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 3)), np.full((2, 3), np.inf)),
+        ([[0.0, 0.0, 1.0], [0.0, 1.0]], np.zeros((2, 3)), np.zeros((2, 3))),  # ragged rows
+    ],
+)
+def test_payload_record_rejects_bad_grips(forces, moments, points):
+    with pytest.raises(ConfigurationError):
+        PayloadDisturbance(forces, moments, points)
 
 
 def test_state_validation():

@@ -32,7 +32,7 @@ from payload_mpc.contact import (
     rotate_wrenches,
 )
 from payload_mpc.costs import TargetConstants, Weights, payload_compensation_targets
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from payload_mpc.errors import InfeasiblePhaseError
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem
 
@@ -358,14 +358,11 @@ def make_problem(builder, seed, n_c=2, payload=True, gait=None):
         gait,
         random_rotations(rng, n_c),
     )
-    estimate = (
-        PayloadDisturbance(
-            Wrench.from_array(rng.normal(0, 2, 6)), Wrench.from_array(rng.normal(0, 2, 6)),
-            state.com_position + rng.normal(0, 0.2, 3), state.com_position + rng.normal(0, 0.2, 3),
-        )
-        if payload
-        else PayloadDisturbance.zero()
-    )
+    if payload:
+        grips = rng.normal(0, 2, (2, 6))  # left then right: force, moment
+        estimate = PayloadDisturbance(grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3)))
+    else:
+        estimate = PayloadDisturbance.zero()
     return builder(state, refs, estimate, Weights(), MpcConfig(), CONSTANTS, random_surfaces(rng, n_c))
 
 
@@ -541,7 +538,7 @@ def test_per_problem_constants_are_read_only_broadcasts_of_the_former_gates(seed
     assert gates.mg_force.shape == gates.mg_moment.shape == (steps, 3)
     # the payload's sums, against the one-estimate (2, 3) form
     payload = problem._payload
-    single = shooting.PayloadArrays(payload.forces[0], payload.moments[0], payload.points[0])
+    single = PayloadDisturbance(payload.forces[0], payload.moments[0], payload.points[0])
     assert_held(payload.force_sum, single.force_sum)
     assert_held(payload.pivot_moment, single.pivot_moment)
     assert payload.force_sum.shape == payload.pivot_moment.shape == (steps, 3)

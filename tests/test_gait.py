@@ -105,28 +105,28 @@ def test_com_reference_targets_stance_foot_in_single_support():
 
 def test_payload_from_mass_zero():
     payload = payload_from_mass(0.0)
-    assert np.array_equal(payload.total_force(), [0, 0, 0])
+    assert np.array_equal(payload.force_sum, [0, 0, 0])
 
 
 def test_payload_from_mass_split():
     payload = payload_from_mass(1.5)
     # oracle: 1.5 * 9.81 / 2 per grip
-    assert payload.left_wrench.force[2] == pytest.approx(-7.3575)
-    assert payload.right_wrench.force[2] == pytest.approx(-7.3575)
-    assert np.allclose(payload.left_wrench.moment, 0)
-    assert np.allclose(payload.left_point, [0.25, 0.1, -0.1325])
-    assert np.allclose(payload.right_point, [0.25, -0.1, -0.1325])
+    assert payload.forces[0, 2] == pytest.approx(-7.3575)  # left grip
+    assert payload.forces[1, 2] == pytest.approx(-7.3575)  # right grip
+    assert np.allclose(payload.moments, 0)
+    assert np.allclose(payload.points[0], [0.25, 0.1, -0.1325])
+    assert np.allclose(payload.points[1], [0.25, -0.1, -0.1325])
 
 
 def test_payload_from_mass_two_kilograms():
     payload = payload_from_mass(2.0)
-    assert payload.total_force()[2] == pytest.approx(-19.62)
+    assert payload.force_sum[2] == pytest.approx(-19.62)
 
 
 def test_payload_from_mass_weighs_the_load_with_the_given_gravity():
     payload = payload_from_mass(1.5, gravity=3.71)
-    assert payload.total_force()[2] == pytest.approx(-1.5 * 3.71)
-    assert payload.left_wrench.force[2] == payload.right_wrench.force[2]
+    assert payload.force_sum[2] == pytest.approx(-1.5 * 3.71)
+    assert payload.forces[0, 2] == payload.forces[1, 2]
 
 
 def test_payload_from_mass_rejects_negative():
@@ -137,5 +137,6 @@ def test_payload_from_mass_rejects_negative():
 def test_payload_translation():
     payload = payload_from_mass(1.0)
     moved = payload.translated([1.0, 2.0, 3.0])
-    assert np.allclose(moved.left_point, payload.left_point + [1, 2, 3])
-    assert np.array_equal(moved.left_wrench.force, payload.left_wrench.force)
+    assert np.allclose(moved.points, payload.points + [1, 2, 3])
+    assert np.array_equal(moved.forces, payload.forces)
+    assert np.array_equal(moved.moments, payload.moments)

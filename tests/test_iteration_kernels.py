@@ -23,9 +23,8 @@ from payload_mpc.contact import (
     parametrization_jacobian_batch,
     parametrize_batch,
 )
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench, euler_step
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler_step
 from payload_mpc.shooting import (
-    PayloadArrays,
     StageGates,
     cross,
     payload_cost_state_seeds,
@@ -193,7 +192,7 @@ def shooting_instance(horizon, n_c, pattern, payload_scale, seed, zeros, held):
     idle = activity.sum(axis=1) == 0
     activity[idle, rng.integers(0, n_c, idle.sum())] = 1.0
     grips = (2, 3) if held else (horizon, 2, 3)
-    payload = PayloadArrays(
+    payload = PayloadDisturbance(
         draw_values(rng, grips, payload_scale, zeros),
         draw_values(rng, grips, payload_scale, zeros),
         draw_values(rng, grips, 0.3, zeros),
@@ -294,13 +293,9 @@ def reference_euler_step(state, wrenches, velocities, payload, active, constants
     for flag, wrench, position in zip(active, wrenches, state.contact_positions):
         if flag:
             h_dot = h_dot + np.concatenate([wrench[:3], wrench[3:] + np.cross(position - com, wrench[:3])])
-    for grip_wrench, grip_point in (
-        (payload.left_wrench, payload.left_point),
-        (payload.right_wrench, payload.right_point),
-    ):
-        h_dot = h_dot + np.concatenate(
-            [grip_wrench.force, grip_wrench.moment + np.cross(grip_point - com, grip_wrench.force)]
-        )
+    for grip in (0, 1):  # left, then right
+        force, moment, point = payload.forces[grip], payload.moments[grip], payload.points[grip]
+        h_dot = h_dot + np.concatenate([force, moment + np.cross(point - com, force)])
     feet_dot = (1.0 - np.asarray(active, dtype=float))[:, None] * velocities
     feet = np.where(
         np.asarray(active, dtype=bool)[:, None],
@@ -317,9 +312,9 @@ def test_euler_step_bitwise_equals_numpy_cross_plant(seed, n_c, zeros):
     state = CentroidalState(
         draw_values(rng, 3, 0.5, zeros), draw_values(rng, 6, 2.0, zeros), draw_values(rng, (n_c, 3), 0.3, zeros)
     )
+    left, right = draw_values(rng, 6, 10.0, zeros), draw_values(rng, 6, 10.0, zeros)
     payload = PayloadDisturbance(
-        Wrench.from_array(draw_values(rng, 6, 10.0, zeros)), Wrench.from_array(draw_values(rng, 6, 10.0, zeros)),
-        draw_values(rng, 3, 0.5, zeros), draw_values(rng, 3, 0.5, zeros),
+        [left[:3], right[:3]], [left[3:], right[3:]], [draw_values(rng, 3, 0.5, zeros), draw_values(rng, 3, 0.5, zeros)]
     )
     active = rng.integers(0, 2, n_c)
     wrenches = draw_values(rng, (n_c, 6), 10.0, zeros)

@@ -216,12 +216,8 @@ def test_gradient_matches_finite_differences_random_instances():
             gait,
             np.tile(np.eye(3), (2, 1, 1)),
         )
-        payload = PayloadDisturbance(
-            Wrench.from_array(rng.normal(0, 3, 6)),
-            Wrench.from_array(rng.normal(0, 3, 6)),
-            state.com_position + rng.normal(0, 0.2, 3),
-            state.com_position + rng.normal(0, 0.2, 3),
-        )
+        grips = rng.normal(0, 3, (2, 6))  # left then right: force, moment
+        payload = PayloadDisturbance(grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3)))
         prob = build_mpc_problem(state, refs, payload, Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2)
         z = rng.normal(0, 0.5, prob.dim)
         ev = prob.evaluator()
@@ -262,10 +258,9 @@ def test_receding_horizon_fixed_point():
 def test_payload_between_feet_force_balance():
     # 1.5 kg payload hanging straight below the CoM between the feet
     payload = PayloadDisturbance(
-        Wrench([0, 0, -1.5 * 9.81 / 2], [0, 0, 0]),
-        Wrench([0, 0, -1.5 * 9.81 / 2], [0, 0, 0]),
-        [0.0, 0.05, 0.4],
-        [0.0, -0.05, 0.4],
+        [[0, 0, -1.5 * 9.81 / 2]] * 2,
+        np.zeros((2, 3)),
+        [[0.0, 0.05, 0.4], [0.0, -0.05, 0.4]],
     )
     prob = static_problem(payload=payload)
     step = receding_horizon_step(prob)
@@ -282,9 +277,10 @@ def test_first_input_always_contact_stable():
         np.array([0, 0, 0.53]) + rng.normal(0, 0.03, 3), rng.normal(0, 0.3, 6), FEET
     )
     refs = static_refs(gait=gait)
+    left = rng.normal(0, 3, 6)  # the right grip carries nothing
     payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 3, 6)), Wrench.zero(),
-        state.com_position + [0.2, 0.0, -0.1], state.com_position,
+        [left[:3], np.zeros(3)], [left[3:], np.zeros(3)],
+        [state.com_position + [0.2, 0.0, -0.1], state.com_position],
     )
     prob = build_mpc_problem(state, refs, payload, Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2)
     step = receding_horizon_step(prob)
@@ -433,10 +429,8 @@ def test_gradients_with_rotated_contact_frames():
         gait,
         orient,
     )
-    payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 3, 6)), Wrench.from_array(rng.normal(0, 3, 6)),
-        state.com_position + rng.normal(0, 0.2, 3), state.com_position + rng.normal(0, 0.2, 3),
-    )
+    grips = rng.normal(0, 3, (2, 6))  # left then right: force, moment
+    payload = PayloadDisturbance(grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3)))
     for builder in (build_mpc_problem, build_constrained_mpc):
         prob = builder(state, refs, payload, Weights(), MpcConfig(), CONSTANTS, [SURFACE] * 2)
         z = rng.normal(0, 0.4, prob.dim)

@@ -17,7 +17,7 @@ import pytest
 from payload_mpc import baseline, costs, mpc, shooting
 from payload_mpc.contact import ContactSurface
 from payload_mpc.costs import Weights
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 
 SUBSCRIPTS = {"ki,ij,kj->", "ki,kiab->kab", "ki,kiab,kicb->kac", "iba,kib->kia", "iab,kib->kia"}
 
@@ -37,8 +37,9 @@ def make_problem(builder, rng, steps=10):
         gait=gait,
         contact_orientations=np.array([rotation(rng), rotation(rng)]),
     )
-    grip = Wrench([0.0, 0.0, -7.0], [0.1, -0.2, 0.0])
-    payload = PayloadDisturbance(grip, grip, [0.25, 0.1, 0.4], [0.25, -0.1, 0.4])
+    payload = PayloadDisturbance(
+        [[0.0, 0.0, -7.0]] * 2, [[0.1, -0.2, 0.0]] * 2, [[0.25, 0.1, 0.4], [0.25, -0.1, 0.4]]
+    )
     return builder(
         state=CentroidalState([0.0, 0.0, 0.53], 0.1 * rng.standard_normal(6), feet),
         refs=refs,

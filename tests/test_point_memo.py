@@ -15,7 +15,7 @@ from payload_mpc import shooting
 from payload_mpc.baseline import baseline_receding_horizon_step, build_constrained_mpc
 from payload_mpc.contact import ContactSurface, parametrize_batch, rotate_wrenches
 from payload_mpc.costs import Weights
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
 from payload_mpc.solver import SolverOptions
 
@@ -42,10 +42,8 @@ def make_problem(controller, max_iterations=200, gait=None):
         gait,
         np.tile(np.eye(3), (2, 1, 1)),
     )
-    payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 2, 6)), Wrench.from_array(rng.normal(0, 2, 6)),
-        state.com_position + rng.normal(0, 0.2, 3), state.com_position + rng.normal(0, 0.2, 3),
-    )
+    grips = rng.normal(0, 2, (2, 6))  # left then right: force, moment
+    payload = PayloadDisturbance(grips[:, :3], grips[:, 3:], state.com_position + rng.normal(0, 0.2, (2, 3)))
     config = MpcConfig(solver=SolverOptions(max_iterations=max_iterations))
     build, _ = CONTROLLERS[controller]
     return build(state, refs, payload, Weights(), config, CONSTANTS, [SURFACE, SURFACE])

@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from payload_mpc.dynamics import RobotConstants
-from payload_mpc.shooting import PayloadArrays, StageGates, cross, rollout, rollout_adjoint, stage_forces
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, euler_step
+from payload_mpc.shooting import StageGates, cross, rollout, rollout_adjoint, stage_forces
 
 
 def reference_rollout(x0, wrenches, velocities, activity, payload, constants, dt):
@@ -96,7 +96,7 @@ def instance(horizon, n_c, pattern, payload_scale, seed, zeros, held):
     # one held estimate (2, 3) that broadcasts against every stage, or a
     # different payload per stage (K, 2, 3)
     grips = (2, 3) if held else (horizon, 2, 3)
-    payload = PayloadArrays(
+    payload = PayloadDisturbance(
         draw(rng, grips, payload_scale, zeros), draw(rng, grips, payload_scale, zeros), draw(rng, grips, 0.3, zeros)
     )
     constants = RobotConstants(mass=float(rng.uniform(0.5, 40.0)))
@@ -151,3 +151,32 @@ def test_adjoint_leaves_seeds_untouched():
     before = seeds.copy()
     rollout_adjoint(states, dt, seeds, gates, forces)
     assert seeds.tobytes() == before.tobytes()
+
+
+def test_one_rollout_stage_agrees_with_the_plant_step():
+    # the model and the plant read one payload record: one stage of the
+    # rollout is one Euler step of the plant.  Both grips push and twist,
+    # contact 0 stands and contact 1 swings.  The two sum their terms in
+    # different orders, so they agree to round-off, not bitwise.
+    payload = PayloadDisturbance(
+        [[0.3, -0.2, -7.0], [-0.1, 0.4, -6.5]],
+        [[0.05, -0.02, 0.1], [-0.04, 0.03, -0.08]],
+        [[0.27, 0.09, 0.4], [0.25, -0.11, 0.38]],
+    )
+    state = CentroidalState(
+        [0.02, -0.01, 0.55], [0.1, -0.2, 0.3, 0.05, 0.02, -0.04], [[0.0, 0.1, 0.0], [0.05, -0.1, 0.01]]
+    )
+    active = np.array([1.0, 0.0])
+    wrenches = np.array([[0.4, -0.2, 16.0, 0.02, -0.05, 0.01], [0.3, 0.1, 2.0, 0.01, 0.0, -0.02]])
+    velocities = np.array([[0.1, 0.0, 0.0], [0.25, 0.0, 0.05]])
+    constants = RobotConstants(mass=1.0)
+    dt = 0.01
+    gates = StageGates.of(active[None], constants, dt)
+    held = payload.over(1)
+    forces = stage_forces(wrenches[None], gates, held)
+    model = rollout(state.as_vector(), velocities[None], held, dt, gates, forces)[1]
+    plant = euler_step(state, wrenches, velocities, payload, active, constants, dt).as_vector()
+    np.testing.assert_allclose(model, plant, rtol=1e-12, atol=0.0)
+    # the swing foot moved and the stance foot did not: both paths were exercised
+    assert not np.array_equal(plant[12:15], state.contact_positions[1])
+    assert np.array_equal(plant[9:12], state.contact_positions[0])

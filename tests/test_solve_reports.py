@@ -19,7 +19,7 @@ from payload_mpc.baseline import BaselineProblem, baseline_receding_horizon_step
 from payload_mpc.cli import main
 from payload_mpc.contact import ContactSurface
 from payload_mpc.costs import Weights
-from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants, Wrench
+from payload_mpc.dynamics import CentroidalState, PayloadDisturbance, RobotConstants
 from payload_mpc.errors import NonFiniteStartError, SolverFailure
 from payload_mpc.mpc import HorizonReferences, MpcConfig, build_mpc_problem, receding_horizon_step
 from payload_mpc.simulation import TickRecord, TimingReport, _truncate_log, default_payload_scenario, run_closed_loop
@@ -44,10 +44,8 @@ def make_problem(controller, max_iterations=60):
         gait,
         np.tile(np.eye(3), (2, 1, 1)),
     )
-    payload = PayloadDisturbance(
-        Wrench.from_array(rng.normal(0, 2, 6)), Wrench.from_array(rng.normal(0, 2, 6)),
-        np.array([0.2, 0.1, 0.6]), np.array([0.2, -0.1, 0.6]),
-    )
+    grips = rng.normal(0, 2, (2, 6))  # left then right: force, moment
+    payload = PayloadDisturbance(grips[:, :3], grips[:, 3:], [[0.2, 0.1, 0.6], [0.2, -0.1, 0.6]])
     config = MpcConfig(solver=SolverOptions(max_iterations=max_iterations))
     build, _ = CONTROLLERS[controller]
     return build(state, refs, payload, Weights(), config, RobotConstants(mass=1.0), [SURFACE, SURFACE])

@@ -1,10 +1,13 @@
 """Smoke test of `scripts/walk_digest.py`: the seed-0 carry-walk and flat-walk-baseline slices, twice in one process."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from payload_mpc.simulation import SimLog
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "walk_digest.py"
 
@@ -43,3 +46,9 @@ def test_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
 def test_baseline_slice_digest_repeats_in_one_process(walk_digest, monkeypatch, capsys):
     line = slice_digest_twice(walk_digest, monkeypatch, capsys, "flat-walk-baseline")
     assert line.startswith("flat-walk-baseline seed=0 ticks=5 mean_iterations=200.000000 non_converged=5 sha256=")
+
+
+def test_digest_covers_every_per_plant_tick_log(walk_digest):
+    # every array of a SimLog is a per-plant-tick log that `to_csv` writes
+    plant_logs = [f.name for f in dataclasses.fields(SimLog) if f.type == "np.ndarray"]
+    assert list(walk_digest.LOGS[2:]) == plant_logs
